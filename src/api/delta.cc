@@ -26,7 +26,6 @@ struct DeltaBuilderAccess {
           "injected fault: snapshot allocation failed (FaultPoint "
           "snapshot_alloc)");
     }
-    system.InvertedIndex();
     auto snapshot = std::shared_ptr<InstanceSnapshot>(new InstanceSnapshot());
     snapshot->system_.emplace(std::move(system));
     snapshot->delta_version_ = child_version;

@@ -74,9 +74,6 @@ Result<InstancePtr> InstanceSnapshot::FromSetSystem(SetSystem system,
     return Status::InvalidArgument("instance snapshot: empty universe");
   }
   if (FaultFires(FaultPoint::kSnapshotAlloc)) return InjectedAllocFailure();
-  // Warm the lazy inverted index now, while we are still the only owner:
-  // afterwards every access through the snapshot is a pure read.
-  system.InvertedIndex();
   auto snapshot = std::shared_ptr<InstanceSnapshot>(new InstanceSnapshot());
   snapshot->system_.emplace(std::move(system));
   snapshot->ComputeShardPlan(sharding);
@@ -176,11 +173,6 @@ void InstanceSnapshot::MaterializePatterns() const {
   std::call_once(once_, [this] {
     lazy_.emplace(
         pattern::PatternSystem::Build(*table_, *cost_fn_, enumerate_options_));
-    if (lazy_->ok()) {
-      // Warm every lazy cache inside the once-block so later concurrent
-      // solves never write.
-      lazy_->value().set_system().InvertedIndex();
-    }
     materialized_.store(true, std::memory_order_release);
   });
 }

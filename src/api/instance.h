@@ -11,9 +11,9 @@
 // For patterned instances the SetSystem view requires enumerating every
 // pattern, which the optimized solvers exist to avoid; it is therefore
 // materialized lazily, on the first solver that asks for it, under a
-// std::call_once, and cached for every later solve. All lazy caches
-// (including SetSystem's inverted index) are warmed inside that once-block,
-// so concurrent reads of a snapshot are race-free.
+// std::call_once, and cached for every later solve. A SetSystem has no lazy
+// state of its own, so once that block returns every access through the
+// snapshot is a pure read and concurrent solves are race-free.
 
 #ifndef SCWSC_API_INSTANCE_H_
 #define SCWSC_API_INSTANCE_H_
@@ -63,11 +63,10 @@ struct ShardHashHint {
 class InstanceSnapshot {
  public:
   /// Wraps an explicit weighted set system (the generic, non-patterned
-  /// input). The inverted index is pre-built so concurrent solves only
-  /// read. `sharding` partitions the element universe (ShardBounds); the
-  /// effective plan is stamped into the snapshot together with per-shard
-  /// content hashes, and solvers run their benefit engines per-shard. The
-  /// default (1 shard) is the flat path.
+  /// input); concurrent solves only read it. `sharding` partitions the
+  /// element universe (ShardBounds); the effective plan is stamped into the
+  /// snapshot together with per-shard content hashes, and solvers run their
+  /// benefit engines per-shard. The default (1 shard) is the flat path.
   static Result<InstancePtr> FromSetSystem(SetSystem system,
                                            ShardingOptions sharding = {});
 

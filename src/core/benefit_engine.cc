@@ -40,7 +40,7 @@ BenefitEngine::BenefitEngine(const SetSystem& system,
   for (const auto& s : system.sets()) count_.push_back(s.elements.size());
 
   if (options_.marginal_mode == MarginalMode::kEager) {
-    system.InvertedIndex();  // force construction up front
+    inverted_ = system.BuildInvertedIndex();
     return;
   }
 
@@ -190,12 +190,11 @@ std::size_t BenefitEngine::MarginalCount(SetId id) {
 
 std::size_t BenefitEngine::Select(SetId id) {
   if (options_.marginal_mode == MarginalMode::kEager) {
-    const auto& inverted = system_.InvertedIndex();
     std::size_t newly = 0;
     for (ElementId e : system_.set(id).elements) {
       if (covered_.set(e)) {
         ++newly;
-        for (SetId other : inverted[e]) --count_[other];
+        for (SetId other : inverted_[e]) --count_[other];
       }
     }
     return newly;

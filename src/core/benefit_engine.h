@@ -6,7 +6,8 @@
 // selection S — under the strategy chosen by EngineOptions:
 //
 //  * eager mode maintains every count by inverted-index decrements at
-//    selection time (the seed CoverState behaviour);
+//    selection time (the seed CoverState behaviour), over an index it
+//    builds at construction;
 //  * lazy mode recomputes a count only when it is read and its cached value
 //    predates the current coverage epoch. Coverage only grows and counts
 //    only shrink (submodularity), so a cached value is always an upper
@@ -165,6 +166,9 @@ class BenefitEngine {
   /// per-shard stamps.
   std::vector<std::size_t> count_;
   std::vector<std::size_t> stamp_;  // flat lazy only
+
+  /// Eager only: element -> sets containing it, built at construction.
+  std::vector<std::vector<SetId>> inverted_;
 
   /// Sharding state (lazy mode with num_shards_ > 1 only). Element bounds
   /// come from ShardBounds (word-aligned); word_bounds_ is the same cut in

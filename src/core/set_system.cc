@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "src/common/logging.h"
 
@@ -13,7 +14,6 @@ SetSystem SetSystem::Clone() const {
   SetSystem copy(num_elements_);
   copy.sets_ = sets_;
   copy.total_cost_ = total_cost_;
-  // The lazy inverted index is rebuilt on demand; no need to copy it.
   return copy;
 }
 
@@ -26,9 +26,14 @@ Result<SetId> SetSystem::AddSet(std::vector<ElementId> elements, double cost,
     return Status::InvalidArgument(
         "set cost overflows the total cost of the system");
   }
-  std::sort(elements.begin(), elements.end());
-  elements.erase(std::unique(elements.begin(), elements.end()),
-                 elements.end());
+  // Callers that already hold a canonical list (pattern rows, delta copies)
+  // skip the sort and the dedup.
+  if (std::adjacent_find(elements.begin(), elements.end(),
+                         std::greater_equal<ElementId>()) != elements.end()) {
+    std::sort(elements.begin(), elements.end());
+    elements.erase(std::unique(elements.begin(), elements.end()),
+                   elements.end());
+  }
   if (!elements.empty() && elements.back() >= num_elements_) {
     return Status::InvalidArgument("element id out of universe");
   }
@@ -37,7 +42,6 @@ Result<SetId> SetSystem::AddSet(std::vector<ElementId> elements, double cost,
   }
   sets_.push_back(WeightedSet{std::move(elements), cost, std::move(label)});
   total_cost_ += cost;
-  inverted_valid_ = false;
   return static_cast<SetId>(sets_.size() - 1);
 }
 
@@ -62,17 +66,12 @@ bool SetSystem::HasUniverseSet() const {
   return false;
 }
 
-const std::vector<std::vector<SetId>>& SetSystem::InvertedIndex() const {
-  if (!inverted_valid_) {
-    inverted_.assign(num_elements_, {});
-    for (SetId id = 0; id < sets_.size(); ++id) {
-      for (ElementId e : sets_[id].elements) {
-        inverted_[e].push_back(id);
-      }
-    }
-    inverted_valid_ = true;
+std::vector<std::vector<SetId>> SetSystem::BuildInvertedIndex() const {
+  std::vector<std::vector<SetId>> inverted(num_elements_);
+  for (SetId id = 0; id < sets_.size(); ++id) {
+    for (ElementId e : sets_[id].elements) inverted[e].push_back(id);
   }
-  return inverted_;
+  return inverted;
 }
 
 std::size_t SetSystem::CoverageTarget(double fraction, std::size_t n) {

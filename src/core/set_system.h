@@ -36,10 +36,10 @@ class SetSystem {
   /// Creates a system over universe {0, ..., num_elements-1}.
   explicit SetSystem(std::size_t num_elements);
 
-  // Move-only: a SetSystem can hold millions of element ids plus the lazy
-  // inverted index, and every accidental copy of one used to be a silent
-  // multi-megabyte clone. Share one instance via api::InstanceSnapshot, or
-  // Clone() explicitly in the rare place that really wants a duplicate.
+  // Move-only: a SetSystem can hold millions of element ids, and every
+  // accidental copy of one used to be a silent multi-megabyte clone. Share
+  // one instance via api::InstanceSnapshot, or Clone() explicitly in the
+  // rare place that really wants a duplicate.
   SetSystem(const SetSystem&) = delete;
   SetSystem& operator=(const SetSystem&) = delete;
   SetSystem(SetSystem&&) = default;
@@ -49,7 +49,8 @@ class SetSystem {
   /// perturbation harnesses) that genuinely need their own instance.
   SetSystem Clone() const;
 
-  /// Adds a set; elements are sorted/deduplicated, must be < num_elements(),
+  /// Adds a set; elements are sorted/deduplicated (a strictly increasing
+  /// list is kept as is, without a sort), must be < num_elements(),
   /// and cost must be non-negative and finite — NaN, negative, and infinite
   /// costs are rejected with InvalidArgument, as is a (finite) cost that
   /// would overflow the running Σ-cost to infinity (TotalCost() anchors the
@@ -74,9 +75,11 @@ class SetSystem {
   /// so a feasible solution always exists).
   bool HasUniverseSet() const;
 
-  /// element -> ids of sets containing it. Built lazily on first call and
-  /// cached; the cache is invalidated by AddSet.
-  const std::vector<std::vector<SetId>>& InvertedIndex() const;
+  /// element -> ascending ids of the sets containing it, built afresh on
+  /// every call (O(num_elements + total set size)) and owned by the caller.
+  /// The system keeps no index of its own, so snapshots never pay for one;
+  /// the engine's eager mode and the LP relaxation build theirs per solve.
+  std::vector<std::vector<SetId>> BuildInvertedIndex() const;
 
   /// Number of elements that must be covered to reach coverage fraction
   /// `fraction` over `n` elements: the least integer m with m >= fraction*n,
@@ -88,8 +91,6 @@ class SetSystem {
   std::size_t num_elements_;
   std::vector<WeightedSet> sets_;
   double total_cost_ = 0.0;  // running Σ-cost, kept finite by AddSet
-  mutable std::vector<std::vector<SetId>> inverted_;  // lazy
-  mutable bool inverted_valid_ = false;
 };
 
 /// True when gain a (= count_a / cost_a) beats gain b, compared exactly by

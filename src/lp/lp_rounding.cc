@@ -31,7 +31,7 @@ Result<LpRelaxation> SolveScwscRelaxation(const SetSystem& system,
   problem.objective.assign(m + n, 0.0);
   for (SetId s = 0; s < m; ++s) problem.objective[s] = system.set(s).cost;
 
-  const auto& inverted = system.InvertedIndex();
+  const auto inverted = system.BuildInvertedIndex();
   // z_e - Σ_{s ∋ e} x_s <= 0.
   for (ElementId e = 0; e < n; ++e) {
     Constraint con;

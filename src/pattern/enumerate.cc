@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <unordered_map>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/obs/trace.h"
@@ -11,92 +12,140 @@ namespace scwsc {
 namespace pattern {
 namespace {
 
-/// Bit layout for packing one pattern into a uint64 key, when possible.
-struct PackLayout {
-  std::vector<unsigned> shift;
-  std::vector<unsigned> bits;
-  bool fits = false;
+/// Layout of the radix path's one 64-bit word per (row, generalization):
+/// the pattern key above the row id. Attribute 0 holds the key's top field
+/// and ALL is each field's all-ones code, one above every value of the
+/// domain, so comparing keys as integers is CanonicalLess.
+struct WordLayout {
+  std::vector<unsigned> shift;     // each attribute field's shift in the word
+  std::vector<std::uint64_t> all;  // each attribute field's all-ones code
+  unsigned row_bits = 0;
+  unsigned word_bits = 0;  // key bits + row bits; the radix path needs <= 64
 };
 
-PackLayout ComputeLayout(const Table& table) {
-  PackLayout layout;
-  unsigned total = 0;
-  for (std::size_t a = 0; a < table.num_attributes(); ++a) {
-    // Encode value+1 (0 reserved for ALL): needs bit_width(domain + 1) bits.
+WordLayout ComputeLayout(const Table& table) {
+  WordLayout layout;
+  const std::size_t n = table.num_rows();
+  layout.row_bits = n == 0 ? 0 : static_cast<unsigned>(std::bit_width(n - 1));
+  const std::size_t j = table.num_attributes();
+  layout.shift.resize(j);
+  layout.all.resize(j);
+  unsigned total = layout.row_bits;
+  for (std::size_t a = j; a-- > 0;) {
+    // Values 0..d-1 plus ALL = 2^bits - 1 >= d need bit_width(d) bits.
     const unsigned bits = static_cast<unsigned>(
-        std::bit_width(static_cast<std::uint64_t>(table.domain_size(a)) + 1));
-    layout.shift.push_back(total);
-    layout.bits.push_back(bits);
+        std::bit_width(static_cast<std::uint64_t>(table.domain_size(a))));
+    layout.shift[a] = total;
+    layout.all[a] = (std::uint64_t{1} << bits) - 1;
     total += bits;
   }
-  layout.fits = total <= 64;
+  layout.word_bits = total;
   return layout;
 }
 
-Pattern UnpackPattern(std::uint64_t key, const PackLayout& layout) {
-  std::vector<ValueId> values(layout.bits.size(), kAll);
-  for (std::size_t a = 0; a < layout.bits.size(); ++a) {
-    const std::uint64_t mask = (std::uint64_t{1} << layout.bits[a]) - 1;
-    const std::uint64_t enc = (key >> layout.shift[a]) & mask;
-    values[a] = enc == 0 ? kAll : static_cast<ValueId>(enc - 1);
+Pattern UnpackPattern(std::uint64_t word, const WordLayout& layout) {
+  std::vector<ValueId> values(layout.shift.size(), kAll);
+  for (std::size_t a = 0; a < values.size(); ++a) {
+    const std::uint64_t code = (word >> layout.shift[a]) & layout.all[a];
+    if (code != layout.all[a]) values[a] = static_cast<ValueId>(code);
   }
   return Pattern(std::move(values));
 }
 
-Result<std::vector<EnumeratedPattern>> EnumeratePacked(
-    const Table& table, const PackLayout& layout,
-    const EnumerateOptions& options) {
-  const std::size_t j = table.num_attributes();
-  const std::size_t num_masks = std::size_t{1} << j;
+/// Stable LSD radix sort of `words` on bits [lo, hi), one byte per pass. A
+/// pass whose byte is equal in every word would move nothing and is skipped.
+void RadixSortBits(std::vector<std::uint64_t>& words, unsigned lo,
+                   unsigned hi) {
+  constexpr unsigned kDigitBits = 8;
+  constexpr std::uint64_t kDigitMask = (1u << kDigitBits) - 1;
+  const unsigned passes = (hi - lo + kDigitBits - 1) / kDigitBits;
+  std::vector<std::size_t> counts(std::size_t{passes} << kDigitBits, 0);
+  for (const std::uint64_t w : words) {
+    for (unsigned p = 0; p < passes; ++p) {
+      ++counts[(std::size_t{p} << kDigitBits) +
+               ((w >> (lo + p * kDigitBits)) & kDigitMask)];
+    }
+  }
+  std::vector<std::uint64_t> scratch;
+  for (unsigned p = 0; p < passes; ++p) {
+    const unsigned shift = lo + p * kDigitBits;
+    std::size_t* offset = counts.data() + (std::size_t{p} << kDigitBits);
+    if (offset[(words[0] >> shift) & kDigitMask] == words.size()) continue;
+    std::size_t sum = 0;
+    for (std::size_t b = 0; b <= kDigitMask; ++b) {
+      sum += std::exchange(offset[b], sum);
+    }
+    scratch.resize(words.size());
+    for (const std::uint64_t w : words) {
+      scratch[offset[(w >> shift) & kDigitMask]++] = w;
+    }
+    words.swap(scratch);
+  }
+}
 
-  std::unordered_map<std::uint64_t, std::uint32_t> index;
-  index.reserve(table.num_rows() * 2);
-  std::vector<std::uint64_t> keys;
-  std::vector<std::vector<RowId>> rows;
+/// Emits every (row, generalization) as one word, sorts the words on their
+/// key bits and cuts each run of equal keys into a pattern. Rows are emitted
+/// in ascending order and the sort is stable, so each run lists its rows
+/// ascending without sorting on the row bits.
+Result<std::vector<EnumeratedPattern>> EnumeratePacked(
+    const Table& table, const WordLayout& layout,
+    const EnumerateOptions& options) {
+  const std::size_t n = table.num_rows();
+  const std::size_t j = table.num_attributes();
+  const std::size_t per_row = std::size_t{1} << j;
+  if (n == 0) return std::vector<EnumeratedPattern>{};
 
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
-  std::vector<std::uint64_t> encoded(j);
-  for (RowId r = 0; r < table.num_rows(); ++r) {
+  std::vector<std::uint64_t> words(n * per_row);
+  std::uint64_t all_key = 0;
+  for (std::size_t a = 0; a < j; ++a) {
+    all_key |= layout.all[a] << layout.shift[a];
+  }
+  for (RowId r = 0; r < n; ++r) {
     if (const TripKind trip = ctx.Check(); trip != TripKind::kNone) {
       return TripStatus(trip, "pattern enumeration");
     }
+    // Slot m of the row keeps the values of the attributes in bit mask m.
+    std::uint64_t* slot = words.data() + std::size_t{r} * per_row;
+    slot[0] = all_key | r;
     for (std::size_t a = 0; a < j; ++a) {
-      encoded[a] = (static_cast<std::uint64_t>(table.value(r, a)) + 1)
-                   << layout.shift[a];
+      const std::uint64_t flip = (layout.all[a] ^ table.value(r, a))
+                                 << layout.shift[a];
+      const std::size_t half = std::size_t{1} << a;
+      for (std::size_t m = 0; m < half; ++m) slot[half + m] = slot[m] ^ flip;
     }
-    for (std::size_t mask = 0; mask < num_masks; ++mask) {
-      std::uint64_t key = 0;
-      for (std::size_t a = 0; a < j; ++a) {
-        if (mask & (std::size_t{1} << a)) key |= encoded[a];
-      }
-      auto [it, inserted] =
-          index.try_emplace(key, static_cast<std::uint32_t>(keys.size()));
-      if (inserted) {
-        if (keys.size() >= options.max_patterns) {
-          return Status::ResourceExhausted(
-              "pattern enumeration exceeded max_patterns");
-        }
-        if (ctx.ChargeNodes(1) != TripKind::kNone) {
-          return TripStatus(ctx.tripped(), "pattern enumeration");
-        }
-        keys.push_back(key);
-        rows.emplace_back();
-      }
-      rows[it->second].push_back(r);
-    }
+  }
+  RadixSortBits(words, layout.row_bits, layout.word_bits);
+
+  const auto key_of = [&](std::uint64_t w) { return w >> layout.row_bits; };
+  std::size_t num_patterns = 1;
+  for (std::size_t i = 1; i < words.size(); ++i) {
+    if (key_of(words[i]) != key_of(words[i - 1])) ++num_patterns;
+  }
+  if (num_patterns > options.max_patterns) {
+    return Status::ResourceExhausted(
+        "pattern enumeration exceeded max_patterns");
+  }
+  if (ctx.ChargeNodes(num_patterns) != TripKind::kNone) {
+    return TripStatus(ctx.tripped(), "pattern enumeration");
   }
 
+  const std::uint64_t row_mask = (std::uint64_t{1} << layout.row_bits) - 1;
   std::vector<EnumeratedPattern> out;
-  out.reserve(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    out.push_back(EnumeratedPattern{UnpackPattern(keys[i], layout),
-                                    std::move(rows[i])});
+  out.reserve(num_patterns);
+  for (std::size_t begin = 0; begin < words.size();) {
+    const std::uint64_t key = key_of(words[begin]);
+    std::size_t end = begin + 1;
+    while (end < words.size() && key_of(words[end]) == key) ++end;
+    out.push_back(EnumeratedPattern{UnpackPattern(words[begin], layout), {}});
+    std::vector<RowId>& rows = out.back().rows;
+    rows.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      rows.push_back(static_cast<RowId>(words[i] & row_mask));
+    }
+    begin = end;
   }
-  std::sort(out.begin(), out.end(),
-            [](const EnumeratedPattern& a, const EnumeratedPattern& b) {
-              return CanonicalLess(a.pattern, b.pattern);
-            });
   return out;
 }
 
@@ -154,11 +203,11 @@ Result<std::vector<EnumeratedPattern>> EnumerateAllPatterns(
         "more than 20 pattern attributes would enumerate 2^j > 1M "
         "generalizations per record; use the optimized algorithms instead");
   }
-  const PackLayout layout = ComputeLayout(table);
+  const WordLayout layout = ComputeLayout(table);
   obs::Span span(options.trace, "enumerate");
   Result<std::vector<EnumeratedPattern>> out =
-      layout.fits ? EnumeratePacked(table, layout, options)
-                  : EnumerateGeneric(table, options);
+      layout.word_bits <= 64 ? EnumeratePacked(table, layout, options)
+                             : EnumerateGeneric(table, options);
   if (options.trace != nullptr && out.ok()) {
     options.trace->metrics().counter("enumerate.patterns")
         .Increment(out->size());

@@ -3,14 +3,17 @@
 // Every distinct pattern that matches at least one record is a
 // generalization of some record: replacing any subset of a record's j
 // attribute values with ALL. Enumeration therefore walks each record's 2^j
-// generalizations, deduplicating through a hash map and accumulating each
-// pattern's benefit rows. Patterns matching nothing are never produced
-// (they can never be selected). The result is sorted canonically so that
-// pattern ids are stable across runs and across the opt/unopt pair.
+// generalizations. Patterns matching nothing are never produced (they can
+// never be selected). The result is sorted canonically so that pattern ids
+// are stable across runs and across the opt/unopt pair.
 //
-// When the per-attribute domains fit, pattern keys are packed into a single
-// 64-bit word (value+1 in ceil(log2(|dom|+2)) bits per attribute, 0 = ALL);
-// otherwise a generic Pattern-keyed map is used.
+// When a pattern key and a row id fit one 64-bit word together, each
+// (record, generalization) becomes one word: the key above the row id,
+// attribute 0 in the key's top field and ALL as each field's all-ones code,
+// so that integer order on keys is CanonicalLess. A stable LSD radix sort on
+// the key bits then groups each pattern's rows, already ascending because
+// records are emitted in order, and each run of equal keys is one pattern.
+// Wider keys fall back to a Pattern-keyed hash map and a comparison sort.
 
 #ifndef SCWSC_PATTERN_ENUMERATE_H_
 #define SCWSC_PATTERN_ENUMERATE_H_
@@ -42,8 +45,8 @@ struct EnumerateOptions {
   std::size_t max_patterns = 200'000'000;
   /// Deadline / cancellation / work-budget context; nullptr = unlimited.
   /// Checked once per source row (each row expands up to 2^j
-  /// generalizations, charged as one node expansion per distinct pattern
-  /// inserted). A trip aborts the enumeration with the matching Status —
+  /// generalizations) and charged one node expansion per distinct pattern
+  /// found. A trip aborts the enumeration with the matching Status —
   /// a partially enumerated pattern collection is not a usable substrate,
   /// so no payload is attached.
   const RunContext* run_context = nullptr;

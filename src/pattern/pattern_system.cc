@@ -15,11 +15,11 @@ Result<PatternSystem> PatternSystem::Build(const Table& table,
   SetSystem system(table.num_rows());
   std::vector<Pattern> patterns;
   patterns.reserve(enumerated.size());
+  // Rows are element ids of the row universe: each pattern's ascending row
+  // list moves into its set without a copy or a re-sort.
   for (auto& ep : enumerated) {
     const double cost = cost_fn.Compute(table, ep.rows);
-    std::vector<ElementId> elements(ep.rows.begin(), ep.rows.end());
-    SCWSC_ASSIGN_OR_RETURN(SetId id,
-                           system.AddSet(std::move(elements), cost));
+    SCWSC_ASSIGN_OR_RETURN(SetId id, system.AddSet(std::move(ep.rows), cost));
     (void)id;
     patterns.push_back(std::move(ep.pattern));
   }

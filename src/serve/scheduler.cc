@@ -135,19 +135,6 @@ std::size_t SolveScheduler::in_flight() const {
   return in_flight_;
 }
 
-std::uint64_t SolveScheduler::SnapshotHashFor(
-    const api::InstancePtr& instance) {
-  {
-    std::lock_guard<std::mutex> lock(hash_mu_);
-    auto it = hash_memo_.find(instance.get());
-    if (it != hash_memo_.end()) return it->second;
-  }
-  const std::uint64_t hash = ContentHash(*instance);  // O(data), outside locks
-  std::lock_guard<std::mutex> lock(hash_mu_);
-  hash_memo_[instance.get()] = hash;
-  return hash;
-}
-
 void SolveScheduler::RunOneJob() {
   PendingJob pending;
   double queue_seconds = 0.0;
@@ -295,8 +282,10 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
       metrics_->sketch("serve.tenant.latency_seconds#" + tenant)
           .Observe(finished.queue_seconds + finished.run_seconds);
     }
-    pending.promise.set_value(std::move(finished));
+    // Free the slot and fulfil the promise under one lock: a caller that
+    // sees its future ready and enqueues again must find the slot free.
     std::lock_guard<std::mutex> lock(mu_);
+    pending.promise.set_value(std::move(finished));
     if (--in_flight_ == 0) drained_cv_.notify_all();
   };
 
@@ -357,8 +346,9 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
                          options_.result_cache_entries > 0;
   ResultKey key;
   if (cacheable) {
-    key = MakeResultKey(SnapshotHashFor(request.instance), info->name,
-                        request);
+    // Keyed by content, never by address: a snapshot allocated where a
+    // freed one lived must not inherit its results.
+    key = MakeResultKey(ContentHash(*request.instance), info->name, request);
     // A cache hit bypasses breakers and faults entirely — serving memoized
     // results is the cheapest form of graceful degradation.
     if (std::optional<api::SolveResult> cached = result_cache_->Lookup(key)) {

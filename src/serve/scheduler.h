@@ -216,10 +216,6 @@ class SolveScheduler {
   /// stale queue entries (see ResilienceOptions::watchdog).
   void WatchdogLoop();
 
-  /// Content hash of the job's snapshot, memoized by snapshot address so a
-  /// shared instance is scanned once, not once per job.
-  std::uint64_t SnapshotHashFor(const api::InstancePtr& instance);
-
   /// Telemetry tick sampler: refreshes serve.queue.depth and the
   /// per-priority wait gauges from the live queue.
   void SampleQueueGauges();
@@ -243,9 +239,6 @@ class SolveScheduler {
   /// Weighted-fair accounting: jobs dispatched per tenant. Only written
   /// when the tenant policy is enabled; guarded by mu_.
   std::map<std::string, double> tenant_served_;
-
-  std::mutex hash_mu_;
-  std::map<const api::InstanceSnapshot*, std::uint64_t> hash_memo_;
 
   // Watchdog thread state (only started when options.resilience.watchdog).
   std::condition_variable watchdog_cv_;  // waits on mu_

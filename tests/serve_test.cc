@@ -8,10 +8,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -480,6 +483,66 @@ TEST(SolveSchedulerTest, DeterministicSolvesHitTheResultCache) {
   auto other = scheduler.Enqueue(MakeJob(instance, "cwsc", 2));
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(other->get().from_result_cache);
+}
+
+/// A three-set snapshot whose every label and cost carries `tag`, so two
+/// tags never share content and a result served for the wrong one shows.
+InstancePtr TaggedInstance(int tag) {
+  const std::string t = std::to_string(tag);
+  SetSystem system(4);
+  EXPECT_TRUE(system.AddSet({0, 1}, 1.0, "t" + t + "-low").ok());
+  EXPECT_TRUE(system.AddSet({2, 3}, 2.0 + tag, "t" + t + "-high").ok());
+  EXPECT_TRUE(system.AddSet({0, 1, 2, 3}, 100.0, "t" + t + "-all").ok());
+  auto instance = api::InstanceSnapshot::FromSetSystem(std::move(system));
+  EXPECT_TRUE(instance.ok()) << instance.status().ToString();
+  return *instance;
+}
+
+TEST(SolveSchedulerTest, ResultsAreKeyedByContentNotSnapshotAddress) {
+  ThreadPool pool(2);
+  SolveScheduler scheduler(&pool);
+
+  InstancePtr first = TaggedInstance(0);
+  const auto freed = reinterpret_cast<std::uintptr_t>(first.get());
+  {
+    auto cold = scheduler.Enqueue(MakeJob(first, "cwsc"));
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    ASSERT_TRUE(cold->get().result.ok());
+  }
+  // The worker drops its copy of the request just after completing the
+  // future; free the snapshot from this thread, so this thread's allocator
+  // cache holds its address.
+  for (int i = 0; i < 5000 && first.use_count() > 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(first.use_count(), 1);
+  first.reset();
+
+  // Differently-contented snapshots until one lands at the freed address.
+  std::vector<InstancePtr> misses;
+  InstancePtr reused;
+  for (int tag = 1; tag <= 1000; ++tag) {
+    InstancePtr candidate = TaggedInstance(tag);
+    if (reinterpret_cast<std::uintptr_t>(candidate.get()) == freed) {
+      reused = std::move(candidate);
+      break;
+    }
+    misses.push_back(std::move(candidate));
+  }
+  if (reused == nullptr) {
+    GTEST_SKIP() << "the allocator never reused the freed snapshot address";
+  }
+
+  SolveJob job = MakeJob(reused, "cwsc");
+  auto direct = api::SolverRegistry::Global().Solve("cwsc", job.request);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  auto queued = scheduler.Enqueue(std::move(job));
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  JobOutcome outcome = queued->get();
+  ASSERT_TRUE(outcome.result.ok()) << outcome.result.status().ToString();
+  EXPECT_FALSE(outcome.from_result_cache);
+  EXPECT_EQ(outcome.result->labels, direct->labels);
+  EXPECT_EQ(outcome.result->total_cost, direct->total_cost);
 }
 
 TEST(SolveSchedulerTest, DeadlineTripSurfacesPartialPayload) {

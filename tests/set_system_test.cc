@@ -17,12 +17,20 @@ TEST(SetSystemTest, AddSetSortsAndDeduplicates) {
   EXPECT_EQ(s.elements, (std::vector<ElementId>{1, 3, 5}));
   EXPECT_DOUBLE_EQ(s.cost, 2.0);
   EXPECT_EQ(s.label, "s");
+
+  // Already sorted but not strictly increasing: still deduplicated.
+  auto sorted = system.AddSet({1, 3, 3, 5}, 1.0);
+  ASSERT_TRUE(sorted.ok());
+  EXPECT_EQ(system.set(*sorted).elements, (std::vector<ElementId>{1, 3, 5}));
 }
 
 TEST(SetSystemTest, RejectsOutOfUniverseElements) {
   SetSystem system(4);
   EXPECT_TRUE(system.AddSet({4}, 1.0).status().IsInvalidArgument());
   EXPECT_TRUE(system.AddSet({0, 99}, 1.0).status().IsInvalidArgument());
+  // Strictly increasing input skips the sort but not the universe check.
+  EXPECT_TRUE(system.AddSet({0, 1, 4}, 1.0).status().IsInvalidArgument());
+  EXPECT_EQ(system.num_sets(), 0u);
 }
 
 TEST(SetSystemTest, RejectsNegativeOrNonFiniteCosts) {
@@ -71,19 +79,21 @@ TEST(SetSystemTest, InvertedIndexMapsElementsToSets) {
   SetSystem system(3);
   ASSERT_TRUE(system.AddSet({0, 1}, 1).ok());
   ASSERT_TRUE(system.AddSet({1, 2}, 1).ok());
-  const auto& inv = system.InvertedIndex();
+  const auto inv = system.BuildInvertedIndex();
   ASSERT_EQ(inv.size(), 3u);
   EXPECT_EQ(inv[0], (std::vector<SetId>{0}));
   EXPECT_EQ(inv[1], (std::vector<SetId>{0, 1}));
   EXPECT_EQ(inv[2], (std::vector<SetId>{1}));
 }
 
-TEST(SetSystemTest, InvertedIndexInvalidatedByAddSet) {
+TEST(SetSystemTest, InvertedIndexSeesSetsAddedLater) {
   SetSystem system(2);
   ASSERT_TRUE(system.AddSet({0}, 1).ok());
-  EXPECT_EQ(system.InvertedIndex()[1].size(), 0u);
+  const auto before = system.BuildInvertedIndex();
+  EXPECT_EQ(before[1].size(), 0u);
   ASSERT_TRUE(system.AddSet({1}, 1).ok());
-  EXPECT_EQ(system.InvertedIndex()[1].size(), 1u);
+  EXPECT_EQ(system.BuildInvertedIndex()[1], (std::vector<SetId>{1}));
+  EXPECT_EQ(before[1].size(), 0u);  // the caller's copy is its own
 }
 
 TEST(CoverageTargetTest, ExactFractionsHitExactCounts) {
