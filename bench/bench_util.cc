@@ -41,21 +41,17 @@ Table MakeTrace(std::size_t rows, std::uint64_t seed) {
 
 api::InstancePtr MakeSnapshot(
     Table table, pattern::CostKind kind,
-    std::optional<hierarchy::TableHierarchy> hierarchy,
-    ShardingOptions sharding) {
+    std::optional<hierarchy::TableHierarchy> hierarchy) {
   auto snapshot = api::InstanceSnapshot::FromTable(
-      std::move(table), pattern::CostFunction(kind), std::move(hierarchy), {},
-      sharding);
+      std::move(table), pattern::CostFunction(kind), std::move(hierarchy));
   SCWSC_CHECK(snapshot.ok(), "snapshot construction failed: %s",
               snapshot.status().ToString().c_str());
   return *std::move(snapshot);
 }
 
 api::InstancePtr MakeTraceSnapshot(std::size_t paper_rows,
-                                   pattern::CostKind kind,
-                                   ShardingOptions sharding) {
-  return MakeSnapshot(MakeTrace(ScaledRows(paper_rows)), kind, std::nullopt,
-                      sharding);
+                                   pattern::CostKind kind) {
+  return MakeSnapshot(MakeTrace(ScaledRows(paper_rows)), kind);
 }
 
 api::SolveRequest MakeRequest(api::InstancePtr instance, std::size_t k,

@@ -36,20 +36,17 @@ Table MakeTrace(std::size_t rows, std::uint64_t seed = 42);
 
 /// One shared instance snapshot over a patterned table (aborts on failure —
 /// bench inputs are trusted). Every solver arm of a bench point shares this
-/// one snapshot instead of re-enumerating per arm. `sharding` stamps an
-/// element-range shard plan into the snapshot (default: flat).
+/// one snapshot instead of re-enumerating per arm.
 api::InstancePtr MakeSnapshot(
     Table table, pattern::CostKind kind = pattern::CostKind::kMax,
-    std::optional<hierarchy::TableHierarchy> hierarchy = std::nullopt,
-    ShardingOptions sharding = {});
+    std::optional<hierarchy::TableHierarchy> hierarchy = std::nullopt);
 
 /// The common bench opener in one call: deterministic synthetic trace of
 /// ScaledRows(paper_rows) rows wrapped in a snapshot. Deduplicates the
 /// MakeSnapshot(MakeTrace(ScaledRows(N))) boilerplate of the fig/table
 /// benches.
 api::InstancePtr MakeTraceSnapshot(
-    std::size_t paper_rows, pattern::CostKind kind = pattern::CostKind::kMax,
-    ShardingOptions sharding = {});
+    std::size_t paper_rows, pattern::CostKind kind = pattern::CostKind::kMax);
 
 /// A SolveRequest over a shared snapshot with "key=value" options items.
 api::SolveRequest MakeRequest(api::InstancePtr instance, std::size_t k,

@@ -10,16 +10,12 @@
 //
 // Gates (exit 1 on any failure), written to BENCH_serve_soak.json:
 //   g1 bit-identity: at EVERY delta version, the delta-applied snapshot's
-//      content hash (and per-shard hashes) equal a from-scratch rebuild
-//      over the shadow system — and a reference solve on both agrees;
-//   g2 incrementality: every add-only delta chains at least one shard
-//      (removals renumber ids and legitimately dirty most shards), and
-//      serve.snapshot_cache.shard_shared > 0 (unchanged shards recognized
-//      as shared across versions);
-//   g3 zero starvation: every tenant's jobs all complete with at least one
+//      content hash equals a from-scratch rebuild over the shadow system —
+//      and a reference solve on both agrees;
+//   g2 zero starvation: every tenant's jobs all complete with at least one
 //      success per tenant, and no tenant's share of dispatches collapses
 //      (weighted-fair dequeue holds under the mixed stream);
-//   g4 p99 SLO: end-to-end p99 latency stays under the (scale-adjusted)
+//   g3 p99 SLO: end-to-end p99 latency stays under the (scale-adjusted)
 //      bound, and the telemetry pump evaluated a tenant-scoped SLO rule.
 
 #include <algorithm>
@@ -55,13 +51,6 @@ namespace {
 constexpr std::uint64_t kSeed = 20260808;
 constexpr double kMeanInterArrivalSeconds = 0.004;
 constexpr std::size_t kArrivalsPerDelta = 8;
-
-ShardingOptions Sharding() {
-  ShardingOptions sharding;
-  sharding.num_shards = 8;
-  sharding.min_shard_elements = 64;
-  return sharding;
-}
 
 /// Universe and request-count scale with SCWSC_BENCH_SCALE like every other
 /// bench; the floor keeps the soak meaningful at CI's 0.02.
@@ -111,8 +100,7 @@ api::InstancePtr Snapshot(const SetSystem& system) {
   for (const WeightedSet& s : system.sets()) {
     if (!copy.AddSet(s.elements, s.cost, s.label).ok()) std::abort();
   }
-  auto instance =
-      api::InstanceSnapshot::FromSetSystem(std::move(copy), Sharding());
+  auto instance = api::InstanceSnapshot::FromSetSystem(std::move(copy));
   if (!instance.ok()) {
     std::fprintf(stderr, "snapshot: %s\n", instance.status().ToString().c_str());
     std::abort();
@@ -120,16 +108,13 @@ api::InstancePtr Snapshot(const SetSystem& system) {
   return *instance;
 }
 
-/// A random mutation, replayed into `shadow`. Most deltas are add-only with
-/// the new set's elements confined to one 64-element block, i.e. one shard
-/// — the fully local case the per-delta chaining gate covers. Every fourth
-/// delta also removes a tail set, which legitimately dirties most shards
-/// (removal renumbers ids), so those are exempt from the per-delta gate.
+/// A random mutation, replayed into `shadow`: one new set confined to a
+/// 64-element block, and on every fourth delta also the removal of a tail
+/// set (which renumbers the later ids).
 api::SnapshotDelta NextDelta(std::size_t universe, std::size_t version,
-                             SetSystem& shadow, Rng& rng, bool* add_only) {
+                             SetSystem& shadow, Rng& rng) {
   api::SnapshotDelta delta;
-  *add_only = version % 4 != 0;
-  if (!*add_only && shadow.num_sets() > 4) {
+  if (version % 4 == 0 && shadow.num_sets() > 4) {
     const SetId victim =
         static_cast<SetId>(shadow.num_sets() - 1 - rng.NextBounded(3));
     delta.remove_sets.push_back(victim);
@@ -231,9 +216,7 @@ int Run(const char* out_path) {
   pending.reserve(arrivals);
 
   bool bit_identity_ok = true;
-  bool chained_every_delta = true;
   std::size_t deltas_applied = 0;
-  std::size_t total_chained = 0, total_rehashed = 0;
 
   Stopwatch wall;
   for (std::size_t i = 0; i < arrivals; ++i) {
@@ -246,9 +229,8 @@ int Run(const char* out_path) {
     // shadow rebuild immediately (gate g1) — the serving loop keeps going.
     if (i > 0 && i % kArrivalsPerDelta == 0) {
       ++deltas_applied;
-      bool add_only = false;
       const api::SnapshotDelta delta =
-          NextDelta(universe, deltas_applied, shadow, rng, &add_only);
+          NextDelta(universe, deltas_applied, shadow, rng);
       auto applied = store.Apply("live", delta);
       if (!applied.ok()) {
         std::fprintf(stderr, "delta %zu: %s\n", deltas_applied,
@@ -256,14 +238,8 @@ int Run(const char* out_path) {
         bit_identity_ok = false;
         continue;
       }
-      total_chained += applied->stats.shards_chained;
-      total_rehashed += applied->stats.shards_rehashed;
-      if (add_only && applied->stats.shards_chained == 0) {
-        chained_every_delta = false;
-      }
       const api::InstancePtr rebuilt = Snapshot(shadow);
-      if (rebuilt->content_hash() != applied->snapshot->content_hash() ||
-          rebuilt->shard_hashes() != applied->snapshot->shard_hashes()) {
+      if (rebuilt->content_hash() != applied->snapshot->content_hash()) {
         std::fprintf(stderr, "delta %zu: hash mismatch vs rebuild\n",
                      deltas_applied);
         bit_identity_ok = false;
@@ -329,20 +305,16 @@ int Run(const char* out_path) {
   }
   if (pending.size() != latencies.size()) no_starvation = false;
 
-  const std::uint64_t shard_shared =
-      scheduler.metrics().CounterValue("serve.snapshot_cache.shard_shared");
   const bool g1 = bit_identity_ok && deltas_applied > 0;
-  const bool g2 = chained_every_delta && shard_shared > 0;
-  const bool g3 = no_starvation;
-  const bool g4 = p99 <= p99_bound_seconds &&
+  const bool g2 = no_starvation;
+  const bool g3 = p99 <= p99_bound_seconds &&
                   scheduler.telemetry() != nullptr &&
                   scheduler.telemetry()->ticks() > 0;
 
   serve::JsonObject gates;
   gates["g1_bit_identity_every_version"] = serve::JsonValue(g1);
-  gates["g2_shard_chaining_and_sharing"] = serve::JsonValue(g2);
-  gates["g3_zero_tenant_starvation"] = serve::JsonValue(g3);
-  gates["g4_p99_slo"] = serve::JsonValue(g4);
+  gates["g2_zero_tenant_starvation"] = serve::JsonValue(g2);
+  gates["g3_p99_slo"] = serve::JsonValue(g3);
 
   serve::JsonObject tenants_obj;
   for (const auto& [name, weight] : tenants) {
@@ -360,10 +332,6 @@ int Run(const char* out_path) {
   root["universe"] = serve::JsonValue(universe);
   root["arrivals"] = serve::JsonValue(arrivals);
   root["deltas_applied"] = serve::JsonValue(deltas_applied);
-  root["shards_chained_total"] = serve::JsonValue(total_chained);
-  root["shards_rehashed_total"] = serve::JsonValue(total_rehashed);
-  root["snapshot_cache_shard_shared"] =
-      serve::JsonValue(static_cast<std::size_t>(shard_shared));
   root["wall_seconds"] = serve::JsonValue(wall_seconds);
   root["p50_latency_seconds"] = serve::JsonValue(Percentile(latencies, 0.5));
   root["p99_latency_seconds"] = serve::JsonValue(p99);
@@ -377,7 +345,7 @@ int Run(const char* out_path) {
     return 1;
   }
   std::printf("%s\n", report.Dump().c_str());
-  const bool all = g1 && g2 && g3 && g4;
+  const bool all = g1 && g2 && g3;
   std::printf("# serve_soak: %zu arrivals, %zu deltas, p99 %.3fs -> %s\n",
               arrivals, deltas_applied, p99, all ? "PASS" : "FAIL");
   return all ? 0 : 1;

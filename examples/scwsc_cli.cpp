@@ -105,7 +105,6 @@ struct CliArgs {
   std::string telemetry_out;            // JSONL path; empty = no telemetry
   std::vector<std::string> slo_rules;   // raw --slo values, parsed later
   unsigned threads = 0;     // 0 = hardware concurrency
-  std::size_t shards = 1;   // element-range shards for the snapshot
   std::string tenant;       // single-solve tenant id (wire "tenant" field)
   /// Raw --tenant-quota NAME=RATE[:BURST[:WEIGHT]] items; any present
   /// enables the scheduler's tenant policy for --batch / --serve.
@@ -131,7 +130,6 @@ void PrintUsage() {
       "          [--coverage F] [--cost max|sum|lp] [--lp P]\n"
       "          [--opt KEY=VALUE]... [--hierarchy flat] [--delimiter C]\n"
       "          [--deadline-ms N] [--trace-out PATH] [--metrics-out PATH]\n"
-      "          [--shards N]\n"
       "          [--batch jobs.json [--batch-out PATH] [--threads N]\n"
       "           [--telemetry-out PATH] [--slo RULE]...]\n"
       "          [--serve PORT [--tenant-quota NAME=RATE[:BURST[:WEIGHT]]]...]\n"
@@ -254,12 +252,6 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument("--serve port must be <= 65535");
       }
       args.serve_port = static_cast<int>(port);
-    } else if (flag == "--shards") {
-      SCWSC_ASSIGN_OR_RETURN(auto shards, ParseU64(value));
-      if (shards == 0) {
-        return Status::InvalidArgument("--shards must be >= 1");
-      }
-      args.shards = static_cast<std::size_t>(shards);
     } else if (flag == "--delimiter") {
       if (value.size() != 1) {
         return Status::InvalidArgument("--delimiter takes one character");
@@ -567,10 +559,8 @@ int main(int argc, char** argv) {
   const std::size_t num_rows = table->num_rows();
   std::optional<hierarchy::TableHierarchy> hier;
   if (args->flat_hierarchy) hier = hierarchy::TableHierarchy::Flat(*table);
-  ShardingOptions sharding;
-  sharding.num_shards = args->shards;
   auto instance = api::InstanceSnapshot::FromTable(
-      *std::move(table), *std::move(cost_fn), std::move(hier), {}, sharding);
+      *std::move(table), *std::move(cost_fn), std::move(hier));
   if (!instance.ok()) return Fail(instance.status().ToString());
 
   if (args->serve_port >= 0) return RunServeMode(*args, *instance);

@@ -182,15 +182,7 @@ Result<CmcOptions> CmcOptionsFromRequest(const SolveRequest& request,
       options.max_budget_rounds,
       request.options.GetU64("max_budget_rounds", options.max_budget_rounds));
   options.run_context = run_context;
-  ApplyInstanceSharding(request, options.engine);
   return options;
-}
-
-void ApplyInstanceSharding(const SolveRequest& request,
-                           EngineOptions& engine) {
-  if (request.instance != nullptr) {
-    engine.num_shards = request.instance->num_shards();
-  }
 }
 
 OptionsSpec CmcOptionsSpec() {

@@ -57,13 +57,6 @@ OptionsSpec CmcOptionsSpec();
 /// (possibly relaxed) CmcCoverageTarget of `num_elements`.
 SolveContract CmcContract(const CmcOptions& options, std::size_t num_elements);
 
-/// Copies the request snapshot's effective shard plan into `engine`, so
-/// every BenefitEngine built for this solve partitions the universe exactly
-/// as the snapshot does (shard counts come from
-/// InstanceSnapshot::num_shards(); 1 = flat, no behaviour change). Every
-/// set-backed adapter calls this right after building its options.
-void ApplyInstanceSharding(const SolveRequest& request, EngineOptions& engine);
-
 }  // namespace internal
 }  // namespace api
 }  // namespace scwsc

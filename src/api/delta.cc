@@ -4,70 +4,29 @@
 #include <string_view>
 #include <utility>
 
-#include "src/common/fault.h"
 #include "src/table/builder.h"
 
 namespace scwsc {
 namespace api {
 
-/// Friend of InstanceSnapshot: builds a child snapshot through the same
-/// code path as the public factories, but threads the parent's ShardHashHint
-/// into ComputeShardPlan and stamps the child's delta_version.
+/// Friend of InstanceSnapshot: builds a delta child through the public
+/// factories' code, at the parent's delta_version + 1.
 struct DeltaBuilderAccess {
-  static Result<InstancePtr> FromSetSystemChained(SetSystem system,
-                                                  ShardingOptions sharding,
-                                                  const ShardHashHint& hint,
-                                                  std::size_t child_version) {
-    if (system.num_elements() == 0) {
-      return Status::InvalidArgument("instance snapshot: empty universe");
-    }
-    if (FaultFires(FaultPoint::kSnapshotAlloc)) {
-      return Status::ResourceExhausted(
-          "injected fault: snapshot allocation failed (FaultPoint "
-          "snapshot_alloc)");
-    }
-    auto snapshot = std::shared_ptr<InstanceSnapshot>(new InstanceSnapshot());
-    snapshot->system_.emplace(std::move(system));
-    snapshot->delta_version_ = child_version;
-    snapshot->ComputeShardPlan(sharding, &hint);
-    return InstancePtr(std::move(snapshot));
+  static Result<InstancePtr> Child(const InstanceSnapshot& parent,
+                                   SetSystem system) {
+    return InstanceSnapshot::FromSetSystem(std::move(system),
+                                           parent.delta_version() + 1);
   }
 
-  static Result<InstancePtr> FromTableChained(
-      Table table, pattern::CostFunction cost_fn,
-      pattern::EnumerateOptions enumerate_options, ShardingOptions sharding,
-      const ShardHashHint& hint, std::size_t child_version) {
-    if (table.num_rows() == 0) {
-      return Status::InvalidArgument("instance snapshot: empty table");
-    }
-    if (FaultFires(FaultPoint::kSnapshotAlloc)) {
-      return Status::ResourceExhausted(
-          "injected fault: snapshot allocation failed (FaultPoint "
-          "snapshot_alloc)");
-    }
-    auto snapshot = std::shared_ptr<InstanceSnapshot>(new InstanceSnapshot());
-    snapshot->table_.emplace(std::move(table));
-    snapshot->cost_fn_.emplace(std::move(cost_fn));
-    snapshot->enumerate_options_ = enumerate_options;
-    snapshot->delta_version_ = child_version;
-    snapshot->ComputeShardPlan(sharding, &hint);
-    return InstancePtr(std::move(snapshot));
-  }
-
-  static pattern::EnumerateOptions EnumerateOptionsOf(
-      const InstanceSnapshot& parent) {
-    return parent.enumerate_options_;
+  static Result<InstancePtr> Child(const InstanceSnapshot& parent,
+                                   Table table) {
+    return InstanceSnapshot::FromTable(std::move(table), parent.cost_fn(),
+                                       std::nullopt, parent.enumerate_options_,
+                                       parent.delta_version() + 1);
   }
 };
 
 namespace {
-
-/// Shard index covering element/row `e` under `bounds` (bounds[0] = 0,
-/// bounds.back() = n, e < n).
-std::size_t ShardOf(const std::vector<std::size_t>& bounds, std::size_t e) {
-  const auto it = std::upper_bound(bounds.begin(), bounds.end(), e);
-  return static_cast<std::size_t>(it - bounds.begin()) - 1;
-}
 
 /// Sorted, deduplicated copy of `ids`; InvalidArgument on duplicates or an
 /// id outside [0, limit).
@@ -151,37 +110,13 @@ Result<AppliedDelta> ApplyToTable(const InstancePtr& parent,
     SCWSC_RETURN_NOT_OK(builder.AddRow(views, row.measure));
   }
 
-  // Chaining: with the row count unchanged, every row below the first
-  // retracted index keeps its position, encoding and measure, so shards
-  // entirely below it are untouched. A changed row count moves the shard
-  // bounds — mark everything dirty and let the child rehash in full.
-  ShardHashHint hint;
-  hint.bounds = parent->shard_bounds();
-  hint.hashes = parent->shard_hashes();
-  hint.parent_version = parent->delta_version();
-  const std::size_t num_shards = parent->num_shards();
-  hint.dirty.assign(num_shards, true);
-  if (new_n == n) {
-    const std::size_t first_touched = retract.empty() ? n : retract.front();
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      hint.dirty[s] = hint.bounds[s + 1] > first_touched;
-    }
-  }
-
   SCWSC_ASSIGN_OR_RETURN(
       InstancePtr child,
-      DeltaBuilderAccess::FromTableChained(
-          std::move(builder).Build(), parent->cost_fn(),
-          DeltaBuilderAccess::EnumerateOptionsOf(*parent),
-          parent->sharding(), hint, parent->delta_version() + 1));
+      DeltaBuilderAccess::Child(*parent, std::move(builder).Build()));
 
   AppliedDelta applied;
   applied.snapshot = std::move(child);
   applied.stats.child_version = parent->delta_version() + 1;
-  applied.stats.shards_total = applied.snapshot->num_shards();
-  applied.stats.shards_chained = hint.chained;
-  applied.stats.shards_rehashed =
-      applied.stats.shards_total - hint.chained;
   applied.stats.rows_appended = delta.append_rows.size();
   applied.stats.rows_retracted = retract.size();
   return applied;
@@ -223,45 +158,13 @@ Result<AppliedDelta> ApplyToSetSystem(const InstancePtr& parent,
     }
   }
 
-  // Chaining: the universe (and therefore every shard bound) is unchanged.
-  // Dirty shards are those holding elements of added or removed sets, plus
-  // — when anything was removed — elements of every surviving set whose id
-  // shifts down (the shard hashes tag slices with SetIds).
-  ShardHashHint hint;
-  hint.bounds = parent->shard_bounds();
-  hint.hashes = parent->shard_hashes();
-  hint.parent_version = parent->delta_version();
-  const std::size_t num_shards = parent->num_shards();
-  hint.dirty.assign(num_shards, false);
-  auto mark_elements = [&](const std::vector<ElementId>& elements) {
-    for (const ElementId e : elements) {
-      if (e < n) hint.dirty[ShardOf(hint.bounds, e)] = true;
-    }
-  };
-  for (const SnapshotDelta::SetAdd& add : delta.add_sets) {
-    mark_elements(add.elements);
-  }
-  if (!removed.empty()) {
-    const std::size_t min_removed = removed.front();
-    for (SetId id = static_cast<SetId>(min_removed); id < num_parent_sets;
-         ++id) {
-      mark_elements(parent_system->set(id).elements);
-    }
-  }
-
   SCWSC_ASSIGN_OR_RETURN(
       InstancePtr child,
-      DeltaBuilderAccess::FromSetSystemChained(std::move(child_system),
-                                               parent->sharding(), hint,
-                                               parent->delta_version() + 1));
+      DeltaBuilderAccess::Child(*parent, std::move(child_system)));
 
   AppliedDelta applied;
   applied.snapshot = std::move(child);
   applied.stats.child_version = parent->delta_version() + 1;
-  applied.stats.shards_total = applied.snapshot->num_shards();
-  applied.stats.shards_chained = hint.chained;
-  applied.stats.shards_rehashed =
-      applied.stats.shards_total - hint.chained;
   applied.stats.sets_added = delta.add_sets.size();
   applied.stats.sets_removed = removed.size();
   return applied;

@@ -3,26 +3,11 @@
 // Snapshots never change in place — live serving instead derives a *new*
 // version by applying a delta (append/retract rows for table snapshots,
 // add/remove sets for set-system snapshots) to a parent. The child is built
-// over the mutated data exactly as a from-scratch FromTable/FromSetSystem
-// would build it, so its content hash is bit-identical to a rebuild — the
-// property bench/serve_soak gates at every version. What makes application
-// *incremental* is per-shard hash chaining: shards whose data the delta
-// provably left untouched copy their hash from the parent (ShardHashHint,
-// instance.h) instead of rehashing, which is also what lets the serve
-// layer's SnapshotCache recognize the unchanged shards across versions
-// (ResidentShardOverlap > 0) and the ResultCache invalidate precisely —
-// only keys whose snapshot hash changed.
-//
-// Localization rules (which shards a delta dirties):
-//  - Set-system snapshots keep their universe, so shard bounds never move.
-//    Adding a set dirties exactly the shards its elements fall in; removing
-//    a set additionally dirties every shard holding elements of a set with
-//    a larger id (removal renumbers the ids the shard hashes are tagged
-//    with). Append-only deltas are the fully local case.
-//  - Table snapshots: rows before the first retracted index are byte-stable
-//    across the rebuild, so when the row count is unchanged (retract k rows,
-//    append k rows) every shard entirely below that index chains. A delta
-//    that changes the row count moves every shard bound and rehashes all.
+// over the mutated data through the same factory code a from-scratch
+// FromTable/FromSetSystem runs, so its content hash is bit-identical to a
+// rebuild — the property bench/serve_soak gates at every version — and the
+// serve layer's ResultCache invalidates precisely: only keys whose snapshot
+// hash changed.
 //
 // The solver-side complement is ext::WarmStartSolve (ext/incremental.h),
 // which re-evaluates a parent solution on the child and repairs it on the
@@ -73,12 +58,9 @@ struct SnapshotDelta {
   }
 };
 
-/// What one application did, for telemetry and the soak bench's gates.
+/// What one application did, for telemetry and the delta ack.
 struct DeltaStats {
   std::size_t child_version = 0;  // parent delta_version() + 1
-  std::size_t shards_total = 0;
-  std::size_t shards_chained = 0;   // hashes copied from the parent
-  std::size_t shards_rehashed = 0;  // shards_total - shards_chained
   std::size_t rows_appended = 0;
   std::size_t rows_retracted = 0;
   std::size_t sets_added = 0;
@@ -93,9 +75,8 @@ struct AppliedDelta {
 /// Applies `delta` to `parent`, returning the child snapshot. The child
 /// shares nothing mutable with the parent (both stay independently usable
 /// and cacheable); an empty delta yields a child with the parent's content
-/// hash and every shard chained. Table snapshots carrying attribute
-/// hierarchies are NotSupported (hierarchies are bound to the parent's
-/// rows).
+/// hash. Table snapshots carrying attribute hierarchies are NotSupported
+/// (hierarchies are bound to the parent's rows).
 Result<AppliedDelta> ApplyDelta(const InstancePtr& parent,
                                 const SnapshotDelta& delta);
 

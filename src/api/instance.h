@@ -23,11 +23,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "src/common/result.h"
 #include "src/core/set_system.h"
-#include "src/core/shard.h"
 #include "src/hierarchy/hierarchy.h"
 #include "src/pattern/cost.h"
 #include "src/pattern/enumerate.h"
@@ -43,43 +41,20 @@ class InstanceSnapshot;
 /// snapshot; the underlying data is never copied.
 using InstancePtr = std::shared_ptr<const InstanceSnapshot>;
 
-/// Parent-chaining information for an incremental snapshot build (see
-/// api/delta.h). When a delta leaves a shard's data untouched, the child
-/// snapshot copies that shard's hash from the parent instead of rehashing
-/// the slice — provably equal to recomputation, so the child's content hash
-/// is bit-identical to a from-scratch build over the same data. `dirty[s]`
-/// marks parent shards the delta touched; chaining only applies while the
-/// child's shard bounds match the parent's (same universe size and
-/// ShardingOptions), which ApplyDelta verifies per shard.
-struct ShardHashHint {
-  std::vector<std::size_t> bounds;    // parent shard bounds
-  std::vector<std::uint64_t> hashes;  // parent per-shard hashes
-  std::vector<bool> dirty;            // parent shards the delta touched
-  std::size_t parent_version = 0;     // parent's delta_version()
-  /// Out-parameter: shards whose hash was reused from the parent.
-  mutable std::size_t chained = 0;
-};
-
 class InstanceSnapshot {
  public:
   /// Wraps an explicit weighted set system (the generic, non-patterned
-  /// input); concurrent solves only read it. `sharding` partitions the
-  /// element universe (ShardBounds); the effective plan is stamped into the
-  /// snapshot together with per-shard content hashes, and solvers run their
-  /// benefit engines per-shard. The default (1 shard) is the flat path.
-  static Result<InstancePtr> FromSetSystem(SetSystem system,
-                                           ShardingOptions sharding = {});
+  /// input); concurrent solves only read it.
+  static Result<InstancePtr> FromSetSystem(SetSystem system);
 
   /// Wraps a patterned table instance. The snapshot owns the table; the
   /// generic SetSystem view (full pattern enumeration) is materialized
   /// lazily on first use and then shared. `hierarchy`, when present,
-  /// additionally enables the hierarchical solvers. `sharding` partitions
-  /// the row universe, exactly as in FromSetSystem.
+  /// additionally enables the hierarchical solvers.
   static Result<InstancePtr> FromTable(
       Table table, pattern::CostFunction cost_fn,
       std::optional<hierarchy::TableHierarchy> hierarchy = std::nullopt,
-      pattern::EnumerateOptions enumerate_options = {},
-      ShardingOptions sharding = {});
+      pattern::EnumerateOptions enumerate_options = {});
 
   // Not copyable or movable: a snapshot's address is its identity (solvers
   // and caches hold pointers into it); sharing goes through InstancePtr.
@@ -114,34 +89,10 @@ class InstanceSnapshot {
   /// separately from solving.
   bool set_system_materialized() const;
 
-  // --- sharding -------------------------------------------------------------
-
-  /// The sharding options the snapshot was built with (as requested).
-  const ShardingOptions& sharding() const { return sharding_; }
-
-  /// Effective shard count after clamping (1 = flat). Solver adapters copy
-  /// this into EngineOptions::num_shards so every engine over this snapshot
-  /// uses the snapshot's plan.
-  std::size_t num_shards() const { return shard_bounds_.size() - 1; }
-
-  /// Word-aligned element bounds of the shard plan (ShardBounds), size
-  /// num_shards() + 1.
-  const std::vector<std::size_t>& shard_bounds() const {
-    return shard_bounds_;
-  }
-
-  /// FNV-1a hash of each shard's slice of the underlying data (table rows
-  /// or per-set element slices), size num_shards(). Two snapshots sharing a
-  /// shard's data produce equal hashes for it, which is what lets the serve
-  /// cache detect unchanged shards across snapshot versions.
-  const std::vector<std::uint64_t>& shard_hashes() const {
-    return shard_hashes_;
-  }
-
-  /// Whole-content hash: global metadata (schema, dictionaries, cost
-  /// function, hierarchy presence / set costs and labels) chained with the
-  /// shard plan and every per-shard hash. Computed once at construction;
-  /// serve::ContentHash returns this.
+  /// Whole-content hash over every byte a solver can read: schema,
+  /// dictionaries, encoded columns, measures, cost function and hierarchy
+  /// presence, or every set's elements, cost and label in id order.
+  /// Computed once at construction; serve::ContentHash returns this.
   std::uint64_t content_hash() const { return content_hash_; }
 
   /// How many deltas separate this snapshot from its from-scratch root:
@@ -150,18 +101,23 @@ class InstanceSnapshot {
   std::size_t delta_version() const { return delta_version_; }
 
  private:
-  friend struct DeltaBuilderAccess;  // api/delta.cc: chained child builds
+  friend struct DeltaBuilderAccess;  // api/delta.cc: builds delta children
+
+  /// The public factories at an explicit delta_version (0 for a root).
+  static Result<InstancePtr> FromSetSystem(SetSystem system,
+                                           std::size_t delta_version);
+  static Result<InstancePtr> FromTable(
+      Table table, pattern::CostFunction cost_fn,
+      std::optional<hierarchy::TableHierarchy> hierarchy,
+      pattern::EnumerateOptions enumerate_options, std::size_t delta_version);
 
   InstanceSnapshot() = default;
 
   void MaterializePatterns() const;
 
-  /// Stamps the effective shard plan, the per-shard data hashes and the
-  /// whole-content hash. Called once by each builder after the data is in
-  /// place. `hint` (nullable) chains untouched shard hashes from a delta
-  /// parent instead of rehashing them.
-  void ComputeShardPlan(ShardingOptions sharding,
-                        const ShardHashHint* hint = nullptr);
+  /// Stamps content_hash_. Called once by each factory after the data is in
+  /// place.
+  void ComputeContentHash();
 
   // Exactly one of system_ (FromSetSystem) or table_ (FromTable) is set.
   std::optional<SetSystem> system_;
@@ -170,12 +126,8 @@ class InstanceSnapshot {
   std::optional<hierarchy::TableHierarchy> hierarchy_;
   pattern::EnumerateOptions enumerate_options_;
 
-  // The effective shard plan and content hashes, immutable after build.
-  ShardingOptions sharding_;
-  std::vector<std::size_t> shard_bounds_;
-  std::vector<std::uint64_t> shard_hashes_;
   std::uint64_t content_hash_ = 0;
-  std::size_t delta_version_ = 0;  // set by DeltaBuilderAccess only
+  std::size_t delta_version_ = 0;
 
   // Lazily materialized pattern view of a table instance. Guarded by
   // once_: after the call_once returns, lazy_ is immutable.

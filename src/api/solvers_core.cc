@@ -48,7 +48,6 @@ Result<SolveResult> SolveCwscLike(const SolveRequest& request,
   CwscOptions options(request.k, request.coverage_fraction);
   options.run_context = run_context;
   options.trace = request.trace;
-  internal::ApplyInstanceSharding(request, options.engine);
   const SolveContract contract =
       CwscContract(request, system->num_elements());
 
@@ -202,7 +201,6 @@ class GreedyWscSolver : public Solver {
                                                   options.max_sets));
     options.run_context = run_context;
     options.trace = request.trace;
-    internal::ApplyInstanceSharding(request, options.engine);
     SolveContract contract;
     contract.max_sets =
         options.max_sets == std::numeric_limits<std::size_t>::max()
@@ -238,7 +236,6 @@ class GreedyMaxCoverageSolver : public Solver {
                                   options.stop_coverage_fraction));
     options.run_context = run_context;
     options.trace = request.trace;
-    internal::ApplyInstanceSharding(request, options.engine);
     // Bounded size, no coverage promise: that cost/coverage blow-up is the
     // §VI-C comparison.
     SolveContract contract{request.k, 0};
@@ -275,7 +272,6 @@ class BudgetedMaxCoverageSolver : public Solver {
                                                   options.max_sets));
     options.run_context = run_context;
     options.trace = request.trace;
-    internal::ApplyInstanceSharding(request, options.engine);
     SolveContract contract;
     contract.max_sets =
         options.max_sets == std::numeric_limits<std::size_t>::max()

@@ -90,21 +90,6 @@ class DynamicBitset {
     return c;
   }
 
-  /// AndNotCount restricted to the word subrange [word_begin, word_end):
-  /// the per-shard marginal kernel. `other` is indexed absolutely (the full
-  /// packed row), so a sharded recount reads exactly the shard's words.
-  std::size_t AndNotCountWords(const std::uint64_t* other,
-                               std::size_t word_begin,
-                               std::size_t word_end) const {
-    SCWSC_DCHECK(word_begin <= word_end && word_end <= words_.size());
-    std::size_t c = 0;
-    for (std::size_t w = word_begin; w < word_end; ++w) {
-      c += static_cast<std::size_t>(
-          __builtin_popcountll(other[w] & ~words_[w]));
-    }
-    return c;
-  }
-
   /// ORs `other` into this bitset and returns the number of newly set bits.
   /// Same layout contract as AndNotCount.
   std::size_t UnionWith(const std::uint64_t* other, std::size_t nwords) {
@@ -121,41 +106,12 @@ class DynamicBitset {
     return newly;
   }
 
-  /// UnionWith restricted to the word subrange [word_begin, word_end);
-  /// returns the newly set bits within that range (a shard's coverage-epoch
-  /// increment when `other` is a membership row and this is covered state).
-  std::size_t UnionWithWords(const std::uint64_t* other,
-                             std::size_t word_begin, std::size_t word_end) {
-    SCWSC_DCHECK(word_begin <= word_end && word_end <= words_.size());
-    std::size_t newly = 0;
-    for (std::size_t w = word_begin; w < word_end; ++w) {
-      const std::uint64_t add = other[w] & ~words_[w];
-      if (add != 0) {
-        newly += static_cast<std::size_t>(__builtin_popcountll(add));
-        words_[w] |= add;
-      }
-    }
-    count_ += newly;
-    return newly;
-  }
-
   /// Number of ids in `ids` whose bit is clear.
   template <typename Container>
   std::size_t CountClear(const Container& ids) const {
     std::size_t c = 0;
     for (auto id : ids) {
       if (!test(static_cast<std::size_t>(id))) ++c;
-    }
-    return c;
-  }
-
-  /// CountClear over the contiguous id range [begin, end) — the sorted
-  /// per-shard slice of a set's element list.
-  template <typename T>
-  std::size_t CountClear(const T* begin, const T* end) const {
-    std::size_t c = 0;
-    for (const T* p = begin; p != end; ++p) {
-      if (!test(static_cast<std::size_t>(*p))) ++c;
     }
     return c;
   }

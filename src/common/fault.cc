@@ -30,7 +30,6 @@ constexpr const char* kPointNames[kNumFaultPoints] = {
     "snapshot_alloc",       // kSnapshotAlloc
     "result_cache_corrupt", // kResultCacheCorrupt
     "pool_task_loss",       // kPoolTaskLoss
-    "shard_worker_loss",    // kShardWorkerLoss
 };
 
 }  // namespace

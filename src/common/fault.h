@@ -44,8 +44,6 @@ enum class FaultPoint : int {
   kSnapshotAlloc,        // snapshot construction fails as if out of memory
   kResultCacheCorrupt,   // a freshly inserted result entry is bit-flipped
   kPoolTaskLoss,         // ThreadPool::Submit silently drops the task
-  kShardWorkerLoss,      // a sharded-engine batch worker drops its shard
-                         // (the engine recovers it inline; counts stay exact)
   kCount,                // sentinel; not a point
 };
 

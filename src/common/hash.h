@@ -1,9 +1,7 @@
 // FNV-1a content hashing, the one primitive behind every content address in
-// the library: the serve layer's snapshot/result cache keys and the api
-// layer's per-shard snapshot hashes. Hoisted out of src/serve/cache.cc so
-// the two layers stop duplicating the byte-mixing code (and so the chained
-// per-shard hashes are guaranteed to use the same mixer as the flat hash
-// they replace).
+// the library: the api layer's snapshot content hash and the serve layer's
+// snapshot/result cache keys. Shared so the two layers never duplicate the
+// byte-mixing code.
 //
 // All helpers fold into a running std::uint64_t accumulator seeded with
 // kFnv64Offset. Doubles are hashed by bit pattern (exact, never rounded);

@@ -17,11 +17,11 @@ EngineOptions EngineWithTrace(const Options& options) {
 }
 
 /// Seeds `selector` with every set's epoch-zero marginal in one
-/// deterministic batch (chunk- or shard-parallel under the engine's
-/// options). An interruption from the batch only means the context was
-/// tripped before the run began — the cached counts are still exact at
-/// epoch zero — so seeding proceeds and the caller's next Check() surfaces
-/// the trip; any other error is returned.
+/// deterministic batch (chunk-parallel under the engine's options). An
+/// interruption from the batch only means the context was tripped before
+/// the run began — the cached counts are still exact at epoch zero — so
+/// seeding proceeds and the caller's next Check() surfaces the trip; any
+/// other error is returned.
 template <typename KeyMaker>
 Status SeedSelector(const SetSystem& system, BenefitEngine& state,
                     LazySelector& selector, ScanStats& tally,

@@ -69,10 +69,11 @@ Result<Solution> RunCwscEager(const SetSystem& system,
 /// iterations. Each iteration pops until the first *fresh* key that meets
 /// the threshold |MBen| * i >= rem — every entry still queued has a current
 /// key no better (heap order plus monotone decay), so that key is the
-/// qualified argmax. Fresh-but-unqualified pops are parked and re-pushed for
-/// later iterations: the threshold rem/i is not monotone across iterations
-/// (a large pick can lower it), so a set rejected now may qualify later.
-/// Zero-marginal sets are dropped permanently (counts never grow).
+/// qualified argmax. Unqualified pops are parked and re-pushed for later
+/// iterations: the threshold rem/i is not monotone across iterations (a
+/// large pick can lower it), so a set rejected now may qualify later. A pop
+/// whose cached upper bound already fails the threshold is parked without a
+/// recount. Zero-marginal sets are dropped permanently (counts never grow).
 Result<Solution> RunCwscLazy(const SetSystem& system,
                              const CwscOptions& options, std::size_t rem,
                              const RunContext& ctx, ScanStats& stats) {
@@ -81,11 +82,11 @@ Result<Solution> RunCwscLazy(const SetSystem& system,
 
   LazySelector selector;
   {
-    // Seed in one deterministic batch (chunk- or shard-parallel under the
-    // engine's options) instead of one-at-a-time reads. At epoch zero every
-    // count is the cached set size, so an interruption here only means the
-    // context was tripped before we started: seed anyway with the exact
-    // cached counts and let the selection loop's Check() surface the trip.
+    // Seed in one deterministic batch (chunk-parallel under the engine's
+    // options) instead of one-at-a-time reads. At epoch zero every count is
+    // the cached set size, so an interruption here only means the context
+    // was tripped before we started: seed anyway with the exact cached
+    // counts and let the selection loop's Check() surface the trip.
     obs::Span seed_span(options.trace, "cwsc.seed");
     std::vector<SetId> all_ids(system.num_sets());
     for (SetId id = 0; id < system.num_sets(); ++id) all_ids[id] = id;
@@ -101,18 +102,23 @@ Result<Solution> RunCwscLazy(const SetSystem& system,
   }
 
   std::vector<SelectionKey> parked;
-  auto refresh = [&](SetId id) -> std::optional<SelectionKey> {
-    ++stats.sets_considered;
-    const std::size_t count = engine.MarginalCount(id);
-    if (count == 0) return std::nullopt;
-    return MakeGainKey(count, system.set(id).cost, id);
-  };
-
   obs::Span select_span(options.trace, "cwsc.select");
   for (std::size_t i = options.k; i >= 1; --i) {
     if (const TripKind trip = ctx.Check(); trip != TripKind::kNone) {
       return InterruptedStatus(trip, "cwsc", std::move(solution));
     }
+    // A queued key carries the engine's cached count, an upper bound on the
+    // set's marginal. When even that bound fails this iteration's
+    // threshold the set cannot qualify, so its key comes back unchanged
+    // (Pop returns it and the loop parks it) without a recount.
+    auto refresh = [&](SetId id) -> std::optional<SelectionKey> {
+      const std::size_t bound = engine.UpperBound(id);
+      if (bound * i < rem) return MakeGainKey(bound, system.set(id).cost, id);
+      ++stats.sets_considered;
+      const std::size_t count = engine.MarginalCount(id);
+      if (count == 0) return std::nullopt;
+      return MakeGainKey(count, system.set(id).cost, id);
+    };
     parked.clear();
     std::optional<SelectionKey> chosen;
     while (true) {

@@ -46,16 +46,6 @@ enum class MembershipRepr : unsigned char {
 struct EngineOptions {
   MarginalMode marginal_mode = MarginalMode::kLazy;
   MembershipRepr membership = MembershipRepr::kAuto;
-  /// Element-range shards for the lazy engine (ShardBounds over the
-  /// universe). With S > 1 the engine keeps per-(set, shard) cached counts
-  /// stamped against per-shard coverage epochs: a selection only dirties
-  /// the shards it covered new elements in, so CELF revalidation of a
-  /// candidate recounts only its slices in dirtied shards — candidates
-  /// disjoint from recent picks revalidate in O(S) with no element walk —
-  /// and batch scans fan out per shard on the pool. Counts are exact for
-  /// every value, so solutions are bit-identical to the flat path (= 1).
-  /// Eager mode ignores sharding (its counts are already maintained live).
-  std::size_t num_shards = 1;
   /// Lanes for batch marginal re-evaluation: 1 = serial (default),
   /// 0 = hardware concurrency, N = exactly N threads. Results are identical
   /// for every value (deterministic chunked reduction).
@@ -63,7 +53,7 @@ struct EngineOptions {
   /// Batches below this size are evaluated serially even with threads.
   std::size_t min_parallel_batch = 2048;
   /// Optional observability sink (src/obs): the engine publishes CELF cache
-  /// hit/miss and batch-shard metrics into it. nullptr = off; every
+  /// hit/miss and batch-chunk metrics into it. nullptr = off; every
   /// instrumentation point then costs a single pointer branch. Solvers
   /// propagate their own trace pointer here, so frontends set it once.
   obs::TraceSession* trace = nullptr;

@@ -53,8 +53,8 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// The process-wide recorder (never destroyed). The serve layer and the
-  /// sharded engine record into this instance.
+  /// The process-wide recorder (never destroyed). The serve layer records
+  /// into this instance.
   static FlightRecorder& Global();
 
   /// Disabling makes RecordInstant/RecordComplete single-load no-ops;

@@ -1,7 +1,7 @@
 // Mergeable log-bucketed quantile sketch (DDSketch-style) for latency
 // distributions. Fixed-bucket histograms answer "how many solves took
 // between 1ms and 10ms", but their quantile estimates are only as good as
-// the bucket layout, and sketches from different solvers or shards cannot
+// the bucket layout, and sketches from different solvers or tenants cannot
 // be combined unless every layout matches exactly. The log-bucketed sketch
 // fixes both: bucket i holds values in (gamma^(i-1), gamma^i] with
 // gamma = (1 + alpha) / (1 - alpha), so any quantile estimate is within a
@@ -9,10 +9,9 @@
 // with the same alpha merge by adding bucket counts — the merged sketch is
 // exactly the sketch of the concatenated samples.
 //
-// The serve layer keeps one sketch per solver ("serve.latency_seconds#cwsc")
-// and per shard ("engine.stripe_seconds#3"); the telemetry pump merges the
-// members of each '#'-family into aggregate p50/p90/p99/p999 — see
-// docs/observability.md.
+// The serve layer keeps one sketch per solver ("serve.latency_seconds#cwsc");
+// the telemetry pump merges the members of each '#'-family into aggregate
+// p50/p90/p99/p999 — see docs/observability.md.
 
 #ifndef SCWSC_OBS_SKETCH_H_
 #define SCWSC_OBS_SKETCH_H_

@@ -11,8 +11,7 @@ namespace scwsc {
 namespace serve {
 
 std::uint64_t ContentHash(const api::InstanceSnapshot& instance) {
-  // Snapshots stamp their content hash (global metadata chained with the
-  // shard plan and per-shard data hashes) at construction; the serve layer
+  // Snapshots stamp their content hash at construction; the serve layer
   // just reads it.
   return instance.content_hash();
 }
@@ -77,27 +76,10 @@ Status SnapshotCache::Insert(std::uint64_t hash, api::InstancePtr instance) {
   auto it = index_.find(hash);
   if (it != index_.end()) {
     resident_bytes_ -= it->second->bytes;
-    RemoveShardRefsLocked(it->second->shard_hashes);
     lru_.erase(it->second);
     index_.erase(it);
   }
-  std::vector<std::uint64_t> shard_hashes = instance->shard_hashes();
-  if (metrics_ != nullptr) {
-    // Shards whose data is already resident through other snapshots (the
-    // replaced same-hash entry, if any, was unreferenced above): how much
-    // of this snapshot the cache effectively already held.
-    std::size_t overlap = 0;
-    for (const std::uint64_t sh : shard_hashes) {
-      if (shard_refs_.count(sh) != 0) ++overlap;
-    }
-    if (overlap != 0) {
-      metrics_->counter("serve.snapshot_cache.shard_shared")
-          .Increment(overlap);
-    }
-  }
-  AddShardRefsLocked(shard_hashes);
-  lru_.push_front(
-      Entry{hash, std::move(instance), bytes, std::move(shard_hashes)});
+  lru_.push_front(Entry{hash, std::move(instance), bytes});
   index_[hash] = lru_.begin();
   resident_bytes_ += bytes;
   EvictOverBudgetLocked();
@@ -111,37 +93,12 @@ void SnapshotCache::EvictOverBudgetLocked() {
   while (resident_bytes_ > capacity_bytes_ && lru_.size() > 1) {
     const Entry& victim = lru_.back();
     resident_bytes_ -= victim.bytes;
-    RemoveShardRefsLocked(victim.shard_hashes);
     index_.erase(victim.hash);
     lru_.pop_back();
     if (metrics_ != nullptr) {
       metrics_->counter("serve.snapshot_cache.evictions").Increment();
     }
   }
-}
-
-void SnapshotCache::AddShardRefsLocked(
-    const std::vector<std::uint64_t>& hashes) {
-  for (const std::uint64_t h : hashes) ++shard_refs_[h];
-}
-
-void SnapshotCache::RemoveShardRefsLocked(
-    const std::vector<std::uint64_t>& hashes) {
-  for (const std::uint64_t h : hashes) {
-    auto it = shard_refs_.find(h);
-    if (it == shard_refs_.end()) continue;
-    if (--it->second == 0) shard_refs_.erase(it);
-  }
-}
-
-std::size_t SnapshotCache::ResidentShardOverlap(
-    const api::InstanceSnapshot& instance) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t overlap = 0;
-  for (const std::uint64_t h : instance.shard_hashes()) {
-    if (shard_refs_.count(h) != 0) ++overlap;
-  }
-  return overlap;
 }
 
 std::size_t SnapshotCache::size() const {

@@ -38,7 +38,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "src/api/instance.h"
 #include "src/api/solver.h"
@@ -49,9 +48,8 @@ namespace serve {
 
 /// FNV-1a content hash of an instance: table columns + measure + cost
 /// function (+ hierarchy presence), or the set system's elements, costs and
-/// labels, chained through the snapshot's shard plan and per-shard hashes.
-/// Two snapshots built from identical data with identical sharding hash
-/// identically, so a restarted client reconnects to the same cache entries.
+/// labels. Two snapshots built from identical data hash identically, so a
+/// restarted client reconnects to the same cache entries.
 /// The hash is computed once at snapshot construction (src/api/instance.cc);
 /// this returns the stored value.
 std::uint64_t ContentHash(const api::InstanceSnapshot& instance);
@@ -84,25 +82,14 @@ class SnapshotCache {
   std::size_t size() const;
   std::size_t resident_bytes() const;
 
-  /// How many of `instance`'s per-shard hashes are already resident through
-  /// other cached snapshots. Callers probe this before Insert (after a
-  /// Lookup miss) to learn how much of an incoming snapshot's data the
-  /// cache already holds — e.g. a re-ingested table where only one shard's
-  /// rows changed overlaps on every other shard. Purely observational: the
-  /// scheduler feeds it into serve.snapshot_cache.shard_shared.
-  std::size_t ResidentShardOverlap(const api::InstanceSnapshot& instance) const;
-
  private:
   struct Entry {
     std::uint64_t hash = 0;
     api::InstancePtr instance;
     std::size_t bytes = 0;
-    std::vector<std::uint64_t> shard_hashes;
   };
 
   void EvictOverBudgetLocked();
-  void AddShardRefsLocked(const std::vector<std::uint64_t>& hashes);
-  void RemoveShardRefsLocked(const std::vector<std::uint64_t>& hashes);
 
   const std::size_t capacity_bytes_;
   obs::MetricRegistry* const metrics_;
@@ -110,7 +97,6 @@ class SnapshotCache {
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recent
   std::map<std::uint64_t, std::list<Entry>::iterator> index_;
-  std::map<std::uint64_t, std::size_t> shard_refs_;  // shard hash -> #entries
   std::size_t resident_bytes_ = 0;
 };
 

@@ -56,11 +56,8 @@ Result<api::AppliedDelta> SnapshotStore::Apply(const std::string& name,
   }
   SCWSC_ASSIGN_OR_RETURN(api::AppliedDelta applied,
                          api::ApplyDelta(it->second, delta));
-  // Publishing the child into the snapshot cache is what makes the shard
-  // sharing across versions observable: Insert's overlap scan counts
-  // serve.snapshot_cache.shard_shared for every chained shard already
-  // resident from the parent. Cache capacity rejections are non-fatal —
-  // the head still advances.
+  // Publish the child into the snapshot cache like any Put. Cache capacity
+  // rejections are non-fatal — the head still advances.
   if (cache_ != nullptr) {
     (void)cache_->Insert(applied.snapshot->content_hash(), applied.snapshot);
   }

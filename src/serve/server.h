@@ -19,8 +19,7 @@
 // requests cannot drift), enqueues it, and answers when the future
 // resolves — the loop keeps serving other connections meanwhile. "delta"
 // applies a SnapshotDelta to the named head, publishes the child version,
-// and inserts it into the scheduler's SnapshotCache so unchanged shards
-// are recognized as shared (serve.snapshot_cache.shard_shared).
+// and inserts it into the scheduler's SnapshotCache under its content hash.
 //
 // Concurrency model: one epoll thread owns every connection; solves run on
 // the scheduler's pool and come back as futures the loop polls between
@@ -57,8 +56,7 @@ namespace serve {
 class SnapshotStore {
  public:
   /// `cache` (optional) receives every published version keyed by content
-  /// hash, which is what makes cross-version shard sharing observable
-  /// (SnapshotCache::Insert counts serve.snapshot_cache.shard_shared).
+  /// hash.
   explicit SnapshotStore(SnapshotCache* cache = nullptr) : cache_(cache) {}
 
   /// Registers or replaces the head for `name`. InvalidArgument on a null

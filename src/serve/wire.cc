@@ -288,9 +288,6 @@ JsonValue DeltaStatsToJson(const api::DeltaStats& stats,
   JsonObject o;
   o["child_version"] = JsonValue(stats.child_version);
   o["content_hash"] = JsonValue(std::string(hex));
-  o["shards_total"] = JsonValue(stats.shards_total);
-  o["shards_chained"] = JsonValue(stats.shards_chained);
-  o["shards_rehashed"] = JsonValue(stats.shards_rehashed);
   o["rows_appended"] = JsonValue(stats.rows_appended);
   o["rows_retracted"] = JsonValue(stats.rows_retracted);
   o["sets_added"] = JsonValue(stats.sets_added);

@@ -100,10 +100,9 @@ Result<ParsedJob> ParseJobObject(const JsonValue& entry,
 Result<api::SnapshotDelta> ParseDeltaObject(const JsonValue& entry,
                                             const std::string& at);
 
-/// Renders what one delta application did: child_version, shards
-/// chained/rehashed, row/set op counts, and the child's content hash as a
-/// hex *string* ("0x..."), because a 64-bit hash does not survive the trip
-/// through a JSON double.
+/// Renders what one delta application did: child_version, row/set op
+/// counts, and the child's content hash as a hex *string* ("0x..."),
+/// because a 64-bit hash does not survive the trip through a JSON double.
 JsonValue DeltaStatsToJson(const api::DeltaStats& stats,
                            std::uint64_t content_hash);
 

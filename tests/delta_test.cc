@@ -1,8 +1,7 @@
 // SnapshotDelta edge cases: bit-identity of delta-applied snapshots against
-// from-scratch rebuilds (the serve_soak gate in miniature), per-shard hash
-// chaining and its localization rules, version chaining, cross-version
-// shard sharing through the SnapshotCache, and the typed rejections
-// (mixed op families, out-of-range indices, hierarchies).
+// from-scratch rebuilds (the serve_soak gate in miniature), version
+// chaining, content-keyed caching of every version, and the typed
+// rejections (mixed op families, out-of-range indices, hierarchies).
 
 #include "src/api/delta.h"
 
@@ -29,15 +28,7 @@ using api::SnapshotDelta;
 
 constexpr std::size_t kUniverse = 512;
 
-ShardingOptions FourShards() {
-  ShardingOptions sharding;
-  sharding.num_shards = 4;
-  sharding.min_shard_elements = 64;
-  return sharding;
-}
-
-/// A set system over 512 elements whose sets are 64-element blocks, so each
-/// set lives entirely inside one of the four 128-element shards.
+/// A set system over 512 elements whose sets are 64-element blocks.
 SetSystem BlockSystem() {
   SetSystem system(kUniverse);
   for (std::size_t block = 0; block < kUniverse / 64; ++block) {
@@ -54,14 +45,13 @@ SetSystem BlockSystem() {
 }
 
 InstancePtr BlockInstance() {
-  auto instance =
-      api::InstanceSnapshot::FromSetSystem(BlockSystem(), FourShards());
+  auto instance = api::InstanceSnapshot::FromSetSystem(BlockSystem());
   EXPECT_TRUE(instance.ok()) << instance.status().ToString();
   return *instance;
 }
 
-/// A 256-row table (one shard per 64-row block under FourShards) with two
-/// low-cardinality attributes, small enough for pattern enumeration.
+/// A 256-row table with two low-cardinality attributes, small enough for
+/// pattern enumeration.
 Table WideTable(std::size_t num_rows = 256) {
   TableBuilder builder({"region", "tier"}, "load");
   for (std::size_t row = 0; row < num_rows; ++row) {
@@ -78,48 +68,40 @@ Table WideTable(std::size_t num_rows = 256) {
 
 InstancePtr WideInstance() {
   auto instance = api::InstanceSnapshot::FromTable(
-      WideTable(), pattern::CostFunction(pattern::CostKind::kMax),
-      std::nullopt, {}, FourShards());
+      WideTable(), pattern::CostFunction(pattern::CostKind::kMax));
   EXPECT_TRUE(instance.ok()) << instance.status().ToString();
   return *instance;
 }
 
-TEST(DeltaTest, EmptyDeltaChainsEveryShardAndKeepsTheHash) {
+TEST(DeltaTest, EmptyDeltaKeepsTheHash) {
   InstancePtr parent = BlockInstance();
   auto applied = ApplyDelta(parent, SnapshotDelta{});
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(applied->snapshot->content_hash(), parent->content_hash());
-  EXPECT_EQ(applied->snapshot->shard_hashes(), parent->shard_hashes());
   EXPECT_EQ(applied->stats.child_version, 1u);
-  EXPECT_EQ(applied->stats.shards_total, 4u);
-  EXPECT_EQ(applied->stats.shards_chained, 4u);
-  EXPECT_EQ(applied->stats.shards_rehashed, 0u);
   EXPECT_EQ(applied->snapshot->delta_version(), 1u);
   EXPECT_EQ(parent->delta_version(), 0u);
 }
 
-TEST(DeltaTest, AddOnlySetDeltaDirtiesExactlyTheTouchedShard) {
+TEST(DeltaTest, AddOnlySetDeltaMatchesAScratchRebuild) {
   InstancePtr parent = BlockInstance();
   SnapshotDelta delta;
-  // All elements in [448, 512) = the last of the four shards.
   SnapshotDelta::SetAdd add;
   for (ElementId e = 448; e < 480; ++e) add.elements.push_back(e);
   add.cost = 0.5;
   add.label = "tail-set";
-  delta.add_sets.push_back(std::move(add));
+  delta.add_sets.push_back(add);
 
   auto applied = ApplyDelta(parent, delta);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_EQ(applied->stats.shards_chained, 3u);
-  EXPECT_EQ(applied->stats.shards_rehashed, 1u);
   EXPECT_EQ(applied->stats.sets_added, 1u);
-  // The three untouched shards keep their exact hashes; the fourth moved.
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(applied->snapshot->shard_hashes()[s], parent->shard_hashes()[s])
-        << "shard " << s;
-  }
-  EXPECT_NE(applied->snapshot->shard_hashes()[3], parent->shard_hashes()[3]);
   EXPECT_NE(applied->snapshot->content_hash(), parent->content_hash());
+
+  SetSystem scratch = BlockSystem();
+  ASSERT_TRUE(scratch.AddSet(add.elements, add.cost, add.label).ok());
+  auto rebuilt = api::InstanceSnapshot::FromSetSystem(std::move(scratch));
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(applied->snapshot->content_hash(), (*rebuilt)->content_hash());
 }
 
 TEST(DeltaTest, SetDeltaIsBitIdenticalToScratchRebuild) {
@@ -147,29 +129,36 @@ TEST(DeltaTest, SetDeltaIsBitIdenticalToScratchRebuild) {
     ASSERT_TRUE(scratch.AddSet(s.elements, s.cost, s.label).ok());
   }
   ASSERT_TRUE(scratch.AddSet(add.elements, add.cost, add.label).ok());
-  auto rebuilt =
-      api::InstanceSnapshot::FromSetSystem(std::move(scratch), FourShards());
+  auto rebuilt = api::InstanceSnapshot::FromSetSystem(std::move(scratch));
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   EXPECT_EQ(applied->snapshot->content_hash(), (*rebuilt)->content_hash());
-  EXPECT_EQ(applied->snapshot->shard_hashes(), (*rebuilt)->shard_hashes());
 }
 
-TEST(DeltaTest, RemovalDirtiesAllShardsOfLaterSets) {
+TEST(DeltaTest, RemovalMatchesAScratchRebuild) {
   InstancePtr parent = BlockInstance();
   SnapshotDelta delta;
   delta.remove_sets = {0};  // renumbers every later set id
 
   auto applied = ApplyDelta(parent, delta);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  // Every shard holds elements of some set with id >= 1, so nothing chains.
-  EXPECT_EQ(applied->stats.shards_chained, 0u);
   EXPECT_EQ(applied->stats.sets_removed, 1u);
+  EXPECT_NE(applied->snapshot->content_hash(), parent->content_hash());
+
+  const SetSystem before = BlockSystem();
+  SetSystem scratch(kUniverse);
+  for (SetId id = 1; id < before.num_sets(); ++id) {
+    const WeightedSet& s = before.set(id);
+    ASSERT_TRUE(scratch.AddSet(s.elements, s.cost, s.label).ok());
+  }
+  auto rebuilt = api::InstanceSnapshot::FromSetSystem(std::move(scratch));
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(applied->snapshot->content_hash(), (*rebuilt)->content_hash());
 }
 
 TEST(DeltaTest, RetractThenAppendSameRowKeepsTheContentHash) {
   InstancePtr parent = WideInstance();
   const Table& table = parent->table();
-  const std::size_t victim = 200;  // inside the last shard
+  const std::size_t victim = 200;
 
   SnapshotDelta delta;
   delta.retract_rows = {victim};
@@ -186,10 +175,8 @@ TEST(DeltaTest, RetractThenAppendSameRowKeepsTheContentHash) {
   EXPECT_EQ(applied->stats.rows_appended, 1u);
   // Retracting row 200 and re-appending identical values reproduces the
   // same row sequence only when the victim was the last row; here rows
-  // shifted, so the hash legitimately changes — but shards strictly below
-  // the first retracted index chain (row count is unchanged).
-  EXPECT_GT(applied->stats.shards_chained, 0u);
-  EXPECT_LT(applied->stats.shards_chained, applied->stats.shards_total);
+  // shifted, so the hash legitimately changes.
+  EXPECT_NE(applied->snapshot->content_hash(), parent->content_hash());
 
   // Retract-then-append of the *final* row is the identity mutation.
   const RowId last = static_cast<RowId>(table.num_rows() - 1);
@@ -237,8 +224,8 @@ TEST(DeltaTest, TableDeltaIsBitIdenticalToScratchRebuildAndSolvesEqual) {
     ASSERT_TRUE(builder.AddRow({"r9", "t9"}, 2.5).ok());
   }
   auto rebuilt = api::InstanceSnapshot::FromTable(
-      std::move(builder).Build(), pattern::CostFunction(pattern::CostKind::kMax),
-      std::nullopt, {}, FourShards());
+      std::move(builder).Build(),
+      pattern::CostFunction(pattern::CostKind::kMax));
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   EXPECT_EQ(applied->snapshot->content_hash(), (*rebuilt)->content_hash());
 
@@ -290,7 +277,7 @@ TEST(DeltaTest, VersionsChainAcrossApplications) {
   }
 }
 
-TEST(DeltaTest, ResidentShardOverlapIsPositiveAcrossVersions) {
+TEST(DeltaTest, CacheKeepsEveryVersionUnderItsContentHash) {
   obs::MetricRegistry metrics;
   serve::SnapshotCache cache(64ull << 20, &metrics);
   InstancePtr parent = BlockInstance();
@@ -305,13 +292,16 @@ TEST(DeltaTest, ResidentShardOverlapIsPositiveAcrossVersions) {
   auto applied = ApplyDelta(parent, delta);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
 
-  // Three of four shard hashes are carried over, so the child overlaps the
-  // resident parent on exactly those shards.
-  EXPECT_EQ(cache.ResidentShardOverlap(*applied->snapshot), 3u);
+  ASSERT_NE(applied->snapshot->content_hash(), parent->content_hash());
   ASSERT_TRUE(cache.Insert(applied->snapshot->content_hash(),
                            applied->snapshot)
                   .ok());
-  EXPECT_EQ(metrics.CounterValue("serve.snapshot_cache.shard_shared"), 3u);
+  // Both versions stay resident, each found only under its own hash.
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Lookup(parent->content_hash()), parent);
+  EXPECT_EQ(cache.Lookup(applied->snapshot->content_hash()),
+            applied->snapshot);
+  EXPECT_EQ(metrics.CounterValue("serve.snapshot_cache.hits"), 2u);
 }
 
 TEST(DeltaTest, MixedAndInvalidOpsAreTyped) {

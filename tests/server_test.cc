@@ -45,11 +45,7 @@ InstancePtr BlockInstance() {
                             "block-" + std::to_string(block))
                     .ok());
   }
-  ShardingOptions sharding;
-  sharding.num_shards = 4;
-  sharding.min_shard_elements = 64;
-  auto instance =
-      api::InstanceSnapshot::FromSetSystem(std::move(system), sharding);
+  auto instance = api::InstanceSnapshot::FromSetSystem(std::move(system));
   EXPECT_TRUE(instance.ok()) << instance.status().ToString();
   return *instance;
 }
@@ -206,7 +202,7 @@ TEST(ServerTest, SolveOverTheWireWithTenantAndForwardEcho) {
             1u);
 }
 
-TEST(ServerTest, DeltaAdvancesTheLiveSnapshotAndSharesShards) {
+TEST(ServerTest, DeltaAdvancesTheLiveSnapshot) {
   ServerFixture fx;
   Client client(fx.server.port());
 
@@ -219,14 +215,8 @@ TEST(ServerTest, DeltaAdvancesTheLiveSnapshotAndSharesShards) {
   const JsonValue* result = response.Find("result");
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(NumberAt(*result, "child_version"), 1.0);
-  EXPECT_EQ(NumberAt(*result, "shards_chained"), 3.0);
-  EXPECT_EQ(NumberAt(*result, "shards_rehashed"), 1.0);
   ASSERT_NE(result->Find("content_hash"), nullptr);
   EXPECT_EQ(result->Find("content_hash")->as_string().substr(0, 2), "0x");
-  // Publishing parent then child through the cache counts shared shards.
-  EXPECT_GE(fx.scheduler.metrics().CounterValue(
-                "serve.snapshot_cache.shard_shared"),
-            3u);
 
   // A solve against the advanced head sees the new set.
   JsonValue solve = client.Call(
