@@ -44,7 +44,7 @@ done
 # CLI smoke: the registry self-registration must survive linking (static
 # registrars are prone to dead stripping).
 list=$("$BUILD_DIR"/examples/scwsc_cli --list-solvers) || fail "cli smoke"
-for name in cwsc opt-cwsc opt-cmc exact hcmc lp-rounding; do
+for name in cwsc opt-cwsc opt-cmc exact hcwsc hcmc lp-rounding; do
   echo "$list" | grep -q "^$name " || {
     echo "check.sh: solver '$name' missing from --list-solvers" >&2
     fail "cli smoke"; }

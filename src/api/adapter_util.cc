@@ -1,6 +1,7 @@
 #include "src/api/adapter_util.h"
 
 #include <cmath>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
@@ -62,13 +63,34 @@ Result<SolveResult> FinishSetBacked(const SolveRequest& request,
   return out;
 }
 
-Result<SolveResult> FinishPatternBacked(const SolveRequest& request,
-                                        pattern::PatternSolution solution,
+template <typename LatticeSolution>
+Result<SolveResult> FinishLatticeBacked(const SolveRequest& request,
+                                        LatticeSolution solution,
                                         double seconds, SolveContract contract,
                                         SolveCounters counters) {
+  using P = typename decltype(solution.patterns)::value_type;
+  constexpr bool kFlat = std::is_same_v<P, pattern::Pattern>;
+  using Hash =
+      std::conditional_t<kFlat, pattern::PatternHash, hierarchy::HPatternHash>;
   obs::Span finish_span(request.trace, "finish");
   const Table& table = request.instance->table();
   const pattern::CostFunction& cost_fn = request.instance->cost_fn();
+  // Hierarchical patterns match and print through the instance's
+  // hierarchies, flat ones through the table alone.
+  auto matches = [&](const P& p, RowId r) {
+    if constexpr (kFlat) {
+      return p.Matches(table, r);
+    } else {
+      return p.Matches(table, request.instance->hierarchy(), r);
+    }
+  };
+  auto label = [&](const P& p) {
+    if constexpr (kFlat) {
+      return p.ToString(table);
+    } else {
+      return p.ToString(table, request.instance->hierarchy());
+    }
+  };
 
   SolveResult out;
   out.total_cost = solution.total_cost;
@@ -77,22 +99,22 @@ Result<SolveResult> FinishPatternBacked(const SolveRequest& request,
 
   DynamicBitset covered(table.num_rows());
   double recomputed_cost = 0.0;
-  std::unordered_set<pattern::Pattern, pattern::PatternHash> seen;
+  std::unordered_set<P, Hash> seen;
   out.labels.reserve(solution.patterns.size());
-  for (const pattern::Pattern& p : solution.patterns) {
+  for (const P& p : solution.patterns) {
     if (!seen.insert(p).second) {
       return Status::InvalidArgument("solution contains duplicate pattern " +
-                                     p.ToString(table));
+                                     label(p));
     }
     std::vector<RowId> rows;
     for (RowId r = 0; r < table.num_rows(); ++r) {
-      if (p.Matches(table, r)) {
+      if (matches(p, r)) {
         rows.push_back(r);
         covered.set(r);
       }
     }
     recomputed_cost += cost_fn.Compute(table, rows);
-    out.labels.push_back(p.ToString(table));
+    out.labels.push_back(label(p));
   }
   out.audit.num_sets = solution.patterns.size();
   out.audit.total_cost = recomputed_cost;
@@ -106,57 +128,20 @@ Result<SolveResult> FinishPatternBacked(const SolveRequest& request,
   out.solution.total_cost = solution.total_cost;
   out.solution.covered = solution.covered;
   out.solution.provenance = solution.provenance;
-  out.patterns = std::move(solution.patterns);
+  if constexpr (kFlat) out.patterns = std::move(solution.patterns);
   out.contract = contract;
   out.counters = counters;
   out.seconds = seconds;
   return out;
 }
 
-Result<SolveResult> FinishHierarchyBacked(const SolveRequest& request,
-                                          hierarchy::HSolution solution,
-                                          double seconds,
-                                          SolveContract contract,
-                                          SolveCounters counters) {
-  obs::Span finish_span(request.trace, "finish");
-  const Table& table = request.instance->table();
-  const hierarchy::TableHierarchy& hier = request.instance->hierarchy();
-  const pattern::CostFunction& cost_fn = request.instance->cost_fn();
-
-  SolveResult out;
-  out.total_cost = solution.total_cost;
-  out.covered = solution.covered;
-  out.provenance = solution.provenance;
-
-  DynamicBitset covered(table.num_rows());
-  double recomputed_cost = 0.0;
-  out.labels.reserve(solution.patterns.size());
-  for (const hierarchy::HPattern& p : solution.patterns) {
-    std::vector<RowId> rows;
-    for (RowId r = 0; r < table.num_rows(); ++r) {
-      if (p.Matches(table, hier, r)) {
-        rows.push_back(r);
-        covered.set(r);
-      }
-    }
-    recomputed_cost += cost_fn.Compute(table, rows);
-    out.labels.push_back(p.ToString(table, hier));
-  }
-  out.audit.num_sets = solution.patterns.size();
-  out.audit.total_cost = recomputed_cost;
-  out.audit.covered = covered.count();
-  out.audit.bookkeeping_consistent =
-      out.audit.covered == solution.covered &&
-      CostsMatch(recomputed_cost, solution.total_cost);
-
-  out.solution.total_cost = solution.total_cost;
-  out.solution.covered = solution.covered;
-  out.solution.provenance = solution.provenance;
-  out.contract = contract;
-  out.counters = counters;
-  out.seconds = seconds;
-  return out;
-}
+template Result<SolveResult> FinishLatticeBacked(const SolveRequest&,
+                                                 pattern::PatternSolution,
+                                                 double, SolveContract,
+                                                 SolveCounters);
+template Result<SolveResult> FinishLatticeBacked(const SolveRequest&,
+                                                 hierarchy::HSolution, double,
+                                                 SolveContract, SolveCounters);
 
 Status Rewrap(const Status& status, Result<SolveResult> finished) {
   if (!finished.ok()) return status;

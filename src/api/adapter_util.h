@@ -24,20 +24,16 @@ Result<SolveResult> FinishSetBacked(const SolveRequest& request,
                                     SolveContract contract,
                                     SolveCounters counters);
 
-/// Builds the SolveResult for a flat-pattern solution (the lattice solvers
-/// never materialize SetIds): audit recomputed by re-matching every pattern
-/// against the table and re-deriving costs from the cost function.
-Result<SolveResult> FinishPatternBacked(const SolveRequest& request,
-                                        pattern::PatternSolution solution,
+/// Builds the SolveResult for a lattice solver's solution, flat
+/// (PatternSolution) or hierarchical (HSolution); the lattice solvers never
+/// materialize SetIds. The audit re-matches every pattern against the table
+/// and re-derives costs from the cost function; a repeated pattern is an
+/// InvalidArgument. Only flat patterns are copied to SolveResult::patterns.
+template <typename LatticeSolution>
+Result<SolveResult> FinishLatticeBacked(const SolveRequest& request,
+                                        LatticeSolution solution,
                                         double seconds, SolveContract contract,
                                         SolveCounters counters);
-
-/// Same for a hierarchical-pattern solution.
-Result<SolveResult> FinishHierarchyBacked(const SolveRequest& request,
-                                          hierarchy::HSolution solution,
-                                          double seconds,
-                                          SolveContract contract,
-                                          SolveCounters counters);
 
 /// Re-issues the interruption `status` carrying `finished` (the converted
 /// partial) as a SolveResult payload; falls back to the original status when

@@ -63,8 +63,7 @@ namespace internal {
 // them: the classic static-library dead-stripping hazard of
 // self-registration.
 void LinkCoreSolvers();
-void LinkPatternSolvers();
-void LinkHierarchySolvers();
+void LinkLatticeSolvers();
 void LinkLpSolvers();
 
 }  // namespace internal
@@ -74,8 +73,7 @@ SolverRegistry& SolverRegistry::Global() {
   static std::once_flag link_once;
   std::call_once(link_once, [] {
     internal::LinkCoreSolvers();
-    internal::LinkPatternSolvers();
-    internal::LinkHierarchySolvers();
+    internal::LinkLatticeSolvers();
     internal::LinkLpSolvers();
   });
   return *registry;

@@ -197,33 +197,17 @@ ThreadPool& BenefitEngine::pool() {
 
 Status FilterCoveredIds(const DynamicBitset& covered,
                         const std::vector<std::vector<std::uint32_t>*>& lists,
-                        ThreadPool* pool, const RunContext* run_context) {
+                        const RunContext* run_context) {
   const RunContext& ctx =
       run_context != nullptr ? *run_context : RunContext::Unlimited();
-  std::atomic<bool> aborted{false};
-  auto filter_range = [&](std::size_t begin, std::size_t end) {
-    // One trip check per chunk: a skipped list stays a valid superset of
-    // the filtered one, and callers bail out on the returned status.
-    if (aborted.load(std::memory_order_relaxed) ||
-        ctx.Check() != TripKind::kNone) {
-      aborted.store(true, std::memory_order_relaxed);
-      return;
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      auto& list = *lists[i];
-      list.erase(std::remove_if(
-                     list.begin(), list.end(),
-                     [&](std::uint32_t id) { return covered.test(id); }),
-                 list.end());
-    }
-  };
-  if (pool != nullptr && pool->size() > 1) {
-    SCWSC_RETURN_NOT_OK(pool->ParallelFor(lists.size(), 16, filter_range));
-  } else {
-    filter_range(0, lists.size());
+  if (const TripKind trip = ctx.Check(); trip != TripKind::kNone) {
+    return TripStatus(trip, "FilterCoveredIds");
   }
-  if (aborted.load(std::memory_order_relaxed)) {
-    return TripStatus(ctx.tripped(), "FilterCoveredIds");
+  for (std::vector<std::uint32_t>* list : lists) {
+    list->erase(std::remove_if(
+                    list->begin(), list->end(),
+                    [&](std::uint32_t id) { return covered.test(id); }),
+                list->end());
   }
   return Status::OK();
 }

@@ -131,18 +131,13 @@ class BenefitEngine {
 
 /// Removes every id whose bit is set in `covered` from each list, preserving
 /// relative order — the posting-list form of marginal-benefit revalidation
-/// used by the lattice-optimized algorithms (Fig. 3/4 lines "update MBen").
-/// Lists are filtered independently, chunk-parallel on `pool` when it has
-/// more than one lane, so results are identical for any thread count.
+/// used by the lattice CWSC descent (Fig. 3 lines 27-30, "update MBen").
 ///
-/// `run_context` (nullptr = unlimited) is observed between chunks: once
-/// tripped, remaining lists are left unfiltered — an unfiltered list is a
-/// stale-but-valid superset, so callers that bail out on the returned
-/// interruption Status never act on it. Also propagates Status::Internal
-/// from a throwing pool task.
+/// `run_context` (nullptr = unlimited) is checked once, before any list is
+/// touched: a tripped context leaves every list unfiltered (a stale but
+/// valid superset) and returns the interruption Status.
 Status FilterCoveredIds(const DynamicBitset& covered,
                         const std::vector<std::vector<std::uint32_t>*>& lists,
-                        ThreadPool* pool,
                         const RunContext* run_context = nullptr);
 
 }  // namespace scwsc

@@ -1,11 +1,12 @@
 // Optimized CMC over hierarchical patterns — Fig. 4 generalized to the
 // hierarchy lattice, completing the §II extension for both of the paper's
-// algorithms. Shares the budget schedule and level structure with the
-// generic CMC (BuildCmcLevels) and the engineering of the flat optimized
-// CMC: lazy marginal refresh, pop-time cost computation, and the
-// round-feasibility precheck (a row is coverable within budget B only if
-// its duplicate-group aggregate is <= B — hierarchical patterns also cover
-// whole duplicate groups, so the bound carries over unchanged).
+// algorithms. It is the same Fig. 4 descent as pattern::RunOptimizedCmc
+// (src/pattern/descent.h) over the hierarchy step of hlattice.cc, so it
+// shares the budget schedule and level structure with the generic CMC
+// (BuildCmcLevels), the lazy marginal refresh, pop-time cost computation,
+// and the round-feasibility precheck (hierarchical patterns also cover
+// whole duplicate groups, so the bound carries over unchanged). Ties break
+// by CanonicalLess, where the flat solver's packed keys use integer order.
 
 #ifndef SCWSC_HIERARCHY_HCMC_H_
 #define SCWSC_HIERARCHY_HCMC_H_

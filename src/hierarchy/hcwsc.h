@@ -2,13 +2,14 @@
 // deeper lattice induced by attribute hierarchies (paper §II's deferred
 // extension).
 //
-// Identical structure to pattern::RunOptimizedCwsc: candidates start at the
-// all-wildcards pattern and descend one specialization step at a time —
+// The same Fig. 3 descent as pattern::RunOptimizedCwsc (src/pattern/
+// descent.h), over the hierarchy step of hlattice.cc: candidates start at
+// the all-wildcards pattern and descend one specialization step at a time —
 // ALL -> forest root -> child node -> ... -> leaf — with a child admitted
 // only when all of its lattice parents qualify (marginal benefit is
 // anti-monotone along subtree containment, exactly as in the flat case).
-// With all-flat hierarchies this computes precisely the flat Fig. 3
-// algorithm, which the tests verify against pattern::RunOptimizedCwsc.
+// With all-flat hierarchies this selects the flat Fig. 3 algorithm's
+// patterns, which the tests verify against pattern::RunOptimizedCwsc.
 
 #ifndef SCWSC_HIERARCHY_HCWSC_H_
 #define SCWSC_HIERARCHY_HCWSC_H_

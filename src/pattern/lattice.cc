@@ -6,14 +6,6 @@
 namespace scwsc {
 namespace pattern {
 
-std::vector<Pattern> Parents(const Pattern& p) {
-  std::vector<Pattern> parents;
-  for (std::size_t a = 0; a < p.num_attributes(); ++a) {
-    if (!p.is_wildcard(a)) parents.push_back(p.WithWildcard(a));
-  }
-  return parents;
-}
-
 std::vector<ChildGroup> GroupChildren(const Table& table,
                                       const Pattern& parent,
                                       const std::vector<RowId>& rows) {

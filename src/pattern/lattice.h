@@ -24,10 +24,6 @@
 namespace scwsc {
 namespace pattern {
 
-/// All parents of p (one per constant attribute, in attribute order).
-/// The all-wildcards pattern has no parents.
-std::vector<Pattern> Parents(const Pattern& p);
-
 /// One prospective child of `parent`: specialize attribute `attr` to
 /// `value`; `marginal_rows` is exactly MBen(child) given that `rows` passed
 /// to GroupChildren was MBen(parent).

@@ -7,7 +7,10 @@
 // become eligible (admitted once all their parents have been visited).
 // Level structure and budget schedule are shared with the generic CMC
 // (BuildCmcLevels), including the (1+ε)k merged-level variant and the
-// generalized base 1+l.
+// generalized base 1+l. The descent is DescendCmc (descent.h) over the flat
+// step of opt_lattice.cc: patterns are packed 64-bit keys whose integer
+// order breaks ties, or Pattern keys under CanonicalLess when the table is
+// too wide for PatternCodec.
 
 #ifndef SCWSC_PATTERN_OPT_CMC_H_
 #define SCWSC_PATTERN_OPT_CMC_H_

@@ -9,7 +9,9 @@
 // Provided both break ties identically, the optimized algorithm selects
 // exactly the same patterns as CWSC over the fully enumerated system; this
 // library guarantees that by using one canonical pattern order everywhere
-// (a property test re-verifies it on random tables).
+// (a property test re-verifies it on random tables). The descent is
+// DescendCwsc (descent.h) over the flat step of opt_lattice.cc, with
+// Pattern keys.
 
 #ifndef SCWSC_PATTERN_OPT_CWSC_H_
 #define SCWSC_PATTERN_OPT_CWSC_H_

@@ -16,6 +16,7 @@
 #include "src/core/cmc.h"
 #include "src/core/cwsc.h"
 #include "src/core/instances.h"
+#include "tests/test_util.h"
 
 namespace scwsc {
 namespace {
@@ -295,16 +296,10 @@ TEST(FilterCoveredIdsTest, FiltersEachListIndependently) {
   std::vector<std::uint32_t> c = {0, 9};
   std::vector<std::vector<std::uint32_t>*> lists = {&a, &b, &c};
 
-  ThreadPool pool(4);
-  FilterCoveredIds(covered, lists, &pool);
+  SCWSC_ASSERT_OK(FilterCoveredIds(covered, lists));
   EXPECT_EQ(a, (std::vector<std::uint32_t>{1, 3}));
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(c, (std::vector<std::uint32_t>{0, 9}));
-
-  std::vector<std::uint32_t> d = {1, 2, 3, 7};
-  std::vector<std::vector<std::uint32_t>*> serial_lists = {&d};
-  FilterCoveredIds(covered, serial_lists, nullptr);
-  EXPECT_EQ(d, (std::vector<std::uint32_t>{1, 3}));
 }
 
 }  // namespace

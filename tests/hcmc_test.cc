@@ -1,14 +1,19 @@
 #include "src/hierarchy/hcmc.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/common/bitset.h"
+#include "src/common/rng.h"
 
 #include "gtest/gtest.h"
 #include "src/gen/lbl_synth.h"
 #include "src/gen/toy.h"
 #include "src/hierarchy/henumerate.h"
+#include "src/pattern/codec.h"
 #include "src/pattern/opt_cmc.h"
+#include "src/table/builder.h"
 #include "tests/test_util.h"
 
 namespace scwsc {
@@ -93,10 +98,66 @@ TEST(HCmcTest, FlatHierarchyTracksFlatOptimizedCmcEnvelope) {
   ASSERT_TRUE(flat_run.ok());
   EXPECT_GE(hier->covered, 9u);
   EXPECT_GE(flat_run->covered, 9u);
-  // Same lattice, same pop order keyed on marginal benefit: identical
-  // selections (node ids == value ids on flat hierarchies).
+  // Same lattice, but not the same tie-break: the toy table packs into 64
+  // bits, so the flat solver orders equal marginal benefits by packed key
+  // while hcmc uses CanonicalLess, and the two may pop (and pick) different
+  // patterns. Here they still agree on size and cost.
   ASSERT_EQ(hier->patterns.size(), flat_run->patterns.size());
   EXPECT_NEAR(hier->total_cost, flat_run->total_cost, 1e-9);
+}
+
+TEST(HCmcTest, FlatHierarchyMatchesFlatOptimizedCmcOnWideTables) {
+  // Too wide for PatternCodec, the flat solver keys patterns by Pattern and
+  // breaks ties by CanonicalLess, exactly as hcmc does on flat hierarchies:
+  // both must then pop the same lattice, round for round.
+  TableBuilder builder({"a", "b", "c", "d", "e", "f", "g", "h"}, "m");
+  Rng rng(61);
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<std::string> row;
+    for (int attr = 0; attr < 8; ++attr) {
+      // Six attributes of ~990 values need 10 bits each; 6 * 10 + 2 * 4
+      // = 68 > 64.
+      row.push_back("v" + std::to_string(rng.NextBounded(attr < 6 ? 40'000
+                                                                  : 7)));
+    }
+    std::vector<std::string_view> views(row.begin(), row.end());
+    SCWSC_ASSERT_OK(builder.AddRow(views, rng.NextDouble(1.0, 50.0)));
+  }
+  Table table = std::move(builder).Build();
+  ASSERT_FALSE(pattern::PatternCodec(table).fits());
+  TableHierarchy flat = TableHierarchy::Flat(table);
+
+  for (CostKind kind : {CostKind::kMax, CostKind::kSum}) {
+    const CostFunction cost(kind);
+    for (std::size_t k : {1u, 3u, 10u}) {
+      for (double s : {0.3, 0.5, 0.9}) {
+        const std::string where = cost.Name() + " k=" + std::to_string(k) +
+                                  " s=" + std::to_string(s);
+        CmcOptions opts;
+        opts.k = k;
+        opts.coverage_fraction = s;
+        pattern::PatternStats hier_stats;
+        pattern::PatternStats flat_stats;
+        auto hier = RunHierarchicalCmc(table, flat, cost, opts, &hier_stats);
+        auto opt = pattern::RunOptimizedCmc(table, cost, opts, &flat_stats);
+        ASSERT_TRUE(hier.ok()) << where << ": " << hier.status().ToString();
+        ASSERT_TRUE(opt.ok()) << where << ": " << opt.status().ToString();
+        ASSERT_EQ(hier->patterns.size(), opt->patterns.size()) << where;
+        for (std::size_t p = 0; p < opt->patterns.size(); ++p) {
+          EXPECT_EQ(hier->patterns[p].ToString(table, flat),
+                    opt->patterns[p].ToString(table))
+              << where << " pick " << p;
+        }
+        EXPECT_EQ(hier->total_cost, opt->total_cost) << where;
+        EXPECT_EQ(hier->covered, opt->covered) << where;
+        EXPECT_EQ(hier_stats.patterns_considered,
+                  flat_stats.patterns_considered)
+            << where;
+        EXPECT_EQ(hier_stats.budget_rounds, flat_stats.budget_rounds)
+            << where;
+      }
+    }
+  }
 }
 
 TEST(HCmcTest, SelectsWithinHierarchyOnTrace) {

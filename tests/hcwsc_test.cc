@@ -1,6 +1,8 @@
 #include "src/hierarchy/hcwsc.h"
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/gen/lbl_synth.h"
@@ -83,30 +85,53 @@ TEST(HEnumerateTest, SystemCostsMatchCostFunction) {
 
 TEST(HCwscTest, FlatHierarchyMatchesFlatOptimizedCwsc) {
   // With all-flat hierarchies the hierarchical solver must select exactly
-  // the flat solver's patterns on the toy table and on synthetic traces.
-  Table toy = gen::MakeEntitiesTable();
-  TableHierarchy flat_toy = TableHierarchy::Flat(toy);
+  // the flat solver's patterns, and count the same lattice work, on the toy
+  // table and on a synthetic trace.
+  gen::LblSynthSpec spec;
+  spec.num_rows = 300;
+  spec.seed = 17;
+  auto trace = gen::MakeLblSynth(spec);
+  ASSERT_TRUE(trace.ok());
+  std::vector<Table> tables;
+  tables.push_back(gen::MakeEntitiesTable());
+  tables.push_back(std::move(*trace));
   CostFunction cost(CostKind::kMax);
-  for (std::size_t k : {1u, 2u, 4u}) {
-    for (double s : {0.3, 9.0 / 16.0, 0.9}) {
-      auto hier = RunHierarchicalCwsc(toy, flat_toy, cost, {k, s});
-      auto flat = pattern::RunOptimizedCwsc(toy, cost, {k, s});
-      ASSERT_EQ(hier.ok(), flat.ok()) << "k=" << k << " s=" << s;
-      if (!hier.ok()) continue;
-      ASSERT_EQ(hier->patterns.size(), flat->patterns.size());
-      for (std::size_t p = 0; p < hier->patterns.size(); ++p) {
-        // Node ids of leaf constraints coincide with flat ValueIds.
-        for (std::size_t a = 0; a < toy.num_attributes(); ++a) {
-          const bool hw = hier->patterns[p].is_wildcard(a);
-          const bool fw = flat->patterns[p].is_wildcard(a);
-          ASSERT_EQ(hw, fw);
-          if (!hw) {
-            EXPECT_EQ(hier->patterns[p].node(a), flat->patterns[p].value(a));
+  for (const Table& table : tables) {
+    TableHierarchy flat = TableHierarchy::Flat(table);
+    for (std::size_t k : {1u, 2u, 4u}) {
+      for (double s : {0.3, 9.0 / 16.0, 0.9}) {
+        const std::string where = "rows=" +
+                                  std::to_string(table.num_rows()) +
+                                  " k=" + std::to_string(k) +
+                                  " s=" + std::to_string(s);
+        pattern::PatternStats hier_stats;
+        pattern::PatternStats flat_stats;
+        auto hier = RunHierarchicalCwsc(table, flat, cost, {k, s}, &hier_stats);
+        auto opt = pattern::RunOptimizedCwsc(table, cost, {k, s}, &flat_stats);
+        ASSERT_EQ(hier.ok(), opt.ok()) << where;
+        if (!hier.ok()) continue;
+        ASSERT_EQ(hier->patterns.size(), opt->patterns.size()) << where;
+        for (std::size_t p = 0; p < hier->patterns.size(); ++p) {
+          // Node ids of leaf constraints coincide with flat ValueIds.
+          for (std::size_t a = 0; a < table.num_attributes(); ++a) {
+            const bool hw = hier->patterns[p].is_wildcard(a);
+            const bool fw = opt->patterns[p].is_wildcard(a);
+            ASSERT_EQ(hw, fw) << where;
+            if (!hw) {
+              EXPECT_EQ(hier->patterns[p].node(a), opt->patterns[p].value(a))
+                  << where;
+            }
           }
         }
+        EXPECT_EQ(hier->total_cost, opt->total_cost) << where;
+        EXPECT_EQ(hier->covered, opt->covered) << where;
+        EXPECT_EQ(hier_stats.patterns_considered,
+                  flat_stats.patterns_considered)
+            << where;
+        EXPECT_EQ(hier_stats.candidates_admitted,
+                  flat_stats.candidates_admitted)
+            << where;
       }
-      EXPECT_NEAR(hier->total_cost, flat->total_cost, 1e-9);
-      EXPECT_EQ(hier->covered, flat->covered);
     }
   }
 }

@@ -3,6 +3,8 @@
 #include "src/common/bitset.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/cmc.h"
@@ -187,6 +189,65 @@ TEST(OptCmcTest, GenericKeyFallbackHandlesWideTables) {
       (1.0 - 1.0 / M_E) * 0.4, table.num_rows());
   EXPECT_GE(solution->covered, relaxed);
   EXPECT_LE(solution->patterns.size(), CmcMaxSelectable(3, 0.0, 1));
+}
+
+void ExpectPinned(const Table& table, std::size_t k, double fraction,
+                  const std::vector<std::string>& patterns, double cost,
+                  std::size_t considered, std::size_t rounds,
+                  double final_budget) {
+  CmcOptions opts;
+  opts.k = k;
+  opts.coverage_fraction = fraction;
+  PatternStats stats;
+  auto solution =
+      RunOptimizedCmc(table, CostFunction(CostKind::kMax), opts, &stats);
+  ASSERT_TRUE(solution.ok()) << solution.status().ToString();
+  std::vector<std::string> picked;
+  for (const auto& p : solution->patterns) picked.push_back(p.ToString(table));
+  EXPECT_EQ(picked, patterns);
+  EXPECT_DOUBLE_EQ(solution->total_cost, cost);
+  EXPECT_EQ(stats.patterns_considered, considered);
+  EXPECT_EQ(stats.candidates_admitted, considered);
+  EXPECT_EQ(stats.budget_rounds, rounds);
+  EXPECT_DOUBLE_EQ(stats.final_budget, final_budget);
+}
+
+TEST(OptCmcTest, PackedKeyTieBreakIsPinned) {
+  // Packed keys break marginal-benefit ties by integer order, not by
+  // CanonicalLess, so neither Fig. 2 nor hcmc is an oracle for this path
+  // (hcmc on flat hierarchies considers 52 patterns in the first case).
+  // These selections and counters were recorded from the packed path.
+  const Table toy = gen::MakeEntitiesTable();
+  ASSERT_TRUE(pattern::PatternCodec(toy).fits());
+  ExpectPinned(toy, 1, 0.3, {"{Type=B, Location=ALL}"}, 24, 62, 6, 32);
+  ExpectPinned(toy, 3, 0.3,
+               {"{Type=B, Location=South}", "{Type=A, Location=North}"}, 6,
+               42, 2, 6);
+
+  gen::LblSynthSpec spec;
+  spec.num_rows = 300;
+  spec.seed = 17;
+  auto trace = gen::MakeLblSynth(spec);
+  ASSERT_TRUE(trace.ok());
+  ASSERT_TRUE(pattern::PatternCodec(*trace).fits());
+  ExpectPinned(
+      *trace, 3, 0.3,
+      {"{protocol=smtp, localhost=ALL, remotehost=ALL, endstate=ALL, "
+       "flags=ALL}"},
+      66.20188651696246, 4596, 9, 74.930025800779788);
+  ExpectPinned(
+      *trace, 10, 0.5,
+      {"{protocol=smtp, localhost=ALL, remotehost=ALL, endstate=ALL, "
+       "flags=ALL}",
+       "{protocol=ALL, localhost=ALL, remotehost=ALL, endstate=ALL, "
+       "flags=f5}",
+       "{protocol=telnet, localhost=ALL, remotehost=rh0, endstate=ALL, "
+       "flags=ALL}",
+       "{protocol=ALL, localhost=ALL, remotehost=rh2, endstate=ALL, "
+       "flags=f0}",
+       "{protocol=ALL, localhost=lh0, remotehost=rh0, endstate=ALL, "
+       "flags=ALL}"},
+      263.10216638754474, 5470, 8, 124.883376334633);
 }
 
 TEST(OptCmcTest, ScaleRunStaysWithinEnumerationCount) {

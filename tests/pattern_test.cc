@@ -122,18 +122,6 @@ TEST(PatternHashTest, WorksInUnorderedSet) {
   EXPECT_TRUE(set.count(Pattern({0, kAll})));
 }
 
-TEST(LatticeTest, ParentsReplaceOneConstantEach) {
-  Pattern p({1, 2, pattern::kAll});
-  auto parents = pattern::Parents(p);
-  ASSERT_EQ(parents.size(), 2u);
-  EXPECT_EQ(parents[0], Pattern({kAll, 2, kAll}));
-  EXPECT_EQ(parents[1], Pattern({1, kAll, kAll}));
-}
-
-TEST(LatticeTest, RootHasNoParents) {
-  EXPECT_TRUE(pattern::Parents(Pattern::AllWildcards(4)).empty());
-}
-
 TEST(LatticeTest, GroupChildrenPartitionsRowsPerAttribute) {
   Table table = gen::MakeEntitiesTable();
   Pattern root = Pattern::AllWildcards(2);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/api/adapter_util.h"
 #include "src/api/instance.h"
 #include "src/api/solver.h"
 #include "src/core/cmc.h"
@@ -217,6 +218,39 @@ TEST(SolverRegistryTest, RegistryDispatchIsBitIdenticalToDirectCalls) {
     EXPECT_EQ(via_registry->solution.sets, direct->solution.sets);
     EXPECT_EQ(via_registry->total_cost, direct->solution.total_cost);
   }
+}
+
+TEST(SolverRegistryTest, LatticeAuditRejectsRepeatedPatterns) {
+  // Each repeat re-matches the same rows, so coverage and a doubled cost
+  // recount consistently; the audit must still reject the solution, for
+  // flat and hierarchical patterns alike.
+  const InstancePtr instance = GoldenInstance();
+  const SolveRequest request = MakeRequest(instance, 3, 0.5);
+  const Table& table = instance->table();
+  const pattern::CostFunction& cost_fn = instance->cost_fn();
+  std::vector<RowId> type_b;
+  for (RowId r = 0; r < table.num_rows(); ++r) {
+    if (table.value(r, 0) == 1) type_b.push_back(r);
+  }
+  const double cost = 2 * cost_fn.Compute(table, type_b);
+
+  hierarchy::HSolution hier;
+  hier.patterns.assign(2, hierarchy::HPattern({1, hierarchy::kAllNode}));
+  hier.total_cost = cost;
+  hier.covered = type_b.size();
+  auto hier_result =
+      api::internal::FinishLatticeBacked(request, hier, 0.0, {}, {});
+  EXPECT_TRUE(hier_result.status().IsInvalidArgument())
+      << hier_result.status().ToString();
+
+  pattern::PatternSolution flat;
+  flat.patterns.assign(2, pattern::Pattern({1, pattern::kAll}));
+  flat.total_cost = cost;
+  flat.covered = type_b.size();
+  auto flat_result =
+      api::internal::FinishLatticeBacked(request, flat, 0.0, {}, {});
+  EXPECT_TRUE(flat_result.status().IsInvalidArgument())
+      << flat_result.status().ToString();
 }
 
 TEST(SolverRegistryTest, InterruptionReturnsPartialResultPayload) {
