@@ -7,14 +7,13 @@
 //    every (solver, k, ŝ) the workload — or any degradation of it — can
 //    produce. No faults, no scheduler.
 //  * fault-free: a scheduler with the full resilience stack configured
-//    (retries, breakers, ladder, watchdog) but NO FaultPlan installed. This
-//    arm must be bit-identical to serial: resilience machinery at rest
-//    changes nothing.
+//    (retries, breakers, ladder) but NO FaultPlan installed. This arm must
+//    be bit-identical to serial: resilience machinery at rest changes
+//    nothing.
 //  * chaos: the same workload under an installed, seeded FaultPlan arming
-//    every injection point at once (solver errors/throws/delays, snapshot
-//    materialization failures, result-cache corruption, pool task loss)
-//    while the scheduler retries, breaks, degrades and watchdogs its way
-//    through.
+//    every injection point at once (solver errors/throws/delays and
+//    result-cache corruption) while the scheduler retries, breaks and
+//    degrades its way through.
 //
 // Gates (exit 1 on any failure), written to BENCH_chaos.json:
 //   g1 every chaos future completes (no deadlock, no lost promise);
@@ -73,11 +72,10 @@ constexpr std::size_t kChaosPasses = 3;   // the soak re-enqueues the list
 constexpr std::uint64_t kDefaultSeed = 20260808;
 
 // Per-attempt probabilities for the storm. The per-attempt injected error
-// rate (error + throw + materialize; delay and cache corruption do not fail
-// an attempt, task loss is healed by the watchdog) anchors gate g2.
-constexpr double kPErr = 0.10, kPThrow = 0.02, kPDelay = 0.05;
-constexpr double kPMaterialize = 0.02, kPCorrupt = 0.10, kPTaskLoss = 0.05;
-constexpr double kInjectedRate = kPErr + kPThrow + kPMaterialize;
+// rate (error + throw; delay and cache corruption do not fail an attempt)
+// anchors gate g2.
+constexpr double kPErr = 0.10, kPThrow = 0.02, kPDelay = 0.05, kPCorrupt = 0.10;
+constexpr double kInjectedRate = kPErr + kPThrow;
 constexpr double kAmplificationBound = 2.0;
 constexpr double kLatencyFloorSeconds = 0.05;
 
@@ -148,9 +146,6 @@ serve::SchedulerOptions ResilientOptions() {
   res.breaker.open_seconds = 0.05;
   res.breaker.half_open_successes = 1;
   res.ladder = serve::DegradationLadder::Default();
-  res.watchdog = true;
-  res.watchdog_interval_seconds = 0.02;
-  res.watchdog_stale_seconds = 0.25;
   return options;
 }
 
@@ -332,8 +327,8 @@ int main(int argc, char** argv) {
   // auto-dump a flight-recorder trace (gate g6).
   ArmStats chaos_stats;
   serve::JsonObject fired;
-  std::uint64_t breaker_opened = 0, watchdog_redispatched = 0,
-                results_quarantined = 0, retries_attempted = 0;
+  std::uint64_t breaker_opened = 0, results_quarantined = 0,
+                retries_attempted = 0;
   std::uint64_t slo_violations = 0;
   std::vector<std::string> slo_dumps;
   obs::QuantileSketch merged_latency;
@@ -346,9 +341,7 @@ int main(int argc, char** argv) {
     chaos.plan().Arm(FaultPoint::kSolverThrow, kPThrow);
     chaos.plan().Arm(FaultPoint::kSolverDelay, kPDelay);
     chaos.plan().set_solver_delay_ms(1);
-    chaos.plan().Arm(FaultPoint::kSnapshotMaterialize, kPMaterialize);
     chaos.plan().Arm(FaultPoint::kResultCacheCorrupt, kPCorrupt);
-    chaos.plan().Arm(FaultPoint::kPoolTaskLoss, kPTaskLoss);
 
     serve::SchedulerOptions chaos_options = ResilientOptions();
     serve::TelemetryOptions& tel = chaos_options.telemetry;
@@ -383,8 +376,6 @@ int main(int argc, char** argv) {
       }
     }
     breaker_opened = metrics.CounterValue("serve.breaker.opened");
-    watchdog_redispatched =
-        metrics.CounterValue("serve.watchdog.redispatched");
     results_quarantined =
         metrics.CounterValue("serve.result_cache.quarantined");
     retries_attempted = metrics.CounterValue("serve.retries.attempted");
@@ -462,7 +453,6 @@ int main(int argc, char** argv) {
   report["latency_bound_seconds"] = latency_bound;
   report["faults"] = serve::JsonValue(std::move(fired));
   report["breaker_opened"] = breaker_opened;
-  report["watchdog_redispatched"] = watchdog_redispatched;
   report["results_quarantined"] = results_quarantined;
   report["retries_attempted"] = retries_attempted;
   report["slo_violations"] = slo_violations;

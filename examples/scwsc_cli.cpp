@@ -27,7 +27,7 @@
 //                       instead of a single solve (see docs/serving.md).
 //                       A top-level "faults" object installs a seeded
 //                       FaultPlan for the run and arms the scheduler's
-//                       retry / breaker / watchdog machinery.
+//                       retries, breakers and degradation ladder.
 //   --batch-out PATH    where --batch writes its JSON report
 //                                               [default batch_results.json]
 //   --threads N         scheduler worker threads for --batch; 0 = all cores
@@ -400,7 +400,6 @@ int RunBatchMode(const CliArgs& args, api::InstancePtr instance) {
     res.retry.max_attempts = 3;
     res.breaker.enabled = true;
     res.ladder = serve::DegradationLadder::Default();
-    res.watchdog = true;
   }
 
   // Telemetry: the batch file's "slo" object and the --telemetry-out /

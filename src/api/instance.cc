@@ -2,22 +2,10 @@
 
 #include <utility>
 
-#include "src/common/fault.h"
 #include "src/common/hash.h"
 
 namespace scwsc {
 namespace api {
-namespace {
-
-/// Chaos hook shared by both builders: a fired kSnapshotAlloc models the
-/// allocation of the snapshot's tables failing under memory pressure.
-Status InjectedAllocFailure() {
-  return Status::ResourceExhausted(
-      "injected fault: snapshot allocation failed (FaultPoint "
-      "snapshot_alloc)");
-}
-
-}  // namespace
 
 Result<InstancePtr> InstanceSnapshot::FromSetSystem(SetSystem system) {
   return FromSetSystem(std::move(system), 0);
@@ -36,7 +24,6 @@ Result<InstancePtr> InstanceSnapshot::FromSetSystem(SetSystem system,
   if (system.num_elements() == 0) {
     return Status::InvalidArgument("instance snapshot: empty universe");
   }
-  if (FaultFires(FaultPoint::kSnapshotAlloc)) return InjectedAllocFailure();
   auto snapshot = std::shared_ptr<InstanceSnapshot>(new InstanceSnapshot());
   snapshot->system_.emplace(std::move(system));
   snapshot->delta_version_ = delta_version;
@@ -55,7 +42,6 @@ Result<InstancePtr> InstanceSnapshot::FromTable(
     return Status::InvalidArgument(
         "instance snapshot: table has no measure column to weight patterns");
   }
-  if (FaultFires(FaultPoint::kSnapshotAlloc)) return InjectedAllocFailure();
   auto snapshot = std::shared_ptr<InstanceSnapshot>(new InstanceSnapshot());
   snapshot->table_.emplace(std::move(table));
   snapshot->cost_fn_.emplace(std::move(cost_fn));
@@ -119,14 +105,6 @@ void InstanceSnapshot::MaterializePatterns() const {
 }
 
 Result<const SetSystem*> InstanceSnapshot::set_system() const {
-  // Chaos hook at the *access* seam, not inside MaterializePatterns: a
-  // call_once failure would poison the snapshot forever, whereas a
-  // transient materialize fault must be retryable.
-  if (FaultFires(FaultPoint::kSnapshotMaterialize)) {
-    return Status::Internal(
-        "injected fault: snapshot materialization failed (FaultPoint "
-        "snapshot_materialize)");
-  }
   if (system_.has_value()) return &*system_;
   MaterializePatterns();
   if (!lazy_->ok()) return lazy_->status();

@@ -26,10 +26,7 @@ constexpr const char* kPointNames[kNumFaultPoints] = {
     "solver_error",         // kSolverError
     "solver_throw",         // kSolverThrow
     "solver_delay",         // kSolverDelay
-    "snapshot_materialize", // kSnapshotMaterialize
-    "snapshot_alloc",       // kSnapshotAlloc
     "result_cache_corrupt", // kResultCacheCorrupt
-    "pool_task_loss",       // kPoolTaskLoss
 };
 
 }  // namespace

@@ -1,22 +1,23 @@
 // FaultPlan: seedable, process-wide fault injection for chaos testing.
 //
-// PR 2 gave RunContext two test-only hooks (FailAfter / FailWithProbability)
-// so timeout paths could be exercised deterministically inside one solver.
-// This generalizes that idea to the whole serve path: a FaultPlan names a
-// set of *registered injection points* — solver error/throw/slow-down,
-// snapshot materialization failure, allocation failure at snapshot build,
-// result-cache corruption, ThreadPool task loss — each armed with an
-// independent probability, and every decision is a pure function of
-// (seed, point, per-point draw index). Replaying the same plan against the
-// same single-threaded call sequence reproduces the same fault sequence
-// bit-for-bit; under concurrency the per-point *set* of fired draws is
-// still deterministic even though threads race for draw indices.
+// RunContext's test-only hooks (FailAfter / FailWithProbability) exercise
+// timeout paths deterministically inside one solver. A FaultPlan does the
+// same for the serve path: it names a set of *registered injection points*,
+// each armed with an independent probability, and every decision is a pure
+// function of (seed, point, per-point draw index). Replaying the same plan
+// against the same single-threaded call sequence reproduces the same fault
+// sequence bit-for-bit; under concurrency the per-point *set* of fired
+// draws is still deterministic even though threads race for draw indices.
+//
+// Each point models a failure the runtime can really produce:
+//   solver_error          a solver returns an internal error;
+//   solver_throw          a solver throws (std::bad_alloc included);
+//   solver_delay          a solver stalls before its first context check;
+//   result_cache_corrupt  a stored result no longer matches its checksum.
 //
 // Cost when disabled: no plan is installed by default, and every site
-// guards with FaultFires(), whose fast path is a single relaxed atomic
-// load of a null pointer. Defining SCWSC_NO_FAULT_INJECTION compiles every
-// site down to a constant `false` for builds that want the guarantee
-// rather than the measurement.
+// guards with FaultFires(), whose fast path is a single atomic load of a
+// null pointer.
 //
 // Ownership: Install() does NOT take ownership — the installer keeps the
 // plan alive until Uninstall(). ScopedFaultPlan is the RAII form tests, the
@@ -40,17 +41,14 @@ enum class FaultPoint : int {
   kSolverError = 0,      // registry solve replaced by Status::Internal
   kSolverThrow,          // solver call site throws (scheduler must contain it)
   kSolverDelay,          // solver call site sleeps solver_delay_ms first
-  kSnapshotMaterialize,  // lazy set-system view access fails transiently
-  kSnapshotAlloc,        // snapshot construction fails as if out of memory
   kResultCacheCorrupt,   // a freshly inserted result entry is bit-flipped
-  kPoolTaskLoss,         // ThreadPool::Submit silently drops the task
   kCount,                // sentinel; not a point
 };
 
 constexpr int kNumFaultPoints = static_cast<int>(FaultPoint::kCount);
 
 /// Stable lowercase name, the spelling the batch JSON `"faults"` object
-/// uses ("solver_error", "pool_task_loss", ...).
+/// uses ("solver_error", "result_cache_corrupt", ...).
 const char* FaultPointToString(FaultPoint point);
 
 /// Inverse of FaultPointToString; InvalidArgument naming the accepted
@@ -90,14 +88,8 @@ class FaultPlan {
 
   // --- process-wide installation ------------------------------------------
 
-  /// The installed plan, or nullptr (the default). One relaxed load.
-  static FaultPlan* Active() {
-#ifdef SCWSC_NO_FAULT_INJECTION
-    return nullptr;
-#else
-    return active_.load(std::memory_order_acquire);
-#endif
-  }
+  /// The installed plan, or nullptr (the default). One atomic load.
+  static FaultPlan* Active() { return active_.load(std::memory_order_acquire); }
 
   /// Installs `plan` process-wide (nullptr uninstalls). The caller keeps
   /// ownership and must keep the plan alive until it is uninstalled.
@@ -119,16 +111,10 @@ class FaultPlan {
 };
 
 /// True when an installed plan fires `point` right now. The one-liner every
-/// injection site guards with; compiles to `false` when fault injection is
-/// compiled out.
+/// injection site guards with.
 inline bool FaultFires(FaultPoint point) {
-#ifdef SCWSC_NO_FAULT_INJECTION
-  (void)point;
-  return false;
-#else
   FaultPlan* plan = FaultPlan::Active();
   return plan != nullptr && plan->ShouldFire(point);
-#endif
 }
 
 /// RAII installation: installs the owned plan on construction, uninstalls

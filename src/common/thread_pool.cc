@@ -4,8 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/common/fault.h"
-
 namespace scwsc {
 
 unsigned ThreadPool::ResolveThreads(unsigned num_threads) {
@@ -47,11 +45,6 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  // Chaos hook: a "lost" task is enqueued nowhere and runs never, modeling
-  // a wedged or crashed worker. Callers that must survive this (the serve
-  // scheduler) pair Submit with a watchdog that re-dispatches; ParallelFor
-  // is exempt because its completion accounting would genuinely deadlock.
-  if (FaultFires(FaultPoint::kPoolTaskLoss)) return;
   if (workers_.empty()) {  // inline pool: run now, deterministically
     task();
     return;

@@ -73,11 +73,6 @@ class ThreadPool {
   /// Submit returns, so serial configurations stay deterministic. The task
   /// must not throw — wrap fallible work in its own Status plumbing (the
   /// scheduler routes errors through per-job promises).
-  ///
-  /// Chaos: an installed FaultPlan arming FaultPoint::kPoolTaskLoss makes
-  /// Submit silently drop tasks; callers that rely on every task running
-  /// must pair Submit with their own liveness recovery (the serve
-  /// scheduler's watchdog re-dispatches).
   void Submit(std::function<void()> task);
 
  private:

@@ -298,10 +298,6 @@ Result<JsonValue> RunBatch(std::vector<SolveJob> jobs,
   aggregate["degraded_jobs"] = metrics.CounterValue("serve.degraded.jobs");
   aggregate["results_quarantined"] =
       metrics.CounterValue("serve.result_cache.quarantined");
-  aggregate["watchdog_tripped"] =
-      metrics.CounterValue("serve.watchdog.tripped");
-  aggregate["watchdog_redispatched"] =
-      metrics.CounterValue("serve.watchdog.redispatched");
   aggregate["slo_violations"] =
       metrics.CounterValue("serve.slo.violations");
 

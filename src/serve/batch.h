@@ -19,7 +19,7 @@
 //    "faults": {                     // optional: scripted chaos (fault.h)
 //      "seed": 42,                   // default 0; deterministic replay
 //      "solver_delay_ms": 5,         // default 5; fired solver_delay stall
-//      "points": {"solver_error": 0.1, "pool_task_loss": 0.02}},
+//      "points": {"solver_error": 0.1, "solver_delay": 0.02}},
 //    "slo": {                        // optional: telemetry + SLO rules
 //      "rules": ["p99_latency_ms<=250", "error_rate<=0.01"],  // slo.h
 //      "interval_ms": 250,           // telemetry tick period

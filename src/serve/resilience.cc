@@ -32,7 +32,7 @@ double NextBackoffMs(const RetryPolicy& policy, double prev_ms,
   const double hi = std::max(lo, 3.0 * prev_ms);
   // hash -> [0, 1): 53 mantissa bits of the mixed draw.
   const double unit =
-      static_cast<double>(SplitMix64(policy.jitter_seed ^ draw) >> 11) *
+      static_cast<double>(SplitMix64(draw) >> 11) *
       (1.0 / 9007199254740992.0 /* 2^53 */);
   const double wait = lo + unit * (hi - lo);
   return std::min(wait, std::max(policy.max_backoff_ms, 0.0));

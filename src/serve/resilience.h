@@ -3,15 +3,15 @@
 // degradation ladder mapping solvers onto cheaper registered fallbacks.
 //
 // These are *policies*, not mechanisms: the SolveScheduler owns the attempt
-// loop, the breaker bank and the watchdog thread; this header owns the
-// decisions (should this failure be retried? how long to back off? is this
-// solver's breaker open? what is the cheaper fallback?). Keeping the
-// decisions pure and clock-explicit makes every one of them unit-testable
-// without a scheduler, a thread pool or a real clock.
+// loop and the breaker bank; this header owns the decisions (should this
+// failure be retried? how long to back off? is this solver's breaker open?
+// what is the cheaper fallback?). Keeping the decisions pure and
+// clock-explicit makes every one of them unit-testable without a
+// scheduler, a thread pool or a real clock.
 //
 // Defaults are chosen so a default-constructed ResilienceOptions is inert:
-// max_attempts = 1 (no retries), breaker disabled, ladder empty, watchdog
-// off. A scheduler built with defaults behaves bit-identically to one that
+// max_attempts = 1 (no retries), breaker disabled, ladder empty. A
+// scheduler built with defaults behaves bit-identically to one that
 // predates this subsystem.
 
 #ifndef SCWSC_SERVE_RESILIENCE_H_
@@ -43,18 +43,15 @@ struct RetryPolicy {
   /// uniform(initial, 3 * previous), capped at `max_backoff_ms`.
   double initial_backoff_ms = 1.0;
   double max_backoff_ms = 250.0;
-  /// Seed for the jitter decisions; the wait sequence for a fixed seed is
-  /// deterministic (see NextBackoffMs).
-  std::uint64_t jitter_seed = 0;
 
   bool enabled() const { return max_attempts > 1; }
 };
 
 /// The next backoff wait in milliseconds, decorrelated-jitter style:
 /// uniform(initial, 3 * prev_ms) capped at max, where "uniform" is decided
-/// by a hash of (policy.jitter_seed, draw) — a pure function, so tests and
-/// replays get the same wait sequence from the same seed. `prev_ms` is 0.0
-/// before the first retry.
+/// by a hash of `draw` — a pure function, so tests and replays get the same
+/// wait sequence from the same draws. `prev_ms` is 0.0 before the first
+/// retry.
 double NextBackoffMs(const RetryPolicy& policy, double prev_ms,
                      std::uint64_t draw);
 
@@ -189,10 +186,10 @@ class BreakerBank {
 // --- degradation -----------------------------------------------------------
 
 /// Maps a solver onto the next-cheaper registered solver to substitute when
-/// the requested one is unavailable (open breaker) or the queue is under
-/// pressure. Rungs chain: exact -> cwsc -> greedy-wsc, so a walk from
-/// "exact" can degrade twice if both upper rungs are refused. Empty by
-/// default — no substitution ever happens unless a ladder is configured.
+/// the requested one is unavailable (open breaker). Rungs chain:
+/// exact -> cwsc -> greedy-wsc, so a walk from "exact" can degrade twice if
+/// both upper rungs are refused. Empty by default — no substitution ever
+/// happens unless a ladder is configured.
 class DegradationLadder {
  public:
   DegradationLadder() = default;
@@ -206,8 +203,6 @@ class DegradationLadder {
   /// The configured fallback for `canonical_name`, or nullptr.
   const std::string* FallbackFor(const std::string& canonical_name) const;
 
-  bool empty() const { return rungs_.empty(); }
-
  private:
   std::map<std::string, std::string> rungs_;
 };
@@ -216,29 +211,12 @@ class DegradationLadder {
 
 /// Everything the scheduler's recovery machinery is configured by. The
 /// default value is inert (see file comment): no retries, no breaker, no
-/// ladder, no watchdog — bit-identical serving to a scheduler without it.
+/// ladder — bit-identical serving to a scheduler without it.
 struct ResilienceOptions {
   RetryPolicy retry;
   RetryBudgetOptions retry_budget;
   CircuitBreakerOptions breaker;
   DegradationLadder ladder;
-
-  /// Substitute down the ladder when in-flight jobs reach
-  /// `pressure_fraction` of max_queue_depth (needs a non-empty ladder and a
-  /// bounded queue).
-  bool degrade_on_pressure = false;
-  double pressure_fraction = 0.8;
-
-  /// Background watchdog thread: trips RunContexts of jobs past
-  /// deadline + grace, and re-dispatches pool tasks for queue entries that
-  /// stale out (the recovery for injected pool task loss — without it, a
-  /// lost task means a future that never resolves).
-  bool watchdog = false;
-  double watchdog_interval_seconds = 0.05;
-  double watchdog_grace_seconds = 0.25;
-  /// A queued job older than this with no worker having claimed it gets a
-  /// fresh pool task submitted on its behalf.
-  double watchdog_stale_seconds = 0.25;
 };
 
 }  // namespace serve

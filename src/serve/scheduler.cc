@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "src/common/fault.h"
+#include "src/common/run_context.h"
 #include "src/common/stopwatch.h"
 #include "src/obs/recorder.h"
 
@@ -40,26 +40,13 @@ SolveScheduler::SolveScheduler(ThreadPool* pool, SchedulerOptions options)
   breakers_ =
       std::make_unique<BreakerBank>(options_.resilience.breaker, metrics_);
   tenants_ = std::make_unique<TenantAdmission>(options_.tenant);
-  if (options_.resilience.watchdog) {
-    watchdog_ = std::thread([this] { WatchdogLoop(); });
-  }
   if (options_.telemetry.configured()) {
     pump_ = std::make_unique<TelemetryPump>(metrics_, options_.telemetry);
     pump_->SetTickSampler([this] { SampleQueueGauges(); });
   }
 }
 
-SolveScheduler::~SolveScheduler() {
-  Drain();
-  if (watchdog_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_.join();
-  }
-}
+SolveScheduler::~SolveScheduler() { Drain(); }
 
 Result<std::future<JobOutcome>> SolveScheduler::Enqueue(SolveJob job) {
   obs::Span enqueue_span(options_.trace, "serve.enqueue");
@@ -117,9 +104,7 @@ Result<std::future<JobOutcome>> SolveScheduler::Enqueue(SolveJob job) {
         "serve.enqueue", static_cast<double>(queue_.size()));
   }
   // One pool task per admitted job; the task picks the most urgent waiting
-  // job at pop time, which is how priority aging takes effect. Under an
-  // armed pool_task_loss fault this Submit may silently drop the task —
-  // the watchdog's stale-queue sweep re-dispatches.
+  // job at pop time, which is how priority aging takes effect.
   pool_->Submit([this] { RunOneJob(); });
   return future;
 }
@@ -289,38 +274,11 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
     if (--in_flight_ == 0) drained_cv_.notify_all();
   };
 
-  auto degrade_to = [&](const api::SolverInfo* fallback, const char* why) {
-    if (outcome.degraded_from.empty()) {
-      outcome.degraded_from = requested_canonical;
-    }
-    info = fallback;
-    solver_to_run = fallback->name;
-    metrics_->counter(std::string("serve.degraded.") + why).Increment();
-    metrics_->counter("serve.degraded.jobs").Increment();
-    run_span.Event(std::string("degrade/") + why);
-    obs::FlightRecorder::Global().RecordInstant(std::string("degrade/") + why);
-  };
-
-  // Queue-pressure degradation, decided before any cache interaction so the
-  // memo key always names the solver that actually runs.
-  if (info != nullptr && res.degrade_on_pressure && !res.ladder.empty() &&
-      options_.max_queue_depth > 0) {
-    const double pressure =
-        static_cast<double>(in_flight()) /
-        static_cast<double>(options_.max_queue_depth);
-    if (pressure >= res.pressure_fraction) {
-      if (const std::string* fb = res.ladder.FallbackFor(info->name)) {
-        if (const api::SolverInfo* fb_info = registry.Find(*fb)) {
-          degrade_to(fb_info, "pressure");
-        }
-      }
-    }
-  }
-
-  // Breaker admission. An open breaker walks the ladder looking for a rung
-  // whose breaker admits; when none does, the job carries the typed
-  // Unavailable into the attempt loop (retryable, so a configured retry
-  // policy backs off and probes again).
+  // Breaker admission, decided before any cache interaction so the memo key
+  // always names the solver that actually runs. An open breaker walks the
+  // ladder looking for a rung whose breaker admits; when none does, the job
+  // carries the typed Unavailable into the attempt loop (retryable, so a
+  // configured retry policy backs off and probes again).
   Status admit = Status::OK();
   if (res.breaker.enabled && info != nullptr) {
     admit = breakers_->ForSolver(info->name).Admit();
@@ -333,7 +291,13 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
       const Status fb_admit = breakers_->ForSolver(fb_info->name).Admit();
       walk = fb_info;
       if (fb_admit.ok()) {
-        degrade_to(fb_info, "breaker");
+        outcome.degraded_from = requested_canonical;
+        info = fb_info;
+        solver_to_run = fb_info->name;
+        metrics_->counter("serve.degraded.breaker").Increment();
+        metrics_->counter("serve.degraded.jobs").Increment();
+        run_span.Event("degrade/breaker");
+        obs::FlightRecorder::Global().RecordInstant("degrade/breaker");
         admit = Status::OK();
       }
     }
@@ -389,18 +353,6 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
         context.SetDeadline(deadline);
         run_context = &context;
       }
-      // Register the in-flight context so the watchdog can trip a job
-      // stuck past its deadline + grace (a solver that stops checking its
-      // context, an injected stall).
-      std::list<RunningJob>::iterator running_it;
-      bool registered = false;
-      if (run_context != nullptr) {
-        std::lock_guard<std::mutex> lock(mu_);
-        running_.push_back(RunningJob{
-            run_context, std::chrono::steady_clock::now() + deadline, true});
-        running_it = std::prev(running_.end());
-        registered = true;
-      }
 
       if (FaultPlan* plan = FaultPlan::Active();
           plan != nullptr && plan->ShouldFire(FaultPoint::kSolverDelay)) {
@@ -434,10 +386,6 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
       } catch (...) {
         outcome.result =
             Status::Internal("solver threw a non-standard exception");
-      }
-      if (registered) {
-        std::lock_guard<std::mutex> lock(mu_);
-        running_.erase(running_it);
       }
 
       // Breaker accounting: success heals, Internal and deadline trips are
@@ -497,52 +445,6 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
     outcome.result->degraded_from = outcome.degraded_from;
   }
   complete(std::move(outcome));
-}
-
-void SolveScheduler::WatchdogLoop() {
-  const auto interval = std::chrono::duration<double>(
-      std::max(options_.resilience.watchdog_interval_seconds, 0.001));
-  const auto grace =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              std::max(options_.resilience.watchdog_grace_seconds, 0.0)));
-  const double stale_seconds =
-      std::max(options_.resilience.watchdog_stale_seconds, 0.0);
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    watchdog_cv_.wait_for(lock, interval, [this] { return watchdog_stop_; });
-    if (watchdog_stop_) return;
-    const auto now = std::chrono::steady_clock::now();
-    // Deadline enforcement from outside the job: a solver wedged past
-    // deadline + grace gets its context cancelled, so the registry call
-    // returns an interruption Status and the future completes.
-    for (const RunningJob& running : running_) {
-      if (running.has_deadline && now > running.deadline_at + grace &&
-          running.context->tripped() == TripKind::kNone) {
-        running.context->RequestCancel();
-        metrics_->counter("serve.watchdog.tripped").Increment();
-        obs::FlightRecorder::Global().RecordInstant("watchdog/trip");
-      }
-    }
-    // Liveness: a queue entry older than the stale bound means its
-    // dispatch task never ran (injected pool task loss, or a flood);
-    // submit a replacement per stale entry. Extra tasks are harmless —
-    // RunOneJob returns when the queue is empty.
-    std::size_t stale = 0;
-    for (const PendingJob& pending : queue_) {
-      if (SecondsSince(pending.enqueued_at, now) > stale_seconds) ++stale;
-    }
-    if (stale > 0) {
-      metrics_->counter("serve.watchdog.redispatched").Increment(stale);
-      obs::FlightRecorder::Global().RecordInstant(
-          "watchdog/redispatch", static_cast<double>(stale));
-      lock.unlock();  // Submit runs inline on a 1-lane pool; never hold mu_
-      for (std::size_t i = 0; i < stale; ++i) {
-        pool_->Submit([this] { RunOneJob(); });
-      }
-      lock.lock();
-    }
-  }
 }
 
 }  // namespace serve

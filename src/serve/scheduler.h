@@ -10,8 +10,9 @@
 //     max_queue_depth.
 //   - Deadlines: a job's request.deadline is moved onto the scheduler's
 //     per-job RunContext, so deadline trips surface exactly like direct
-//     registry calls — an interruption Status carrying the partial
-//     SolveResult payload.
+//     registry calls — a DeadlineExceeded Status carrying the partial
+//     SolveResult payload. The solver sees the trip at its next context
+//     check; nothing outside the solver can stop it sooner.
 //   - Priority aging: workers pop the job with the highest *effective*
 //     priority (static priority + seconds-waited / aging_interval), so a
 //     flood of high-priority interactive jobs cannot starve batch jobs —
@@ -41,23 +42,19 @@
 //     Unavailable with retry-after (or degrade, below), probes half-open it
 //     back.
 //   - Degradation: a DegradationLadder substitutes the next-cheaper
-//     registered solver under queue pressure or an open breaker; the
+//     registered solver when the requested one's breaker is open; the
 //     substitution is stamped into SolveResult::degraded_from and the
 //     outcome, never into the memoized cache entry.
-//   - Watchdog: a background thread trips RunContexts of jobs stuck past
-//     deadline + grace and re-submits pool tasks for queue entries no
-//     worker claimed (the recovery path for injected ThreadPool task
-//     loss), so every admitted future completes even under chaos.
 //
 // Fault injection (src/common/fault.h): with an installed FaultPlan the
 // scheduler's solve call site can be told to fail (solver_error), throw
 // (solver_throw — contained and converted to Status::Internal) or stall
-// (solver_delay); the caches and the pool carry their own points.
+// (solver_delay); the result cache carries its own point.
 //
 // Observability: spans serve.enqueue / serve.run per job and counters
 // serve.jobs.{accepted,rejected,completed,failed}, serve.result_cache.*,
 // serve.snapshot_cache.*, serve.retries.*, serve.breaker.*,
-// serve.degraded.*, serve.watchdog.*, serve.faults.* through the session's
+// serve.degraded.*, serve.faults.* through the session's
 // MetricRegistry; retry/degrade/fault moments appear as span events
 // ("retry/backoff", "degrade/breaker", "fault/solver_error").
 
@@ -73,10 +70,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "src/api/registry.h"
-#include "src/common/run_context.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -129,8 +124,8 @@ struct SchedulerOptions {
   /// counters go here. The scheduler keeps its own MetricRegistry when
   /// null, so counters are always available via metrics().
   obs::TraceSession* trace = nullptr;
-  /// Recovery policies (retries, breakers, degradation, watchdog). The
-  /// default is inert — see serve/resilience.h.
+  /// Recovery policies (retries, breakers, degradation). The default is
+  /// inert — see serve/resilience.h.
   ResilienceOptions resilience;
   /// Continuous telemetry (JSONL time series, Prometheus exposition, SLO
   /// rules). Inert unless configured() — see serve/telemetry.h. The pump's
@@ -194,15 +189,6 @@ class SolveScheduler {
     std::chrono::steady_clock::time_point enqueued_at;
   };
 
-  /// One running job's interruption handle, registered while the registry
-  /// call is in flight so the watchdog can trip it (RequestCancel needs
-  /// the non-const context).
-  struct RunningJob {
-    RunContext* context = nullptr;
-    std::chrono::steady_clock::time_point deadline_at;
-    bool has_deadline = false;
-  };
-
   /// Worker-side: pops the job with the highest effective priority and
   /// runs it to completion (cache lookup, attempt loop with retries /
   /// breaker / degradation, cache fill).
@@ -211,10 +197,6 @@ class SolveScheduler {
   /// Completes one popped job: resolves degradation, consults the result
   /// cache, runs the attempt loop, fills the outcome and the promise.
   void ExecuteJob(PendingJob pending, double queue_seconds);
-
-  /// Background thread body: trips overdue running jobs and re-dispatches
-  /// stale queue entries (see ResilienceOptions::watchdog).
-  void WatchdogLoop();
 
   /// Telemetry tick sampler: refreshes serve.queue.depth and the
   /// per-priority wait gauges from the live queue.
@@ -233,17 +215,11 @@ class SolveScheduler {
   mutable std::mutex mu_;
   std::condition_variable drained_cv_;  // fires when in_flight_ hits 0
   std::list<PendingJob> queue_;
-  std::list<RunningJob> running_;  // registry calls currently in flight
-  std::size_t in_flight_ = 0;      // queued + running
+  std::size_t in_flight_ = 0;  // queued + running
   bool draining_ = false;
   /// Weighted-fair accounting: jobs dispatched per tenant. Only written
   /// when the tenant policy is enabled; guarded by mu_.
   std::map<std::string, double> tenant_served_;
-
-  // Watchdog thread state (only started when options.resilience.watchdog).
-  std::condition_variable watchdog_cv_;  // waits on mu_
-  bool watchdog_stop_ = false;
-  std::thread watchdog_;
 
   // Declared last: the pump's destructor stops its tick thread (which
   // touches metrics_ and the queue via the sampler) before anything above

@@ -39,7 +39,6 @@ TEST(BackoffTest, StaysWithinDecorrelatedJitterBounds) {
   RetryPolicy policy;
   policy.initial_backoff_ms = 2.0;
   policy.max_backoff_ms = 100.0;
-  policy.jitter_seed = 7;
 
   double prev = 0.0;
   for (std::uint64_t draw = 0; draw < 200; ++draw) {
@@ -57,7 +56,6 @@ TEST(BackoffTest, StaysWithinDecorrelatedJitterBounds) {
 
 TEST(BackoffTest, SameSeedSameDrawIsDeterministic) {
   RetryPolicy policy;
-  policy.jitter_seed = 42;
   for (std::uint64_t draw = 0; draw < 32; ++draw) {
     EXPECT_EQ(NextBackoffMs(policy, 10.0, draw),
               NextBackoffMs(policy, 10.0, draw));
@@ -202,7 +200,6 @@ TEST(CircuitBreakerTest, BankSharesOneBreakerPerSolver) {
 
 TEST(DegradationLadderTest, EmptyByDefaultAndChainsWhenConfigured) {
   DegradationLadder ladder;
-  EXPECT_TRUE(ladder.empty());
   EXPECT_EQ(ladder.FallbackFor("exact"), nullptr);
 
   ladder.AddRung("exact", "cwsc").AddRung("cwsc", "greedy-wsc");
@@ -215,7 +212,6 @@ TEST(DegradationLadderTest, EmptyByDefaultAndChainsWhenConfigured) {
 
 TEST(DegradationLadderTest, DefaultLadderBottomsOutAtBaselines) {
   const DegradationLadder ladder = DegradationLadder::Default();
-  EXPECT_FALSE(ladder.empty());
   // Every configured chain terminates (no cycles) within a short walk.
   for (const char* start : {"exact", "opt-cwsc", "opt-cmc", "hcwsc", "hcmc",
                             "lp-rounding", "cwsc", "cmc"}) {
@@ -277,17 +273,17 @@ TEST(FaultPlanTest, ProbabilityExtremesAndDisarmedPoints) {
     EXPECT_TRUE(plan.ShouldFire(FaultPoint::kSolverError));
     EXPECT_FALSE(plan.ShouldFire(FaultPoint::kSolverThrow));
     // Never-armed points fire nothing and count nothing.
-    EXPECT_FALSE(plan.ShouldFire(FaultPoint::kPoolTaskLoss));
+    EXPECT_FALSE(plan.ShouldFire(FaultPoint::kSolverDelay));
   }
   EXPECT_EQ(plan.fires(FaultPoint::kSolverError), 64u);
-  EXPECT_EQ(plan.draws(FaultPoint::kPoolTaskLoss), 0u);
+  EXPECT_EQ(plan.draws(FaultPoint::kSolverDelay), 0u);
 
   const double p = 0.25;
-  plan.Arm(FaultPoint::kSnapshotAlloc, p);
+  plan.Arm(FaultPoint::kResultCacheCorrupt, p);
   int fired = 0;
   const int kDraws = 4096;
   for (int i = 0; i < kDraws; ++i) {
-    if (plan.ShouldFire(FaultPoint::kSnapshotAlloc)) ++fired;
+    if (plan.ShouldFire(FaultPoint::kResultCacheCorrupt)) ++fired;
   }
   // Law-of-large-numbers sanity: the empirical rate tracks p.
   EXPECT_NEAR(static_cast<double>(fired) / kDraws, p, 0.05);

@@ -14,6 +14,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -65,6 +66,16 @@ SolveJob MakeJob(InstancePtr instance, const std::string& solver,
   job.solver = solver;
   job.request = *std::move(request);
   return job;
+}
+
+/// The recovery stack the CLI arms for a batch that carries "faults":
+/// three attempts, breakers on, the default degradation ladder.
+serve::SchedulerOptions ChaosOptions() {
+  serve::SchedulerOptions options;
+  options.resilience.retry.max_attempts = 3;
+  options.resilience.breaker.enabled = true;
+  options.resilience.ladder = serve::DegradationLadder::Default();
+  return options;
 }
 
 /// Shared state for the two test stubs: a gate the GatedSolver blocks on
@@ -591,7 +602,7 @@ TEST(SolveSchedulerTest, DeadlineTripSurfacesPartialPayload) {
   JobOutcome outcome = future->get();  // gate never opens; deadline trips
 
   ASSERT_FALSE(outcome.result.ok());
-  EXPECT_TRUE(outcome.result.status().IsInterruption())
+  EXPECT_TRUE(outcome.result.status().IsDeadlineExceeded())
       << outcome.result.status().ToString();
   const auto* partial = outcome.result.status().payload<SolveResult>();
   ASSERT_NE(partial, nullptr);
@@ -606,6 +617,66 @@ TEST(SolveSchedulerTest, DeadlineTripSurfacesPartialPayload) {
   JobOutcome full = rerun->get();
   ASSERT_TRUE(full.result.ok()) << full.result.status().ToString();
   EXPECT_FALSE(full.from_result_cache);
+}
+
+TEST(SolveSchedulerTest, DeadlineSeenAfterAStallStaysADeadline) {
+  // The injected stall outlasts the 20 ms deadline many times over, so the
+  // solver's first context check comes ~0.5 s late. The trip is still a
+  // DeadlineExceeded, and the breaker counts it as a solver failure.
+  ResetGate();
+  ScopedFaultPlan chaos(/*seed=*/3);
+  chaos.plan().Arm(FaultPoint::kSolverDelay, 1.0);
+  chaos.plan().set_solver_delay_ms(500);
+
+  ThreadPool pool(2);
+  serve::SchedulerOptions options = ChaosOptions();
+  options.resilience.breaker.failure_threshold = 1;
+  SolveScheduler scheduler(&pool, options);
+
+  SolveJob job = MakeJob(ToyInstance(), "test-gated");
+  job.request.deadline = std::chrono::milliseconds(20);
+  job.request.label = "stalled";
+  auto future = scheduler.Enqueue(std::move(job));
+  ASSERT_TRUE(future.ok()) << future.status().ToString();
+  JobOutcome outcome = future->get();  // the gate stays shut
+
+  ASSERT_FALSE(outcome.result.ok());
+  EXPECT_TRUE(outcome.result.status().IsDeadlineExceeded())
+      << outcome.result.status().ToString();
+  EXPECT_EQ(outcome.attempts, 1);  // interruptions are never retried
+  EXPECT_EQ(scheduler.metrics().CounterValue("serve.faults.solver_delay"), 1u);
+  EXPECT_EQ(scheduler.breakers().ForSolver("test-gated").state(),
+            serve::CircuitBreaker::State::kOpen);
+}
+
+TEST(SolveSchedulerTest, MaterializationFailureRepeatsWithoutRetries) {
+  // More patterns than max_patterns: the first access to the set-system
+  // view fails, call_once keeps that failure, and every later job sees the
+  // same status. ResourceExhausted is not retryable, so no job retries.
+  pattern::EnumerateOptions enumerate;
+  enumerate.max_patterns = 1;  // below the table's pattern count
+  auto instance = api::InstanceSnapshot::FromTable(
+      gen::MakeEntitiesTable(), pattern::CostFunction(pattern::CostKind::kMax),
+      std::nullopt, enumerate);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+
+  ThreadPool pool(2);
+  SolveScheduler scheduler(&pool, ChaosOptions());
+  std::vector<JobOutcome> outcomes;
+  for (int i = 0; i < 2; ++i) {
+    auto future = scheduler.Enqueue(MakeJob(*instance, "cwsc"));
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    outcomes.push_back(future->get());
+  }
+  for (const JobOutcome& outcome : outcomes) {
+    ASSERT_FALSE(outcome.result.ok());
+    EXPECT_TRUE(outcome.result.status().IsResourceExhausted())
+        << outcome.result.status().ToString();
+    EXPECT_EQ(outcome.attempts, 1);
+  }
+  EXPECT_EQ(outcomes[0].result.status().message(),
+            outcomes[1].result.status().message());
+  EXPECT_EQ(scheduler.metrics().CounterValue("serve.retries.attempted"), 0u);
 }
 
 TEST(SolveSchedulerTest, BackpressureRejectsWithResourceExhausted) {
@@ -870,31 +941,6 @@ TEST(SolveSchedulerTest, OpenBreakerWithNoLadderRejectsWithUnavailable) {
   EXPECT_GE(scheduler.metrics().CounterValue("serve.breaker.rejected"), 1u);
 }
 
-TEST(SolveSchedulerTest, WatchdogRedispatchesLostPoolTasks) {
-  ScopedFaultPlan chaos(/*seed=*/17);
-  chaos.plan().Arm(FaultPoint::kPoolTaskLoss, 1.0);  // drop every dispatch
-
-  ThreadPool pool(2);
-  serve::SchedulerOptions options;
-  options.resilience.watchdog = true;
-  options.resilience.watchdog_interval_seconds = 0.01;
-  options.resilience.watchdog_stale_seconds = 0.05;
-  SolveScheduler scheduler(&pool, options);
-
-  auto future = scheduler.Enqueue(MakeJob(ToyInstance(), "cwsc"));
-  ASSERT_TRUE(future.ok());
-  // The dispatch task was swallowed; heal the pool and let the watchdog's
-  // stale-queue sweep submit a replacement.
-  chaos.plan().Arm(FaultPoint::kPoolTaskLoss, 0.0);
-  ASSERT_EQ(future->wait_for(std::chrono::seconds(30)),
-            std::future_status::ready)
-      << "lost pool task was never redispatched";
-  JobOutcome outcome = future->get();
-  EXPECT_TRUE(outcome.result.ok()) << outcome.result.status().ToString();
-  EXPECT_GE(scheduler.metrics().CounterValue("serve.watchdog.redispatched"),
-            1u);
-}
-
 TEST(SolveSchedulerTest, ChaosReplayWithTheSameSeedFiresIdentically) {
   // Two fresh scheduler runs over the same single-threaded job sequence and
   // the same plan seed must consume and fire identical fault draws.
@@ -940,7 +986,6 @@ TEST(SolveSchedulerTest, ConcurrentChaosCompletesEveryFuture) {
   chaos.plan().Arm(FaultPoint::kSolverThrow, 0.1);
   chaos.plan().Arm(FaultPoint::kSolverDelay, 0.2);
   chaos.plan().set_solver_delay_ms(1);
-  chaos.plan().Arm(FaultPoint::kSnapshotMaterialize, 0.05);
   chaos.plan().Arm(FaultPoint::kResultCacheCorrupt, 0.2);
 
   ThreadPool pool(4);
@@ -954,9 +999,6 @@ TEST(SolveSchedulerTest, ConcurrentChaosCompletesEveryFuture) {
   options.resilience.breaker.failure_threshold = 5;
   options.resilience.breaker.open_seconds = 0.05;
   options.resilience.ladder = serve::DegradationLadder::Default();
-  options.resilience.watchdog = true;
-  options.resilience.watchdog_interval_seconds = 0.01;
-  options.resilience.watchdog_stale_seconds = 0.25;
   SolveScheduler scheduler(&pool, options);
   InstancePtr instance = ToyInstance();
 
@@ -1093,7 +1135,7 @@ TEST(ServeBatchTest, FaultSpecParsesAndArmsAPlan) {
   {
     std::ofstream out(path);
     out << R"({"faults": {"seed": 42, "solver_delay_ms": 2,
-                "points": {"solver_error": 0.25, "pool_task_loss": 0.5}},
+                "points": {"solver_error": 0.25, "solver_delay": 0.5}},
                "jobs": [{"solver": "cwsc"}]})";
   }
   InstancePtr instance = ToyInstance();
@@ -1107,7 +1149,7 @@ TEST(ServeBatchTest, FaultSpecParsesAndArmsAPlan) {
   FaultPlan plan(spec->faults.seed);
   spec->faults.ApplyTo(plan);
   EXPECT_DOUBLE_EQ(plan.probability(FaultPoint::kSolverError), 0.25);
-  EXPECT_DOUBLE_EQ(plan.probability(FaultPoint::kPoolTaskLoss), 0.5);
+  EXPECT_DOUBLE_EQ(plan.probability(FaultPoint::kSolverDelay), 0.5);
   EXPECT_DOUBLE_EQ(plan.probability(FaultPoint::kSolverThrow), 0.0);
   EXPECT_EQ(plan.solver_delay_ms(), 2u);
 
@@ -1122,6 +1164,23 @@ TEST(ServeBatchTest, FaultSpecParsesAndArmsAPlan) {
   }
   EXPECT_TRUE(
       serve::ParseBatchSpec(path, instance).status().IsInvalidArgument());
+  // A batch file naming a removed point fails loudly and lists the
+  // accepted points.
+  for (const char* removed :
+       {"pool_task_loss", "snapshot_materialize", "snapshot_alloc"}) {
+    {
+      std::ofstream out(path);
+      out << R"({"faults": {"points": {")" << removed
+          << R"(": 0.5}}, "jobs": []})";
+    }
+    const Status status = serve::ParseBatchSpec(path, instance).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << removed;
+    EXPECT_NE(status.message().find(
+                  "accepted: solver_error, solver_throw, solver_delay, "
+                  "result_cache_corrupt"),
+              std::string::npos)
+        << status.ToString();
+  }
   {
     std::ofstream out(path);
     out << R"({"faults": {"points": {"solver_error": 1.5}}, "jobs": []})";
