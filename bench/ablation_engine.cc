@@ -1,6 +1,6 @@
 // EXP-ABL — engine ablation: literal Fig. 1/2 pseudocode vs this library's
-// tuned generic engines (inverted-index marginal maintenance + lazy-greedy
-// heaps). Both produce identical selections (see tests/literal_test.cc);
+// tuned generic engines (the benefit engine's packed-row recounts + lazy-
+// greedy heaps). Both produce identical selections (see tests/literal_test.cc);
 // the tuned engines exist so that the *generic* path is usable at scale,
 // independent of the §V-C pattern-lattice optimizations.
 

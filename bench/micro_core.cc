@@ -2,11 +2,12 @@
 // marginal-benefit maintenance, lazy selection, coverage-target math and
 // whole-solver throughput on random set systems.
 //
-// Invoked with --engine-compare the binary instead times the seed engine
-// (eager inverted-index decrements over element lists) against the default
-// fast path (lazy CELF recounts over packed bitset rows) on a dense
-// synthetic instance, checks both return identical solutions, and writes
-// BENCH_core.json.
+// Invoked with --engine-compare the binary instead times the paper-verbatim
+// Fig. 1/2 implementations (src/core/literal.h: full marginal-benefit
+// subtraction scans per pick) against the benefit engine (lazy CELF
+// recounts over density-chosen packed rows) on a dense synthetic instance,
+// plus the engine with a live trace session, checks all three return
+// identical solutions, and writes BENCH_core.json.
 
 #include <benchmark/benchmark.h>
 
@@ -27,6 +28,7 @@
 #include "src/core/cwsc.h"
 #include "src/core/greedy_state.h"
 #include "src/core/instances.h"
+#include "src/core/literal.h"
 #include "src/obs/trace.h"
 
 namespace scwsc {
@@ -43,21 +45,21 @@ SetSystem MakeRandom(std::size_t elements, std::size_t sets,
   return std::move(system).value();
 }
 
-void BM_CoverStateSelect(benchmark::State& state) {
+void BM_EngineSelect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   SetSystem system = MakeRandom(n, n / 2, 16);
   for (auto _ : state) {
     state.PauseTiming();
-    CoverState cover(system);
+    BenefitEngine engine(system);
     state.ResumeTiming();
     for (SetId id = 0; id < system.num_sets(); id += 7) {
-      benchmark::DoNotOptimize(cover.Select(id));
+      benchmark::DoNotOptimize(engine.Select(id));
     }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(system.num_sets() / 7));
 }
-BENCHMARK(BM_CoverStateSelect)->Arg(1000)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_EngineSelect)->Arg(1000)->Arg(10'000)->Arg(100'000);
 
 void BM_LazySelectorDrain(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -118,7 +120,8 @@ void BM_GreedyWscEndToEnd(benchmark::State& state) {
 BENCHMARK(BM_GreedyWscEndToEnd)->Arg(1000)->Arg(10'000);
 
 // ---------------------------------------------------------------------------
-// --engine-compare: seed engine vs default fast path on a dense synthetic.
+// --engine-compare: literal Fig. 1/2 vs the benefit engine on a dense
+// synthetic.
 // ---------------------------------------------------------------------------
 
 struct CompareTimings {
@@ -128,21 +131,17 @@ struct CompareTimings {
   Solution cmc_solution;
 };
 
-/// Runs CWSC and CMC under `engine`, best wall-clock of `reps` runs each.
-/// Every rep pays the configuration's true single-call cost: the eager
-/// engine builds its inverted index inside the timed region, then pays the
-/// per-(element, containing set) decrement storm — the two costs the lazy
-/// engine replaces with one flat row build and O(n/64)-word recounts.
-CompareTimings TimeEngine(const SetSystem& system, const EngineOptions& engine,
-                          int reps, obs::TraceSession* trace = nullptr) {
+/// Runs CWSC and CMC — the literal Fig. 1/2 implementations when `literal`
+/// is set, the benefit engine otherwise — best wall-clock of `reps` runs
+/// each.
+CompareTimings TimeArm(const SetSystem& system, bool literal, int reps,
+                       obs::TraceSession* trace = nullptr) {
   CompareTimings t;
   CwscOptions cwsc_options(10, 0.9);
-  cwsc_options.engine = engine;
   cwsc_options.trace = trace;
   CmcOptions cmc_options;
   cmc_options.k = 10;
   cmc_options.coverage_fraction = 0.9;
-  cmc_options.engine = engine;
   cmc_options.trace = trace;
 
   t.cwsc_seconds = 1e300;
@@ -150,14 +149,16 @@ CompareTimings TimeEngine(const SetSystem& system, const EngineOptions& engine,
   for (int r = 0; r < reps; ++r) {
     {
       Stopwatch watch;
-      auto cwsc = RunCwsc(system, cwsc_options);
+      Result<Solution> cwsc = literal ? RunCwscLiteral(system, cwsc_options)
+                                      : RunCwsc(system, cwsc_options);
       t.cwsc_seconds = std::min(t.cwsc_seconds, watch.ElapsedSeconds());
       SCWSC_CHECK(cwsc.ok(), "engine-compare CWSC failed");
       t.cwsc_solution = *std::move(cwsc);
     }
     {
       Stopwatch watch;
-      auto cmc = RunCmc(system, cmc_options);
+      Result<CmcResult> cmc = literal ? RunCmcLiteral(system, cmc_options)
+                                      : RunCmc(system, cmc_options);
       t.cmc_seconds = std::min(t.cmc_seconds, watch.ElapsedSeconds());
       SCWSC_CHECK(cmc.ok(), "engine-compare CMC failed");
       t.cmc_solution = std::move(cmc)->solution;
@@ -173,7 +174,7 @@ bool SameSolution(const Solution& a, const Solution& b) {
 
 int RunEngineCompare(const char* out_path) {
   bench::PrintBanner("BENCH_core",
-                     "engine ablation: seed eager/list vs lazy/auto");
+                     "engine ablation: literal Fig. 1/2 vs benefit engine");
 
   // Dense synthetic: paper-scale 50k universe, 2k sets of up to n/2
   // elements, so the average element sits in ~500 sets.
@@ -187,38 +188,38 @@ int RunEngineCompare(const char* out_path) {
   SetSystem system = RandomSetSystem(spec, rng).value();
 
   const int reps = 3;
-  const EngineOptions seed_engine = SeedReferenceEngine();
-  const EngineOptions fast_engine;  // default: lazy + auto rows
-  CompareTimings seed = TimeEngine(system, seed_engine, reps);
+  CompareTimings literal = TimeArm(system, /*literal=*/true, reps);
   // Tracing disabled (trace = nullptr): the instrumented hot loops cost one
   // pointer branch per would-be record. These timings are the <2%-regression
   // guard figure recorded below.
-  CompareTimings fast = TimeEngine(system, fast_engine, reps);
-  // The same fast path with a live TraceSession: spans, events and counters
+  CompareTimings fast = TimeArm(system, /*literal=*/false, reps);
+  // The same engine with a live TraceSession: spans, events and counters
   // all recording. The ratio against `fast` is the enabled-tracing price.
   obs::TraceSession session;
-  CompareTimings traced = TimeEngine(system, fast_engine, reps, &session);
+  CompareTimings traced =
+      TimeArm(system, /*literal=*/false, reps, &session);
 
-  if (!SameSolution(seed.cwsc_solution, fast.cwsc_solution) ||
-      !SameSolution(seed.cmc_solution, fast.cmc_solution) ||
+  if (!SameSolution(literal.cwsc_solution, fast.cwsc_solution) ||
+      !SameSolution(literal.cmc_solution, fast.cmc_solution) ||
       !SameSolution(fast.cwsc_solution, traced.cwsc_solution) ||
       !SameSolution(fast.cmc_solution, traced.cmc_solution)) {
     std::fprintf(stderr,
-                 "FAIL: engine configurations returned different solutions\n");
+                 "FAIL: literal and engine runs returned different "
+                 "solutions\n");
     return 1;
   }
 
-  const double cwsc_speedup = seed.cwsc_seconds / fast.cwsc_seconds;
-  const double cmc_speedup = seed.cmc_seconds / fast.cmc_seconds;
+  const double cwsc_speedup = literal.cwsc_seconds / fast.cwsc_seconds;
+  const double cmc_speedup = literal.cmc_seconds / fast.cmc_seconds;
   const double cwsc_trace_overhead =
       traced.cwsc_seconds / fast.cwsc_seconds - 1.0;
   const double cmc_trace_overhead =
       traced.cmc_seconds / fast.cmc_seconds - 1.0;
   bench::PrintCsvRow("BENCH_core",
-                     {"cwsc_eager_s=" + bench::Secs(seed.cwsc_seconds),
-                      "cwsc_lazy_s=" + bench::Secs(fast.cwsc_seconds),
-                      "cmc_eager_s=" + bench::Secs(seed.cmc_seconds),
-                      "cmc_lazy_s=" + bench::Secs(fast.cmc_seconds),
+                     {"cwsc_literal_s=" + bench::Secs(literal.cwsc_seconds),
+                      "cwsc_engine_s=" + bench::Secs(fast.cwsc_seconds),
+                      "cmc_literal_s=" + bench::Secs(literal.cmc_seconds),
+                      "cmc_engine_s=" + bench::Secs(fast.cmc_seconds),
                       "cwsc_traced_s=" + bench::Secs(traced.cwsc_seconds),
                       "cmc_traced_s=" + bench::Secs(traced.cmc_seconds)});
   std::printf("engine-compare: solutions identical; CWSC %.2fx, CMC %.2fx\n",
@@ -247,11 +248,11 @@ int RunEngineCompare(const char* out_path) {
                "  \"reps\": %d,\n"
                "  \"identical_solutions\": true,\n"
                "  \"configs\": [\n"
-               "    {\"name\": \"eager/list\", \"cwsc_seconds\": %.6f, "
+               "    {\"name\": \"literal\", \"cwsc_seconds\": %.6f, "
                "\"cmc_seconds\": %.6f},\n"
-               "    {\"name\": \"lazy/auto\", \"cwsc_seconds\": %.6f, "
+               "    {\"name\": \"engine\", \"cwsc_seconds\": %.6f, "
                "\"cmc_seconds\": %.6f},\n"
-               "    {\"name\": \"lazy/auto+trace\", \"cwsc_seconds\": %.6f, "
+               "    {\"name\": \"engine+trace\", \"cwsc_seconds\": %.6f, "
                "\"cmc_seconds\": %.6f}\n"
                "  ],\n"
                "  \"speedup\": {\"cwsc\": %.3f, \"cmc\": %.3f},\n"
@@ -259,7 +260,7 @@ int RunEngineCompare(const char* out_path) {
                "  \"phases\": {%s}\n"
                "}\n",
                bench::ScaleFactor(), n, system.num_sets(), reps,
-               seed.cwsc_seconds, seed.cmc_seconds, fast.cwsc_seconds,
+               literal.cwsc_seconds, literal.cmc_seconds, fast.cwsc_seconds,
                fast.cmc_seconds, traced.cwsc_seconds, traced.cmc_seconds,
                cwsc_speedup, cmc_speedup, cwsc_trace_overhead,
                cmc_trace_overhead, phases_json.c_str());

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run the full test suite, then smoke
-# the engine-comparison micro-benchmark (which asserts that the seed and
-# fast engine configurations return identical solutions) and the anytime
-# bench (which asserts the deterministic budget axes yield monotone
-# quality). Fails fast: the first failing stage stops the run with a named
+# the engine-comparison micro-benchmark (which asserts that the literal
+# Fig. 1/2 implementations and the benefit engine return identical
+# solutions) and the anytime bench (which asserts the deterministic budget
+# axes yield monotone quality). Fails fast: the first failing stage stops the run with a named
 # error so CI logs point at the broken stage directly.
 #
 # Usage: scripts/check.sh [extra cmake args...]

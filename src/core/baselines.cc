@@ -5,43 +5,6 @@
 #include "src/obs/trace.h"
 
 namespace scwsc {
-namespace {
-
-/// The engine inherits the baseline's trace session unless the caller wired
-/// its own.
-template <typename Options>
-EngineOptions EngineWithTrace(const Options& options) {
-  EngineOptions engine = options.engine;
-  if (engine.trace == nullptr) engine.trace = options.trace;
-  return engine;
-}
-
-/// Seeds `selector` with every set's epoch-zero marginal in one
-/// deterministic batch (chunk-parallel under the engine's options). An
-/// interruption from the batch only means the context was tripped before
-/// the run began — the cached counts are still exact at epoch zero — so
-/// seeding proceeds and the caller's next Check() surfaces the trip; any
-/// other error is returned.
-template <typename KeyMaker>
-Status SeedSelector(const SetSystem& system, BenefitEngine& state,
-                    LazySelector& selector, ScanStats& tally,
-                    KeyMaker&& make_key) {
-  std::vector<SetId> all_ids(system.num_sets());
-  for (SetId id = 0; id < system.num_sets(); ++id) all_ids[id] = id;
-  std::vector<std::size_t> counts;
-  const Status batch = state.BatchMarginals(all_ids, counts);
-  if (!batch.ok() && !batch.IsInterruption()) return batch;
-  tally.sets_considered += system.num_sets();
-  for (SetId id = 0; id < system.num_sets(); ++id) {
-    if (counts[id] > 0) {
-      selector.Push(make_key(counts[id], system.set(id).cost, id));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
                                            const GreedyWscOptions& options,
                                            ScanStats* stats) {
@@ -58,11 +21,10 @@ Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
   ScanStats& tally = stats != nullptr ? *stats : local_stats;
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
-  BenefitEngine state(system, EngineWithTrace(options), &ctx);
+  BenefitEngine state(system, &ctx, options.trace);
   obs::Span span(options.trace, "greedy_wsc");
   LazySelector selector;
-  SCWSC_RETURN_NOT_OK(
-      SeedSelector(system, state, selector, tally, MakeGainKey));
+  SeedBySize(system, selector, tally.sets_considered, MakeGainKey);
 
   while (rem > 0) {
     if (const TripKind trip = ctx.Check(); trip != TripKind::kNone) {
@@ -106,11 +68,10 @@ Result<Solution> RunGreedyMaxCoverage(
   ScanStats& tally = stats != nullptr ? *stats : local_stats;
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
-  BenefitEngine state(system, EngineWithTrace(options), &ctx);
+  BenefitEngine state(system, &ctx, options.trace);
   obs::Span span(options.trace, "greedy_max_coverage");
   LazySelector selector;
-  SCWSC_RETURN_NOT_OK(
-      SeedSelector(system, state, selector, tally, MakeBenefitKey));
+  SeedBySize(system, selector, tally.sets_considered, MakeBenefitKey);
 
   while (solution.sets.size() < options.k && state.covered_count() < stop_at) {
     if (const TripKind trip = ctx.Check(); trip != TripKind::kNone) {
@@ -144,7 +105,7 @@ Result<Solution> RunBudgetedMaxCoverage(
   ScanStats& tally = stats != nullptr ? *stats : local_stats;
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
-  BenefitEngine state(system, EngineWithTrace(options), &ctx);
+  BenefitEngine state(system, &ctx, options.trace);
   obs::Span span(options.trace, "budgeted_max_coverage");
   double remaining = options.budget;
 
@@ -154,8 +115,7 @@ Result<Solution> RunBudgetedMaxCoverage(
   // longer fits can be discarded permanently — which keeps the lazy
   // selector sound.
   LazySelector selector;
-  SCWSC_RETURN_NOT_OK(
-      SeedSelector(system, state, selector, tally, MakeGainKey));
+  SeedBySize(system, selector, tally.sets_considered, MakeGainKey);
 
   while (solution.sets.size() < options.max_sets) {
     if (const TripKind trip = ctx.Check(); trip != TripKind::kNone) {

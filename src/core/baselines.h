@@ -8,6 +8,9 @@
 //  - greedy budgeted maximum coverage [11] (optimizes coverage + cost; §III
 //    constructs an instance where its coverage is arbitrarily poor even when
 //    allowed c·k sets).
+//
+// Each runs on a BenefitEngine with one lazy (CELF) heap seeded from the
+// set sizes (SeedBySize).
 
 #ifndef SCWSC_CORE_BASELINES_H_
 #define SCWSC_CORE_BASELINES_H_
@@ -16,10 +19,13 @@
 #include <limits>
 
 #include "src/common/result.h"
-#include "src/core/engine_options.h"
 #include "src/core/solution.h"
 
 namespace scwsc {
+
+namespace obs {
+class TraceSession;
+}  // namespace obs
 
 struct GreedyWscOptions {
   /// Desired coverage fraction ŝ.
@@ -27,13 +33,11 @@ struct GreedyWscOptions {
   /// Optional cap on solution size (defaults to unbounded — the point of
   /// the baseline is that it does not limit the number of sets).
   std::size_t max_sets = std::numeric_limits<std::size_t>::max();
-  /// Marginal-evaluation strategy (identical output for every config).
-  EngineOptions engine;
   /// Deadline / cancellation / work-budget context; nullptr = unlimited.
   /// On a trip the partial selection travels as the error Status payload.
   const RunContext* run_context = nullptr;
   /// Optional trace/metrics session (src/obs); nullptr = observability off.
-  /// Propagated into the engine (options.engine.trace) when that is unset.
+  /// The solver's benefit engine records into the same session.
   obs::TraceSession* trace = nullptr;
 };
 
@@ -51,8 +55,6 @@ struct GreedyMaxCoverageOptions {
   /// Optional early stop once this coverage fraction is reached (1.0 means
   /// "pick all k sets or exhaust positive-benefit sets").
   double stop_coverage_fraction = 1.0;
-  /// Marginal-evaluation strategy (identical output for every config).
-  EngineOptions engine;
   /// Deadline / cancellation / work-budget context; nullptr = unlimited.
   const RunContext* run_context = nullptr;
   /// Optional trace/metrics session (src/obs); nullptr = observability off.
@@ -72,8 +74,6 @@ struct BudgetedMaxCoverageOptions {
   /// Optional cap on the number of selected sets (§III discusses allowing
   /// c·k sets).
   std::size_t max_sets = std::numeric_limits<std::size_t>::max();
-  /// Marginal-evaluation strategy (identical output for every config).
-  EngineOptions engine;
   /// Deadline / cancellation / work-budget context; nullptr = unlimited.
   const RunContext* run_context = nullptr;
   /// Optional trace/metrics session (src/obs); nullptr = observability off.

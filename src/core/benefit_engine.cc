@@ -1,16 +1,15 @@
 #include "src/core/benefit_engine.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "src/obs/trace.h"
 
 namespace scwsc {
 namespace {
 
-/// Density heuristic for kAuto: a packed row costs ~n/64 word ops per
-/// recount, the sorted list costs ~|elements| bit tests, so the row wins
-/// once the set holds at least one element per word of the universe.
+/// The density rule: a packed row costs ~n/64 word ops per recount, the
+/// sorted list costs ~|elements| bit tests, so the row wins once the set
+/// holds at least one element per word of the universe.
 bool DenseEnoughForRow(std::size_t set_size, std::size_t num_elements) {
   return set_size * 64 >= num_elements;
 }
@@ -18,51 +17,39 @@ bool DenseEnoughForRow(std::size_t set_size, std::size_t num_elements) {
 }  // namespace
 
 BenefitEngine::BenefitEngine(const SetSystem& system,
-                             const EngineOptions& options,
-                             const RunContext* run_context)
+                             const RunContext* run_context,
+                             obs::TraceSession* trace)
     : system_(system),
-      options_(options),
       ctx_(run_context != nullptr ? run_context : &RunContext::Unlimited()),
       covered_(system.num_elements()),
       words_per_row_(covered_.num_words()) {
-  if (options_.trace != nullptr) {
-    obs::MetricRegistry& metrics = options_.trace->metrics();
+  if (trace != nullptr) {
+    obs::MetricRegistry& metrics = trace->metrics();
     celf_hits_ = &metrics.counter("engine.celf_hits");
     celf_misses_ = &metrics.counter("engine.celf_misses");
     batch_scans_ = &metrics.counter("engine.batch_scans");
-    batch_chunks_ = &metrics.counter("engine.batch_chunks");
   }
   const std::size_t m = system.num_sets();
   count_.reserve(m);
   for (const auto& s : system.sets()) count_.push_back(s.elements.size());
-
-  if (options_.marginal_mode == MarginalMode::kEager) {
-    inverted_ = system.BuildInvertedIndex();
-    return;
-  }
-
-  row_of_.assign(m, kNoRow);
-  if (options_.membership != MembershipRepr::kList) {
-    // Materialize packed rows for every set the representation picks.
-    std::size_t num_rows = 0;
-    for (SetId id = 0; id < m; ++id) {
-      const std::size_t size = system.set(id).elements.size();
-      if (options_.membership == MembershipRepr::kBitset ||
-          DenseEnoughForRow(size, system.num_elements())) {
-        row_of_[id] = static_cast<std::uint32_t>(num_rows++);
-      }
-    }
-    rows_.assign(num_rows * words_per_row_, 0);
-    for (SetId id = 0; id < m; ++id) {
-      if (row_of_[id] == kNoRow) continue;
-      std::uint64_t* row = rows_.data() + row_of_[id] * words_per_row_;
-      for (ElementId e : system.set(id).elements) {
-        row[e >> 6] |= std::uint64_t{1} << (e & 63);
-      }
-    }
-  }
-
   stamp_.assign(m, 0);
+
+  // Materialize packed rows for every set dense enough to want one.
+  row_of_.assign(m, kNoRow);
+  std::size_t num_rows = 0;
+  for (SetId id = 0; id < m; ++id) {
+    if (DenseEnoughForRow(count_[id], system.num_elements())) {
+      row_of_[id] = static_cast<std::uint32_t>(num_rows++);
+    }
+  }
+  rows_.assign(num_rows * words_per_row_, 0);
+  for (SetId id = 0; id < m; ++id) {
+    if (row_of_[id] == kNoRow) continue;
+    std::uint64_t* row = rows_.data() + row_of_[id] * words_per_row_;
+    for (ElementId e : system.set(id).elements) {
+      row[e >> 6] |= std::uint64_t{1} << (e & 63);
+    }
+  }
 }
 
 void BenefitEngine::Reset() {
@@ -70,11 +57,11 @@ void BenefitEngine::Reset() {
   for (SetId id = 0; id < count_.size(); ++id) {
     count_[id] = system_.set(id).elements.size();
   }
-  if (!stamp_.empty()) std::fill(stamp_.begin(), stamp_.end(), 0);
+  std::fill(stamp_.begin(), stamp_.end(), 0);
 }
 
 std::size_t BenefitEngine::Recount(SetId id) const {
-  if (row_of_.empty() || row_of_[id] == kNoRow) {
+  if (row_of_[id] == kNoRow) {
     return covered_.CountClear(system_.set(id).elements);
   }
   return covered_.AndNotCount(rows_.data() + row_of_[id] * words_per_row_,
@@ -82,8 +69,6 @@ std::size_t BenefitEngine::Recount(SetId id) const {
 }
 
 std::size_t BenefitEngine::MarginalCount(SetId id) {
-  if (options_.marginal_mode == MarginalMode::kEager) return count_[id];
-
   const std::size_t epoch = covered_.count();
   if (stamp_[id] == epoch || count_[id] == 0) {
     if (celf_hits_ != nullptr) celf_hits_->Increment();
@@ -99,19 +84,8 @@ std::size_t BenefitEngine::MarginalCount(SetId id) {
 }
 
 std::size_t BenefitEngine::Select(SetId id) {
-  if (options_.marginal_mode == MarginalMode::kEager) {
-    std::size_t newly = 0;
-    for (ElementId e : system_.set(id).elements) {
-      if (covered_.set(e)) {
-        ++newly;
-        for (SetId other : inverted_[e]) --count_[other];
-      }
-    }
-    return newly;
-  }
-
   std::size_t newly;
-  if (!row_of_.empty() && row_of_[id] != kNoRow) {
+  if (row_of_[id] != kNoRow) {
     newly = covered_.UnionWith(rows_.data() + row_of_[id] * words_per_row_,
                                words_per_row_);
   } else {
@@ -130,53 +104,34 @@ std::size_t BenefitEngine::Select(SetId id) {
 Status BenefitEngine::BatchMarginals(const std::vector<SetId>& ids,
                                      std::vector<std::size_t>& out) {
   out.resize(ids.size());
-  if (options_.marginal_mode == MarginalMode::kEager) {
-    for (std::size_t i = 0; i < ids.size(); ++i) out[i] = count_[ids[i]];
-    return Status::OK();
-  }
   if (const TripKind trip = ctx_->Check(); trip != TripKind::kNone) {
     // Already interrupted: hand back the cached counts (valid CELF upper
     // bounds) without recounting or committing anything.
     for (std::size_t i = 0; i < ids.size(); ++i) out[i] = count_[ids[i]];
     return TripStatus(trip, "BatchMarginals");
   }
-  ThreadPool& p = pool();
   if (batch_scans_ != nullptr) batch_scans_->Increment();
 
+  // Once a recount charge trips, every later slot falls back to its cached
+  // count. The commit below is a separate pass, so duplicate ids read the
+  // same pre-batch cache state.
   const std::size_t epoch = covered_.count();
-  // Parallel batches are the engine's only multi-threaded phase; give them
-  // a span so the chunk fan-out is visible in the trace.
-  obs::Span batch_span;
-  if (options_.trace != nullptr && p.size() > 1 &&
-      ids.size() >= options_.min_parallel_batch) {
-    batch_span = obs::Span(options_.trace, "engine.batch");
+  bool tripped = false;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const SetId id = ids[i];
+    if (tripped || stamp_[id] == epoch || count_[id] == 0) {
+      out[i] = count_[id];
+      continue;
+    }
+    if (ctx_->ChargeRecounts(system_.set(id).elements.size()) !=
+        TripKind::kNone) {
+      tripped = true;
+      out[i] = count_[id];
+      continue;
+    }
+    out[i] = Recount(id);
   }
-  // Chunks write disjoint out slots; the cache commit below is serial, so
-  // duplicate ids and any thread count yield identical results. Once any
-  // chunk observes a trip, later indices fall back to the cached counts.
-  std::atomic<bool> aborted{false};
-  const Status pool_status = p.ParallelFor(
-      ids.size(), options_.min_parallel_batch,
-      [&](std::size_t begin, std::size_t end) {
-        if (batch_chunks_ != nullptr) batch_chunks_->Increment();
-        for (std::size_t i = begin; i < end; ++i) {
-          const SetId id = ids[i];
-          if (stamp_[id] == epoch || count_[id] == 0) {
-            out[i] = count_[id];
-            continue;
-          }
-          if (aborted.load(std::memory_order_relaxed) ||
-              ctx_->ChargeRecounts(system_.set(id).elements.size()) !=
-                  TripKind::kNone) {
-            aborted.store(true, std::memory_order_relaxed);
-            out[i] = count_[id];
-            continue;
-          }
-          out[i] = Recount(id);
-        }
-      });
-  SCWSC_RETURN_NOT_OK(pool_status);
-  if (aborted.load(std::memory_order_relaxed)) {
+  if (tripped) {
     // Mixed fresh/stale results: skip the commit entirely so the cache is
     // never poisoned with a stale count stamped at the current epoch.
     return TripStatus(ctx_->tripped(), "BatchMarginals");
@@ -186,13 +141,6 @@ Status BenefitEngine::BatchMarginals(const std::vector<SetId>& ids,
     stamp_[ids[i]] = epoch;
   }
   return Status::OK();
-}
-
-ThreadPool& BenefitEngine::pool() {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  return *pool_;
 }
 
 Status FilterCoveredIds(const DynamicBitset& covered,

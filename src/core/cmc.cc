@@ -125,9 +125,7 @@ Result<CmcResult> RunCmc(const SetSystem& system, const CmcOptions& options) {
 
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
-  EngineOptions engine_options = options.engine;
-  if (engine_options.trace == nullptr) engine_options.trace = options.trace;
-  BenefitEngine engine(system, engine_options, &ctx);
+  BenefitEngine engine(system, &ctx, options.trace);
 
   obs::Span cmc_span(options.trace, "cmc");
   obs::MetricCounter* picks_metric = nullptr;
@@ -183,11 +181,8 @@ Result<CmcResult> RunCmc(const SetSystem& system, const CmcOptions& options) {
 
     for (std::size_t li = 0; li < levels.size() && rem > 0; ++li) {
       // Rebucketing scan: (re-)evaluate every member's marginal in one
-      // deterministic batch (chunk-parallel under the engine's thread
-      // options) instead of one-at-a-time heap seeding.
-      const Status batch = engine.BatchMarginals(members[li], level_counts);
-      if (!batch.ok()) {
-        if (!batch.IsInterruption()) return batch;  // pool task threw
+      // batch against the coverage of the levels above.
+      if (!engine.BatchMarginals(members[li], level_counts).ok()) {
         solution.covered = engine.covered_count();
         return interrupted(ctx.tripped(), std::move(solution));
       }

@@ -10,6 +10,11 @@
 //
 // Guarantees (Theorems 4/5): coverage at least (1 - 1/e)·ŝ·|T| and cost at
 // most (1+b)(2·log k + 1)·OPT, resp. O(((1+b)/ε)·log k·OPT).
+//
+// RunCmc evaluates marginals through one BenefitEngine, reset per budget
+// round: each level's members are recounted in one batch and drained from a
+// lazy (CELF) heap. RunCmcLiteral (literal.h) is the line-by-line reference
+// it must match.
 
 #ifndef SCWSC_CORE_CMC_H_
 #define SCWSC_CORE_CMC_H_
@@ -17,10 +22,13 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/core/engine_options.h"
 #include "src/core/solution.h"
 
 namespace scwsc {
+
+namespace obs {
+class TraceSession;
+}  // namespace obs
 
 struct CmcOptions {
   /// Maximum solution size the caller asked for (k in the paper). The
@@ -41,9 +49,6 @@ struct CmcOptions {
   bool relax_coverage = true;
   /// Safety valve on the number of budget-doubling rounds.
   std::size_t max_budget_rounds = 256;
-  /// Marginal-evaluation strategy (lazy/bitset fast path by default; every
-  /// configuration returns the identical solution).
-  EngineOptions engine;
   /// Deadline / cancellation / work-budget context; nullptr = unlimited.
   /// On a trip the solver returns the matching error Status carrying a
   /// partial CmcResult payload: the in-progress round's solution (or the
@@ -51,7 +56,7 @@ struct CmcOptions {
   /// provenance.budget_level = the budget B being explored.
   const RunContext* run_context = nullptr;
   /// Optional trace/metrics session (src/obs); nullptr = observability off.
-  /// Propagated into the engine (options.engine.trace) when that is unset.
+  /// The solver's benefit engine records into the same session.
   obs::TraceSession* trace = nullptr;
 };
 

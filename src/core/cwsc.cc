@@ -7,64 +7,6 @@
 namespace scwsc {
 namespace {
 
-/// The engine inherits the solver's trace session unless the caller wired
-/// its own.
-EngineOptions EngineWithTrace(const CwscOptions& options) {
-  EngineOptions engine = options.engine;
-  if (engine.trace == nullptr) engine.trace = options.trace;
-  return engine;
-}
-
-/// Fig. 2 line 06 by exhaustive scan: argmax gain over unselected sets with
-/// |MBen| * i >= rem, under the shared selection order. Used by the eager
-/// engine, whose marginal reads are O(1).
-Result<Solution> RunCwscEager(const SetSystem& system,
-                              const CwscOptions& options, std::size_t rem,
-                              const RunContext& ctx, ScanStats& stats) {
-  BenefitEngine engine(system, EngineWithTrace(options), &ctx);
-  DynamicBitset selected(system.num_sets() == 0 ? 1 : system.num_sets());
-  Solution solution;
-
-  obs::Span select_span(options.trace, "cwsc.select");
-  for (std::size_t i = options.k; i >= 1; --i) {
-    if (const TripKind trip = ctx.Check(); trip != TripKind::kNone) {
-      return InterruptedStatus(trip, "cwsc", std::move(solution));
-    }
-    SetId best = kInvalidSet;
-    std::size_t best_count = 0;
-    for (SetId id = 0; id < system.num_sets(); ++id) {
-      if (selected.test(id)) continue;
-      ++stats.sets_considered;
-      const std::size_t count = engine.MarginalCount(id);
-      if (count == 0 || count * i < rem) continue;
-      if (best == kInvalidSet ||
-          BetterByGain(count, system.set(id).cost, id, best_count,
-                       system.set(best).cost, best)) {
-        best = id;
-        best_count = count;
-      }
-    }
-    if (best == kInvalidSet) {
-      return Status::Infeasible(
-          "CWSC: no set with marginal benefit >= rem/i (Fig. 2 line 07)");
-    }
-
-    selected.set(best);
-    const std::size_t newly = engine.Select(best);
-    select_span.Event("pick");
-    solution.sets.push_back(best);
-    solution.total_cost += system.set(best).cost;
-    solution.covered = engine.covered_count();
-    rem = newly >= rem ? 0 : rem - newly;
-    if (rem == 0) return solution;
-  }
-
-  // The loop ran k iterations without reaching the target: with exact
-  // integer thresholds this cannot happen (each pick covers >= ceil(rem/i)),
-  // so reaching here indicates an internal error.
-  return Status::Internal("CWSC exhausted k picks without meeting coverage");
-}
-
 /// Fig. 2 line 06 by lazy (CELF) selection: one gain-ordered heap across all
 /// iterations. Each iteration pops until the first *fresh* key that meets
 /// the threshold |MBen| * i >= rem — every entry still queued has a current
@@ -77,28 +19,13 @@ Result<Solution> RunCwscEager(const SetSystem& system,
 Result<Solution> RunCwscLazy(const SetSystem& system,
                              const CwscOptions& options, std::size_t rem,
                              const RunContext& ctx, ScanStats& stats) {
-  BenefitEngine engine(system, EngineWithTrace(options), &ctx);
+  BenefitEngine engine(system, &ctx, options.trace);
   Solution solution;
 
   LazySelector selector;
   {
-    // Seed in one deterministic batch (chunk-parallel under the engine's
-    // options) instead of one-at-a-time reads. At epoch zero every count is
-    // the cached set size, so an interruption here only means the context
-    // was tripped before we started: seed anyway with the exact cached
-    // counts and let the selection loop's Check() surface the trip.
     obs::Span seed_span(options.trace, "cwsc.seed");
-    std::vector<SetId> all_ids(system.num_sets());
-    for (SetId id = 0; id < system.num_sets(); ++id) all_ids[id] = id;
-    std::vector<std::size_t> seed_counts;
-    const Status batch = engine.BatchMarginals(all_ids, seed_counts);
-    if (!batch.ok() && !batch.IsInterruption()) return batch;
-    stats.sets_considered += system.num_sets();
-    for (SetId id = 0; id < system.num_sets(); ++id) {
-      if (seed_counts[id] > 0) {
-        selector.Push(MakeGainKey(seed_counts[id], system.set(id).cost, id));
-      }
-    }
+    SeedBySize(system, selector, stats.sets_considered, MakeGainKey);
   }
 
   std::vector<SelectionKey> parked;
@@ -113,7 +40,9 @@ Result<Solution> RunCwscLazy(const SetSystem& system,
     // (Pop returns it and the loop parks it) without a recount.
     auto refresh = [&](SetId id) -> std::optional<SelectionKey> {
       const std::size_t bound = engine.UpperBound(id);
-      if (bound * i < rem) return MakeGainKey(bound, system.set(id).cost, id);
+      if (!MeetsCwscThreshold(bound, i, rem)) {
+        return MakeGainKey(bound, system.set(id).cost, id);
+      }
       ++stats.sets_considered;
       const std::size_t count = engine.MarginalCount(id);
       if (count == 0) return std::nullopt;
@@ -124,7 +53,7 @@ Result<Solution> RunCwscLazy(const SetSystem& system,
     while (true) {
       auto key = selector.Pop(refresh);
       if (!key.has_value()) break;
-      if (key->count * i >= rem) {
+      if (MeetsCwscThreshold(key->count, i, rem)) {
         chosen = key;
         break;
       }
@@ -137,7 +66,7 @@ Result<Solution> RunCwscLazy(const SetSystem& system,
     }
 
     // The chosen key was popped and is not re-pushed, so the set leaves the
-    // candidate pool exactly like the eager path's `selected` mask.
+    // candidate pool for good.
     const std::size_t newly = engine.Select(chosen->id);
     select_span.Event("pick");
     solution.sets.push_back(chosen->id);
@@ -170,10 +99,7 @@ Result<Solution> RunCwsc(const SetSystem& system, const CwscOptions& options,
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
   obs::Span span(options.trace, "cwsc");
-  Result<Solution> solution =
-      options.engine.marginal_mode == MarginalMode::kEager
-          ? RunCwscEager(system, options, rem, ctx, tally)
-          : RunCwscLazy(system, options, rem, ctx, tally);
+  Result<Solution> solution = RunCwscLazy(system, options, rem, ctx, tally);
   if (options.trace != nullptr) {
     options.trace->metrics()
         .counter("cwsc.sets_considered")

@@ -7,15 +7,36 @@
 // returns at most k sets and always meets the coverage requirement when it
 // returns a solution; it carries no cost guarantee (paper §V-B) but is the
 // recommended solver in practice (paper §VI).
+//
+// RunCwsc evaluates marginals through a BenefitEngine and selects from one
+// gain-ordered lazy (CELF) heap across all iterations; RunCwscLiteral
+// (literal.h) is the line-by-line reference it must match.
 
 #ifndef SCWSC_CORE_CWSC_H_
 #define SCWSC_CORE_CWSC_H_
 
+#include <algorithm>
+#include <cstddef>
+
 #include "src/common/result.h"
-#include "src/core/engine_options.h"
 #include "src/core/solution.h"
 
 namespace scwsc {
+
+namespace obs {
+class TraceSession;
+}  // namespace obs
+
+/// Fig. 2 line 06's qualification test |MBen(s)| >= rem / i, in exact
+/// integers, shared by every CWSC variant (generic, literal, and the flat
+/// and hierarchical lattice descents). It computes count · min(i, rem) >=
+/// rem: for rem >= 1 that equals count · i >= rem (when i >= rem both
+/// reduce to count >= 1), and since count, rem <= n < 2^32 the product
+/// cannot wrap, whereas count · i would for a client k near 2^64.
+inline bool MeetsCwscThreshold(std::size_t count, std::size_t i,
+                               std::size_t rem) {
+  return count * std::min(i, rem) >= rem;
+}
 
 struct CwscOptions {
   CwscOptions() = default;
@@ -26,15 +47,12 @@ struct CwscOptions {
   std::size_t k = 10;
   /// Desired coverage fraction (ŝ in the paper); in [0, 1].
   double coverage_fraction = 0.3;
-  /// Marginal-evaluation strategy (lazy/bitset fast path by default; every
-  /// configuration returns the identical solution).
-  EngineOptions engine;
   /// Deadline / cancellation / work-budget context; nullptr = unlimited.
   /// On a trip the solver returns the matching error Status carrying the
   /// partial solution built so far as a payload (see Provenance).
   const RunContext* run_context = nullptr;
   /// Optional trace/metrics session (src/obs); nullptr = observability off.
-  /// Propagated into the engine (options.engine.trace) when that is unset.
+  /// The solver's benefit engine records into the same session.
   obs::TraceSession* trace = nullptr;
 };
 

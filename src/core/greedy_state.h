@@ -11,12 +11,8 @@
 // selection under keys that only decrease over time (marginal benefit
 // counts and marginal gains are both non-increasing as coverage grows, by
 // submodularity): keys are heap-ordered as of their push time, and a popped
-// entry is re-pushed when its key has decayed.
-//
-// CoverState is the eager marginal-maintenance facade kept for callers that
-// want the seed semantics unconditionally (literal engines, LP rounding
-// repair); it is a thin wrapper over BenefitEngine in its eager/list
-// reference configuration.
+// entry is re-pushed when its key has decayed. SeedBySize fills a selector
+// with every set at its full size, the marginal of the empty selection.
 
 #ifndef SCWSC_CORE_GREEDY_STATE_H_
 #define SCWSC_CORE_GREEDY_STATE_H_
@@ -25,8 +21,6 @@
 #include <queue>
 #include <vector>
 
-#include "src/common/bitset.h"
-#include "src/core/benefit_engine.h"
 #include "src/core/set_system.h"
 
 namespace scwsc {
@@ -112,38 +106,21 @@ class LazySelector {
   std::priority_queue<SelectionKey> heap_;
 };
 
-/// Eager covered-state + live-marginal tracker (the seed reference
-/// behaviour). New code should take a BenefitEngine with explicit
-/// EngineOptions instead; CoverState remains for callers that depend on
-/// eager O(1) marginal reads.
-class CoverState {
- public:
-  explicit CoverState(const SetSystem& system)
-      : engine_(system, SeedReferenceEngine()) {}
-
-  /// Resets to the empty selection.
-  void Reset() { engine_.Reset(); }
-
-  /// |MBen(s, S)| for the current selection S.
-  std::size_t MarginalCount(SetId id) const {
-    return engine_.MarginalCount(id);
+/// Pushes make_key(|s|, Cost(s), id) for every non-empty set — each set's
+/// marginal against the empty selection, so no engine read is needed — and
+/// adds the m initial evaluations to `sets_considered` (the Fig. 6
+/// accounting of the initial MBen pass).
+template <typename KeyMaker>
+void SeedBySize(const SetSystem& system, LazySelector& selector,
+                std::size_t& sets_considered, KeyMaker&& make_key) {
+  for (SetId id = 0; id < system.num_sets(); ++id) {
+    const WeightedSet& set = system.set(id);
+    if (!set.elements.empty()) {
+      selector.Push(make_key(set.elements.size(), set.cost, id));
+    }
   }
-
-  /// Number of covered elements.
-  std::size_t covered_count() const { return engine_.covered_count(); }
-
-  bool IsCovered(ElementId e) const { return engine_.IsCovered(e); }
-
-  const DynamicBitset& covered() const { return engine_.covered(); }
-
-  /// Marks `id` selected: covers its elements and updates every marginal
-  /// count. Returns the number of newly covered elements (the marginal
-  /// benefit the selection realized).
-  std::size_t Select(SetId id) { return engine_.Select(id); }
-
- private:
-  mutable BenefitEngine engine_;
-};
+  sets_considered += system.num_sets();
+}
 
 }  // namespace scwsc
 

@@ -62,7 +62,7 @@ Result<Solution> RunCwscLiteral(const SetSystem& system,
     for (SetId s = 0; s < system.num_sets(); ++s) {
       if (!alive[s]) continue;
       ++tally.sets_considered;
-      if (mben[s].size() * i < rem) continue;
+      if (!MeetsCwscThreshold(mben[s].size(), i, rem)) continue;
       if (best == kInvalidSet ||
           BetterByGain(mben[s].size(), system.set(s).cost, s,
                        mben[best].size(), system.set(best).cost, best)) {

@@ -8,8 +8,8 @@
 //
 // They exist for two reasons:
 //  - they are the *unoptimized baseline* of the paper's Figs. 5-9 (the
-//    tuned engines in cwsc.h / cmc.h use inverted indexes and lazy heaps,
-//    which the 2015 baseline did not);
+//    tuned solvers in cwsc.h / cmc.h use the benefit engine's packed rows
+//    and lazy heaps, which the 2015 baseline did not);
 //  - they cross-validate the tuned engines: with identical tie-breaking
 //    both must produce identical selections, which the test suite asserts.
 

@@ -78,7 +78,7 @@ class SetSystem {
   /// element -> ascending ids of the sets containing it, built afresh on
   /// every call (O(num_elements + total set size)) and owned by the caller.
   /// The system keeps no index of its own, so snapshots never pay for one;
-  /// the engine's eager mode and the LP relaxation build theirs per solve.
+  /// the LP relaxation builds its own per solve.
   std::vector<std::vector<SetId>> BuildInvertedIndex() const;
 
   /// Number of elements that must be covered to reach coverage fraction

@@ -5,6 +5,7 @@
 
 #include "src/common/bitset.h"
 #include "src/common/rng.h"
+#include "src/core/benefit_engine.h"
 #include "src/core/greedy_state.h"
 #include "src/obs/trace.h"
 
@@ -171,13 +172,12 @@ Result<LpRoundingResult> SolveByLpRounding(const SetSystem& system,
     // target is met (falls back to the whole system if the support is too
     // thin).
     obs::Span repair_span(options.trace, "lp.repair");
-    CoverState state(system);
+    // The engine gets no run context, so the repair's recounts are not
+    // charged to a recount budget; deadlines and cancellation still reach
+    // the loop through its Check().
+    BenefitEngine state(system);
     LazySelector selector;
-    for (SetId s = 0; s < system.num_sets(); ++s) {
-      const std::size_t count = state.MarginalCount(s);
-      if (count > 0) selector.Push(MakeGainKey(count, system.set(s).cost, s));
-    }
-    result.sets_considered += system.num_sets();
+    SeedBySize(system, selector, result.sets_considered, MakeGainKey);
     std::size_t rem = target;
     Solution repaired;
     while (rem > 0) {

@@ -9,9 +9,9 @@
 // tracing is disabled, so it is safe to leave in hot loops. Parenting is
 // implicit: each thread keeps a stack of its currently open spans per
 // session, and BeginSpan parents to the innermost open span *of the same
-// session on the same thread* — cross-thread work (engine scan chunks)
-// starts a fresh track under its own thread id, which is exactly how the
-// Chrome trace-event viewer nests things anyway.
+// session on the same thread* — work on another thread (a scheduler
+// worker's solve) starts a fresh track under its own thread id, which is
+// exactly how the Chrome trace-event viewer nests things anyway.
 //
 // Timestamps share Stopwatch's std::chrono::steady_clock so span durations
 // and bench timings come from one clock source.

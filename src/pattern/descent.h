@@ -212,9 +212,9 @@ Result<typename Step::Solution> DescendCwsc(Step& step, const Table& table,
     }
     obs::Span descend_span(options.trace, names.phase);
     // Lines 08-10: drop candidates below this iteration's threshold
-    // (|MBen| * i >= rem, in exact integers).
+    // (MeetsCwscThreshold: |MBen| * i >= rem in overflow-free integers).
     for (auto it = candidates.begin(); it != candidates.end();) {
-      if (it->second.mben.size() * i < rem) {
+      if (!MeetsCwscThreshold(it->second.mben.size(), i, rem)) {
         it = candidates.erase(it);
       } else {
         it->second.processed = false;
@@ -260,7 +260,7 @@ Result<typename Step::Solution> DescendCwsc(Step& step, const Table& table,
         cand.cost = cost_fn.Compute(table, cand.ben);
         tally.Considered();
         // Line 18: admit only when the child meets the threshold.
-        if (cand.mben.size() * i >= rem) {
+        if (MeetsCwscThreshold(cand.mben.size(), i, rem)) {
           tally.Admitted();
           auto [it, inserted] =
               candidates.emplace(std::move(child), std::move(cand));

@@ -1,8 +1,10 @@
 #include "src/serve/wire.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <utility>
@@ -39,6 +41,27 @@ Result<double> RequireNumber(const JsonValue& v, const std::string& what) {
     return Status::InvalidArgument("field '" + what + "' must be a number");
   }
   return v.as_number();
+}
+
+/// The integers a JSON number (an IEEE double) carries exactly: [0, 2^53].
+constexpr std::int64_t kMaxWireInteger = std::int64_t{1} << 53;
+
+/// Reads an integral number in [lo, hi] (both exactly representable as
+/// doubles) as a T. Converting a fractional or out-of-range double to an
+/// integer type is undefined behaviour, so anything else is rejected with
+/// InvalidArgument naming the field.
+template <typename T>
+Result<T> RequireInteger(const JsonValue& v, const std::string& what,
+                         std::int64_t lo, std::int64_t hi) {
+  SCWSC_ASSIGN_OR_RETURN(double n, RequireNumber(v, what));
+  if (!(n >= static_cast<double>(lo) && n <= static_cast<double>(hi)) ||
+      n != std::floor(n)) {
+    return Status::InvalidArgument("field '" + what +
+                                   "' must be an integer in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
+  }
+  return static_cast<T>(n);
 }
 
 }  // namespace
@@ -92,11 +115,10 @@ Result<int> CheckWireVersion(const JsonValue& root, const std::string& where) {
     WarnDeprecatedWireV1(where);
     return 1;
   }
-  if (!version->is_number()) {
-    return Status::InvalidArgument("\"version\" must be a number (" + where +
-                                   ")");
-  }
-  const int v = static_cast<int>(version->as_number());
+  SCWSC_ASSIGN_OR_RETURN(
+      const int v, RequireInteger<int>(*version, "version (" + where + ")",
+                                       std::numeric_limits<int>::min(),
+                                       std::numeric_limits<int>::max()));
   if (v == 1) {
     WarnDeprecatedWireV1(where);
     return 1;
@@ -127,8 +149,10 @@ Result<ParsedJob> ParseJobObject(const JsonValue& entry,
     if (key == "solver") {
       // handled above
     } else if (key == "k") {
-      SCWSC_ASSIGN_OR_RETURN(double n, RequireNumber(value, at + ".k"));
-      builder.WithK(static_cast<std::size_t>(n));
+      SCWSC_ASSIGN_OR_RETURN(
+          std::size_t k,
+          RequireInteger<std::size_t>(value, at + ".k", 0, kMaxWireInteger));
+      builder.WithK(k);
     } else if (key == "coverage") {
       SCWSC_ASSIGN_OR_RETURN(double f, RequireNumber(value, at + ".coverage"));
       builder.WithCoverage(f);
@@ -142,10 +166,11 @@ Result<ParsedJob> ParseJobObject(const JsonValue& entry,
         builder.WithOption(opt_key, std::move(rendered));
       }
     } else if (key == "deadline_ms") {
-      SCWSC_ASSIGN_OR_RETURN(double ms,
-                             RequireNumber(value, at + ".deadline_ms"));
-      builder.WithDeadline(
-          std::chrono::milliseconds(static_cast<std::int64_t>(ms)));
+      SCWSC_ASSIGN_OR_RETURN(
+          std::int64_t ms,
+          RequireInteger<std::int64_t>(value, at + ".deadline_ms", 0,
+                                       kMaxWireInteger));
+      builder.WithDeadline(std::chrono::milliseconds(ms));
     } else if (key == "label") {
       if (!value.is_string()) {
         return Status::InvalidArgument(at + ".label must be a string");
@@ -158,14 +183,15 @@ Result<ParsedJob> ParseJobObject(const JsonValue& entry,
       }
       builder.WithTenant(value.as_string());
     } else if (key == "priority") {
-      SCWSC_ASSIGN_OR_RETURN(double p, RequireNumber(value, at + ".priority"));
-      parsed.job.priority = static_cast<int>(p);
+      SCWSC_ASSIGN_OR_RETURN(
+          parsed.job.priority,
+          RequireInteger<int>(value, at + ".priority",
+                              std::numeric_limits<int>::min(),
+                              std::numeric_limits<int>::max()));
     } else if (key == "repeat") {
-      SCWSC_ASSIGN_OR_RETURN(double n, RequireNumber(value, at + ".repeat"));
-      if (n < 1) {
-        return Status::InvalidArgument(at + ".repeat must be >= 1");
-      }
-      parsed.repeat = static_cast<std::size_t>(n);
+      SCWSC_ASSIGN_OR_RETURN(
+          parsed.repeat, RequireInteger<std::size_t>(value, at + ".repeat", 1,
+                                                     kMaxWireInteger));
     } else if (key == "version" || key == "id" || key == "type" ||
                key == "snapshot") {
       // Envelope keys on the socket path; never job data, never forwarded.
@@ -221,12 +247,10 @@ Result<api::SnapshotDelta> ParseDeltaObject(const JsonValue& entry,
       return Status::InvalidArgument(at + ".retract_rows must be an array");
     }
     for (const JsonValue& v : rows->as_array()) {
-      SCWSC_ASSIGN_OR_RETURN(double n,
-                             RequireNumber(v, at + ".retract_rows[]"));
-      if (n < 0) {
-        return Status::InvalidArgument(at + ".retract_rows must be >= 0");
-      }
-      delta.retract_rows.push_back(static_cast<std::size_t>(n));
+      SCWSC_ASSIGN_OR_RETURN(
+          std::size_t row, RequireInteger<std::size_t>(
+                               v, at + ".retract_rows[]", 0, kMaxWireInteger));
+      delta.retract_rows.push_back(row);
     }
   }
   if (const JsonValue* sets = entry.Find("add_sets")) {
@@ -245,12 +269,11 @@ Result<api::SnapshotDelta> ParseDeltaObject(const JsonValue& entry,
         return Status::InvalidArgument(where + " needs an \"elements\" array");
       }
       for (const JsonValue& e : elements->as_array()) {
-        SCWSC_ASSIGN_OR_RETURN(double n,
-                               RequireNumber(e, where + ".elements[]"));
-        if (n < 0) {
-          return Status::InvalidArgument(where + ".elements must be >= 0");
-        }
-        add.elements.push_back(static_cast<ElementId>(n));
+        SCWSC_ASSIGN_OR_RETURN(
+            ElementId element,
+            RequireInteger<ElementId>(e, where + ".elements[]", 0,
+                                      std::numeric_limits<ElementId>::max()));
+        add.elements.push_back(element);
       }
       if (const JsonValue* cost = set.Find("cost")) {
         SCWSC_ASSIGN_OR_RETURN(add.cost,
@@ -270,11 +293,10 @@ Result<api::SnapshotDelta> ParseDeltaObject(const JsonValue& entry,
       return Status::InvalidArgument(at + ".remove_sets must be an array");
     }
     for (const JsonValue& v : sets->as_array()) {
-      SCWSC_ASSIGN_OR_RETURN(double n, RequireNumber(v, at + ".remove_sets[]"));
-      if (n < 0) {
-        return Status::InvalidArgument(at + ".remove_sets must be >= 0");
-      }
-      delta.remove_sets.push_back(static_cast<SetId>(n));
+      SCWSC_ASSIGN_OR_RETURN(
+          SetId id, RequireInteger<SetId>(v, at + ".remove_sets[]", 0,
+                                          std::numeric_limits<SetId>::max()));
+      delta.remove_sets.push_back(id);
     }
   }
   return delta;

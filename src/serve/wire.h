@@ -84,7 +84,9 @@ struct ParsedJob {
 /// Parses one job-shaped JSON object (a batch "jobs" entry or a socket
 /// "solve" request) into a SolveJob over `instance`. Accepted keys: solver
 /// (required), k, coverage, options, deadline_ms, priority, label, tenant,
-/// repeat. Under version >= 2 unknown keys land in `forward`; under v1 they
+/// repeat. Integer keys must be integral and in range: k and deadline_ms in
+/// [0, 2^53], repeat in [1, 2^53], priority within int; anything else is
+/// InvalidArgument naming the field. Under version >= 2 unknown keys land in `forward`; under v1 they
 /// are ignored (the legacy behaviour). `at` prefixes error messages
 /// ("jobs[3]"). Envelope keys (version/id/type) are skipped, never
 /// forwarded.
@@ -95,8 +97,10 @@ Result<ParsedJob> ParseJobObject(const JsonValue& entry,
 /// Parses the mutation fields of a "delta" request into a SnapshotDelta.
 /// Accepted keys: append_rows ([{"values": [...], "measure": n}]),
 /// retract_rows ([indices]), add_sets ([{"elements": [...], "cost": n,
-/// "label": s}]), remove_sets ([ids]). Validation beyond shape (bounds,
-/// duplicates, arity) happens in api::ApplyDelta, which owns the rules.
+/// "label": s}]), remove_sets ([ids]). Row indices, element ids and set ids
+/// must be integers in range for their type (row indices at most 2^53).
+/// Validation against the snapshot (bounds, duplicates, arity) happens in
+/// api::ApplyDelta, which owns the rules.
 Result<api::SnapshotDelta> ParseDeltaObject(const JsonValue& entry,
                                             const std::string& at);
 

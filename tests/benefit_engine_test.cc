@@ -1,8 +1,11 @@
-// Randomized equivalence suite for the benefit engine: every engine
-// configuration (eager/lazy, list/bitset/auto membership, 1..N threads) must
-// drive every greedy solver to the *identical* solution — same status, same
-// set ids in the same order, same cost and coverage — on a spread of seeded
-// random instances, including zero-cost sets and duplicate-element inputs.
+// Randomized equivalence suite for the benefit engine: every greedy solver
+// driven by it must return the *identical* outcome — same status, same set
+// ids in the same order, same cost and coverage — as an independent
+// reference on a spread of seeded random instances, including zero-cost
+// sets and duplicate-element inputs. The references are the paper-verbatim
+// Fig. 1/2 implementations (src/core/literal.h) for CMC and CWSC and an
+// exhaustive-scan greedy for greedy WSC. Engine-level tests pin its counts
+// against brute-force recounts, its density rule and its trip contract.
 
 #include "src/core/benefit_engine.h"
 
@@ -15,43 +18,13 @@
 #include "src/core/baselines.h"
 #include "src/core/cmc.h"
 #include "src/core/cwsc.h"
+#include "src/core/greedy_state.h"
 #include "src/core/instances.h"
+#include "src/core/literal.h"
 #include "tests/test_util.h"
 
 namespace scwsc {
 namespace {
-
-struct NamedEngine {
-  const char* name;
-  EngineOptions options;
-};
-
-/// Every engine configuration under test. The first entry is the seed
-/// reference (eager inverted-index decrements over element lists).
-std::vector<NamedEngine> AllEngines() {
-  std::vector<NamedEngine> engines;
-  engines.push_back({"eager/list", SeedReferenceEngine()});
-
-  EngineOptions lazy_list;
-  lazy_list.marginal_mode = MarginalMode::kLazy;
-  lazy_list.membership = MembershipRepr::kList;
-  engines.push_back({"lazy/list", lazy_list});
-
-  EngineOptions lazy_bitset;
-  lazy_bitset.marginal_mode = MarginalMode::kLazy;
-  lazy_bitset.membership = MembershipRepr::kBitset;
-  engines.push_back({"lazy/bitset", lazy_bitset});
-
-  EngineOptions lazy_auto;  // the default fast path
-  engines.push_back({"lazy/auto", lazy_auto});
-
-  EngineOptions lazy_auto_mt = lazy_auto;
-  lazy_auto_mt.num_threads = 4;
-  lazy_auto_mt.min_parallel_batch = 1;  // force the chunked parallel path
-  engines.push_back({"lazy/auto/4t", lazy_auto_mt});
-
-  return engines;
-}
 
 /// 20+ seeded instance shapes: dense and sparse, small and large universes,
 /// duplicated costs (tie-break stress), tiny max sizes (list-path stress).
@@ -116,8 +89,44 @@ std::string Fingerprint(const Result<Solution>& result) {
   return out;
 }
 
+std::string Fingerprint(const Result<CmcResult>& result) {
+  if (!result.ok()) return Fingerprint(Result<Solution>(result.status()));
+  return Fingerprint(Result<Solution>(result->solution)) +
+         " rounds:" + std::to_string(result->budget_rounds) +
+         " budget:" + std::to_string(result->final_budget) +
+         " considered:" + std::to_string(result->sets_considered);
+}
+
+/// Greedy WSC by exhaustive scan: every pick recounts every set against a
+/// covered bitset and takes the argmax by BetterByGain.
+Result<Solution> GreedyWscByScan(const SetSystem& system, double fraction) {
+  std::size_t rem = SetSystem::CoverageTarget(fraction, system.num_elements());
+  DynamicBitset covered(system.num_elements());
+  Solution solution;
+  while (rem > 0) {
+    SetId best = kInvalidSet;
+    std::size_t best_count = 0;
+    for (SetId id = 0; id < system.num_sets(); ++id) {
+      const std::size_t count = covered.CountClear(system.set(id).elements);
+      if (count > 0 &&
+          (best == kInvalidSet ||
+           BetterByGain(count, system.set(id).cost, id, best_count,
+                        system.set(best).cost, best))) {
+        best = id;
+        best_count = count;
+      }
+    }
+    if (best == kInvalidSet) return Status::Infeasible("scan: sets exhausted");
+    for (ElementId e : system.set(best).elements) covered.set(e);
+    solution.sets.push_back(best);
+    solution.total_cost += system.set(best).cost;
+    rem = best_count >= rem ? 0 : rem - best_count;
+  }
+  solution.covered = covered.count();
+  return solution;
+}
+
 TEST(BenefitEngineEquivalenceTest, CwscIdenticalAcrossEngines) {
-  const auto engines = AllEngines();
   const auto specs = InstanceSpecs();
   ASSERT_GE(specs.size(), 20u);
   std::uint64_t seed = 1;
@@ -125,81 +134,47 @@ TEST(BenefitEngineEquivalenceTest, CwscIdenticalAcrossEngines) {
     Result<SetSystem> system = BuildInstance(spec, seed++);
     ASSERT_TRUE(system.ok());
     for (double fraction : {0.4, 0.9}) {
-      CwscOptions reference_options(6, fraction);
-      reference_options.engine = engines[0].options;
-      const std::string expected =
-          Fingerprint(RunCwsc(*system, reference_options));
-      for (std::size_t c = 1; c < engines.size(); ++c) {
-        CwscOptions options(6, fraction);
-        options.engine = engines[c].options;
-        EXPECT_EQ(Fingerprint(RunCwsc(*system, options)), expected)
-            << engines[c].name << " seed=" << seed - 1
-            << " fraction=" << fraction;
-      }
+      const CwscOptions options(6, fraction);
+      EXPECT_EQ(Fingerprint(RunCwsc(*system, options)),
+                Fingerprint(RunCwscLiteral(*system, options)))
+          << "seed=" << seed - 1 << " fraction=" << fraction;
     }
   }
 }
 
 TEST(BenefitEngineEquivalenceTest, CmcIdenticalAcrossEngines) {
-  const auto engines = AllEngines();
   const auto specs = InstanceSpecs();
   std::uint64_t seed = 101;
   for (const RandomSystemSpec& spec : specs) {
     Result<SetSystem> system = BuildInstance(spec, seed++);
     ASSERT_TRUE(system.ok());
-    CmcOptions reference_options;
-    reference_options.k = 5;
-    reference_options.coverage_fraction = 0.6;
-    reference_options.engine = engines[0].options;
-    Result<CmcResult> reference = RunCmc(*system, reference_options);
-    const std::string expected =
-        Fingerprint(reference.ok() ? Result<Solution>(reference->solution)
-                                   : Result<Solution>(reference.status()));
-    for (std::size_t c = 1; c < engines.size(); ++c) {
-      CmcOptions options = reference_options;
-      options.engine = engines[c].options;
-      Result<CmcResult> got = RunCmc(*system, options);
-      EXPECT_EQ(Fingerprint(got.ok() ? Result<Solution>(got->solution)
-                                     : Result<Solution>(got.status())),
-                expected)
-          << engines[c].name << " seed=" << seed - 1;
-      if (reference.ok() && got.ok()) {
-        EXPECT_EQ(got->budget_rounds, reference->budget_rounds)
-            << engines[c].name;
-        EXPECT_EQ(got->final_budget, reference->final_budget)
-            << engines[c].name;
-      }
-    }
+    CmcOptions options;
+    options.k = 5;
+    options.coverage_fraction = 0.6;
+    EXPECT_EQ(Fingerprint(RunCmc(*system, options)),
+              Fingerprint(RunCmcLiteral(*system, options)))
+        << "seed=" << seed - 1;
   }
 }
 
 TEST(BenefitEngineEquivalenceTest, GreedyWscIdenticalAcrossEngines) {
-  const auto engines = AllEngines();
   const auto specs = InstanceSpecs();
   std::uint64_t seed = 201;
   for (const RandomSystemSpec& spec : specs) {
     Result<SetSystem> system = BuildInstance(spec, seed++);
     ASSERT_TRUE(system.ok());
-    GreedyWscOptions reference_options;
-    reference_options.coverage_fraction = 0.8;
-    reference_options.engine = engines[0].options;
-    const std::string expected =
-        Fingerprint(RunGreedyWeightedSetCover(*system, reference_options));
-    for (std::size_t c = 1; c < engines.size(); ++c) {
-      GreedyWscOptions options = reference_options;
-      options.engine = engines[c].options;
-      EXPECT_EQ(Fingerprint(RunGreedyWeightedSetCover(*system, options)),
-                expected)
-          << engines[c].name << " seed=" << seed - 1;
-    }
+    GreedyWscOptions options;
+    options.coverage_fraction = 0.8;
+    EXPECT_EQ(Fingerprint(RunGreedyWeightedSetCover(*system, options)),
+              Fingerprint(GreedyWscByScan(*system, 0.8)))
+        << "seed=" << seed - 1;
   }
 }
 
-// Engine-level check: after an arbitrary selection sequence, every engine
-// reports the same marginal count for every set, and BatchMarginals agrees
-// with MarginalCount (including duplicate ids in the batch).
+// Engine-level check: after an arbitrary selection sequence, UpperBound
+// never understates, and MarginalCount and BatchMarginals (including a
+// duplicate id) agree with brute-force counts against the covered set.
 TEST(BenefitEngineTest, MarginalCountsAgreeAfterRandomSelections) {
-  const auto engines = AllEngines();
   std::uint64_t seed = 301;
   for (int round = 0; round < 5; ++round) {
     RandomSystemSpec spec;
@@ -210,45 +185,77 @@ TEST(BenefitEngineTest, MarginalCountsAgreeAfterRandomSelections) {
     ASSERT_TRUE(system.ok());
     const std::size_t m = system->num_sets();
 
+    BenefitEngine engine(*system);
+    DynamicBitset covered(system->num_elements());
     Rng pick_rng(seed * 7919);
-    std::vector<SetId> picks;
     for (int p = 0; p < 6; ++p) {
-      picks.push_back(static_cast<SetId>(pick_rng.NextBounded(m)));
+      const auto pick = static_cast<SetId>(pick_rng.NextBounded(m));
+      const std::size_t newly = covered.CountClear(system->set(pick).elements);
+      for (ElementId e : system->set(pick).elements) covered.set(e);
+      EXPECT_EQ(engine.Select(pick), newly) << "pick " << pick;
     }
+    EXPECT_EQ(engine.covered_count(), covered.count());
 
-    std::vector<BenefitEngine> states;
-    states.reserve(engines.size());
-    for (const NamedEngine& e : engines) {
-      states.emplace_back(*system, e.options);
-    }
-    for (SetId pick : picks) {
-      const std::size_t newly = states[0].Select(pick);
-      for (std::size_t c = 1; c < states.size(); ++c) {
-        EXPECT_EQ(states[c].Select(pick), newly) << engines[c].name;
-      }
-    }
-    // Before any recount, the cached bound never understates the eager
-    // reference's exact count.
-    for (std::size_t c = 1; c < states.size(); ++c) {
-      for (SetId id = 0; id < m; ++id) {
-        EXPECT_GE(states[c].UpperBound(id), states[0].MarginalCount(id))
-            << engines[c].name << " set " << id;
-      }
+    std::vector<std::size_t> expected(m);
+    for (SetId id = 0; id < m; ++id) {
+      expected[id] = covered.CountClear(system->set(id).elements);
+      // Before any recount, the cached bound never understates.
+      EXPECT_GE(engine.UpperBound(id), expected[id]) << "set " << id;
     }
     std::vector<SetId> batch;
     for (SetId id = 0; id < m; ++id) batch.push_back(id);
     batch.push_back(0);  // duplicate id
-    std::vector<std::size_t> reference_counts;
-    states[0].BatchMarginals(batch, reference_counts);
-    for (std::size_t c = 1; c < states.size(); ++c) {
-      std::vector<std::size_t> counts;
-      states[c].BatchMarginals(batch, counts);
-      EXPECT_EQ(counts, reference_counts) << engines[c].name;
-      for (SetId id = 0; id < m; ++id) {
-        EXPECT_EQ(states[c].MarginalCount(id), reference_counts[id])
-            << engines[c].name << " set " << id;
-      }
+    std::vector<std::size_t> counts;
+    SCWSC_ASSERT_OK(engine.BatchMarginals(batch, counts));
+    ASSERT_EQ(counts.size(), m + 1);
+    EXPECT_EQ(counts[m], expected[0]);
+    for (SetId id = 0; id < m; ++id) {
+      EXPECT_EQ(counts[id], expected[id]) << "set " << id;
+      EXPECT_EQ(engine.UpperBound(id), expected[id]) << "set " << id;
+      EXPECT_EQ(engine.MarginalCount(id), expected[id]) << "set " << id;
     }
+  }
+}
+
+// A recount budget that trips partway through a batch: the interruption is
+// returned, the slots past the trip carry their cached bounds, and nothing
+// is committed, so every UpperBound is unchanged.
+TEST(BenefitEngineTest, BatchTripLeavesCachedBounds) {
+  SetSystem system(40);
+  for (ElementId start = 0; start < 40; start += 4) {
+    ASSERT_TRUE(system
+                    .AddSet({start, start + 1, start + 2, start + 3,
+                             (start + 4) % 40},
+                            1.0)
+                    .ok());
+  }
+  RunContext ctx;
+  BenefitEngine engine(system, &ctx);
+  engine.Select(0);  // covers 0..4: every later count is now stale
+  ctx.SetRecountBudget(12);  // admits two 5-element recounts, trips on the third
+
+  std::vector<SetId> batch;
+  for (SetId id = 1; id < system.num_sets(); ++id) batch.push_back(id);
+  std::vector<std::size_t> bounds_before;
+  for (SetId id = 0; id < system.num_sets(); ++id) {
+    bounds_before.push_back(engine.UpperBound(id));
+  }
+  std::vector<std::size_t> out;
+  const Status status = engine.BatchMarginals(batch, out);
+  EXPECT_TRUE(status.IsInterruption()) << status.ToString();
+  EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+  ASSERT_EQ(out.size(), batch.size());
+  // Sets 1 (whose element 4 is covered) and 2 were recounted exactly
+  // before the budget ran out; set 9 also lost element 0, but its slot
+  // keeps the stale bound 5.
+  EXPECT_EQ(out[0], 4u);
+  EXPECT_EQ(out[1], 5u);
+  EXPECT_EQ(out.back(), 5u);
+  for (std::size_t i = 2; i < batch.size(); ++i) {
+    EXPECT_EQ(out[i], bounds_before[batch[i]]) << "slot " << i;
+  }
+  for (SetId id = 0; id < system.num_sets(); ++id) {
+    EXPECT_EQ(engine.UpperBound(id), bounds_before[id]) << "set " << id;
   }
 }
 
@@ -259,15 +266,9 @@ TEST(BenefitEngineTest, AutoModePicksRowsByDensity) {
   ASSERT_TRUE(system.AddSet(dense, 1.0).ok());
   ASSERT_TRUE(system.AddSet({1, 3, 5}, 1.0).ok());  // 3 < 10: stays a list
 
-  BenefitEngine engine(system);  // default: lazy + auto
+  BenefitEngine engine(system);
   EXPECT_TRUE(engine.UsesBitsetRow(0));
   EXPECT_FALSE(engine.UsesBitsetRow(1));
-
-  EngineOptions all_rows;
-  all_rows.membership = MembershipRepr::kBitset;
-  BenefitEngine forced(system, all_rows);
-  EXPECT_TRUE(forced.UsesBitsetRow(0));
-  EXPECT_TRUE(forced.UsesBitsetRow(1));
 }
 
 TEST(BenefitEngineTest, ResetRestoresAllMarginals) {
@@ -276,15 +277,63 @@ TEST(BenefitEngineTest, ResetRestoresAllMarginals) {
   for (ElementId e = 0; e < 80; ++e) big.push_back(e);
   ASSERT_TRUE(system.AddSet(big, 2.0).ok());
   ASSERT_TRUE(system.AddSet({70, 71, 90}, 1.0).ok());
-  for (const NamedEngine& e : AllEngines()) {
-    BenefitEngine engine(system, e.options);
-    engine.Select(0);
-    EXPECT_EQ(engine.MarginalCount(1), 1u) << e.name;
-    engine.Reset();
-    EXPECT_EQ(engine.covered_count(), 0u) << e.name;
-    EXPECT_EQ(engine.MarginalCount(0), 80u) << e.name;
-    EXPECT_EQ(engine.MarginalCount(1), 3u) << e.name;
-  }
+  BenefitEngine engine(system);
+  engine.Select(0);
+  EXPECT_EQ(engine.MarginalCount(1), 1u);
+  engine.Reset();
+  EXPECT_EQ(engine.covered_count(), 0u);
+  EXPECT_EQ(engine.MarginalCount(0), 80u);
+  EXPECT_EQ(engine.MarginalCount(1), 3u);
+}
+
+SetSystem MakeSmallSystem() {
+  SetSystem system(6);
+  EXPECT_TRUE(system.AddSet({0, 1, 2}, 3.0).ok());  // set 0
+  EXPECT_TRUE(system.AddSet({2, 3}, 1.0).ok());     // set 1
+  EXPECT_TRUE(system.AddSet({4, 5}, 2.0).ok());     // set 2
+  EXPECT_TRUE(system.AddSet({0, 5}, 5.0).ok());     // set 3
+  return system;
+}
+
+TEST(BenefitEngineTest, InitialMarginalsEqualBenefits) {
+  SetSystem system = MakeSmallSystem();
+  BenefitEngine engine(system);
+  EXPECT_EQ(engine.MarginalCount(0), 3u);
+  EXPECT_EQ(engine.MarginalCount(1), 2u);
+  EXPECT_EQ(engine.MarginalCount(2), 2u);
+  EXPECT_EQ(engine.MarginalCount(3), 2u);
+  EXPECT_EQ(engine.covered_count(), 0u);
+}
+
+TEST(BenefitEngineTest, SelectUpdatesOverlappingSets) {
+  SetSystem system = MakeSmallSystem();
+  BenefitEngine engine(system);
+  EXPECT_EQ(engine.Select(0), 3u);  // covers 0,1,2
+  EXPECT_EQ(engine.covered_count(), 3u);
+  EXPECT_EQ(engine.MarginalCount(0), 0u);
+  EXPECT_EQ(engine.MarginalCount(1), 1u);  // {3} left
+  EXPECT_EQ(engine.MarginalCount(2), 2u);  // untouched
+  EXPECT_EQ(engine.MarginalCount(3), 1u);  // {5} left
+  EXPECT_TRUE(engine.IsCovered(1));
+  EXPECT_FALSE(engine.IsCovered(3));
+}
+
+TEST(BenefitEngineTest, RepeatedSelectIsIdempotentOnCoverage) {
+  SetSystem system = MakeSmallSystem();
+  BenefitEngine engine(system);
+  engine.Select(1);
+  EXPECT_EQ(engine.Select(1), 0u);  // nothing new
+  EXPECT_EQ(engine.covered_count(), 2u);
+}
+
+TEST(BenefitEngineTest, ResetRestoresInitialState) {
+  SetSystem system = MakeSmallSystem();
+  BenefitEngine engine(system);
+  engine.Select(0);
+  engine.Reset();
+  EXPECT_EQ(engine.covered_count(), 0u);
+  EXPECT_EQ(engine.MarginalCount(0), 3u);
+  EXPECT_EQ(engine.MarginalCount(1), 2u);
 }
 
 TEST(FilterCoveredIdsTest, FiltersEachListIndependently) {

@@ -1,5 +1,6 @@
 #include "src/core/cwsc.h"
 
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -7,6 +8,7 @@
 #include "gtest/gtest.h"
 #include "src/common/rng.h"
 #include "src/core/instances.h"
+#include "src/core/literal.h"
 #include "src/core/solution.h"
 
 namespace scwsc {
@@ -183,36 +185,71 @@ SetSystem CarrierSystem() {
 
 TEST(CwscTest, ParkedCandidatesStayIdenticalWithoutRecounts) {
   const SetSystem system = CarrierSystem();
-  CwscOptions reference_options(120, 0.5);
-  reference_options.engine = SeedReferenceEngine();
-  auto reference = RunCwsc(system, reference_options);
+  const CwscOptions options(120, 0.5);
+  auto reference = RunCwscLiteral(system, options);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_FALSE(reference->sets.empty());
 
-  for (const MembershipRepr membership :
-       {MembershipRepr::kList, MembershipRepr::kBitset,
-        MembershipRepr::kAuto}) {
-    for (const unsigned threads : {1u, 4u}) {
-      CwscOptions options(120, 0.5);
-      options.engine.membership = membership;
-      options.engine.num_threads = threads;
-      options.engine.min_parallel_batch = 1;  // a parallel seed at 4 threads
-      ScanStats stats;
-      auto lazy = RunCwsc(system, options, &stats);
-      ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
-      const std::string arm = "membership " +
-                              std::to_string(static_cast<int>(membership)) +
-                              ", " + std::to_string(threads) + " threads";
-      EXPECT_EQ(lazy->sets, reference->sets) << arm;
-      EXPECT_EQ(lazy->total_cost, reference->total_cost) << arm;
-      EXPECT_EQ(lazy->covered, reference->covered) << arm;
-      // Past the one-off seed, a popped set whose cached count already
-      // fails the threshold is parked without a recount.
-      EXPECT_LE(stats.sets_considered - system.num_sets(),
-                4 * lazy->sets.size())
-          << arm;
+  ScanStats stats;
+  auto lazy = RunCwsc(system, options, &stats);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+  EXPECT_EQ(lazy->sets, reference->sets);
+  EXPECT_EQ(lazy->total_cost, reference->total_cost);
+  EXPECT_EQ(lazy->covered, reference->covered);
+  // Past the one-off seed, a popped set whose cached count already fails
+  // the threshold is parked without a recount.
+  EXPECT_LE(stats.sets_considered - system.num_sets(), 4 * lazy->sets.size());
+}
+
+// With k >= n + m + 1 the threshold |MBen| >= rem / i cannot bind (i stays
+// above rem), so any larger k must pick identically. The product |MBen| * i
+// would wrap for k near 2^64 and turn the threshold into noise.
+TEST(CwscTest, HugeKPicksAsIfTheThresholdCannotBind) {
+  Rng rng(2062);
+  for (int trial = 0; trial < 60; ++trial) {
+    RandomSystemSpec spec;
+    spec.num_elements = 64;
+    spec.num_sets = 10 + rng.NextBounded(30);
+    spec.max_set_size = 1 + rng.NextBounded(20);
+    auto system = RandomSetSystem(spec, rng);
+    ASSERT_TRUE(system.ok());
+    const double fraction = rng.NextDouble(0.1, 1.0);
+    const std::size_t unbound_k =
+        system->num_elements() + system->num_sets() + 1;
+    const auto fingerprint = [](const Result<Solution>& r) {
+      if (!r.ok()) return std::string(StatusCodeToString(r.status().code()));
+      std::string out;
+      for (SetId id : r->sets) out += std::to_string(id) + ",";
+      return out + " covered:" + std::to_string(r->covered);
+    };
+    const std::string expected =
+        fingerprint(RunCwsc(*system, {unbound_k, fraction}));
+    const std::string expected_literal =
+        fingerprint(RunCwscLiteral(*system, {unbound_k, fraction}));
+    EXPECT_EQ(expected_literal, expected) << "trial " << trial;
+    for (const std::size_t k :
+         {std::size_t{1} << 62, std::size_t{1} << 63, SIZE_MAX}) {
+      EXPECT_EQ(fingerprint(RunCwsc(*system, {k, fraction})), expected)
+          << "trial " << trial << " k=" << k;
+      EXPECT_EQ(fingerprint(RunCwscLiteral(*system, {k, fraction})),
+                expected_literal)
+          << "trial " << trial << " k=" << k << " (literal)";
     }
   }
+}
+
+TEST(CwscTest, ThresholdPredicateMatchesExactProduct) {
+  for (std::size_t rem = 1; rem <= 40; ++rem) {
+    for (std::size_t i = 1; i <= 60; ++i) {
+      for (std::size_t count = 0; count <= 40; ++count) {
+        ASSERT_EQ(MeetsCwscThreshold(count, i, rem), count * i >= rem)
+            << count << " " << i << " " << rem;
+      }
+    }
+  }
+  EXPECT_TRUE(MeetsCwscThreshold(1, SIZE_MAX, 5));
+  EXPECT_FALSE(MeetsCwscThreshold(0, SIZE_MAX, 5));
+  EXPECT_TRUE(MeetsCwscThreshold(0, 3, 0));
 }
 
 }  // namespace

@@ -5,56 +5,6 @@
 namespace scwsc {
 namespace {
 
-SetSystem MakeSystem() {
-  SetSystem system(6);
-  EXPECT_TRUE(system.AddSet({0, 1, 2}, 3.0).ok());  // set 0
-  EXPECT_TRUE(system.AddSet({2, 3}, 1.0).ok());     // set 1
-  EXPECT_TRUE(system.AddSet({4, 5}, 2.0).ok());     // set 2
-  EXPECT_TRUE(system.AddSet({0, 5}, 5.0).ok());     // set 3
-  return system;
-}
-
-TEST(CoverStateTest, InitialMarginalsEqualBenefits) {
-  SetSystem system = MakeSystem();
-  CoverState state(system);
-  EXPECT_EQ(state.MarginalCount(0), 3u);
-  EXPECT_EQ(state.MarginalCount(1), 2u);
-  EXPECT_EQ(state.MarginalCount(2), 2u);
-  EXPECT_EQ(state.MarginalCount(3), 2u);
-  EXPECT_EQ(state.covered_count(), 0u);
-}
-
-TEST(CoverStateTest, SelectUpdatesOverlappingSets) {
-  SetSystem system = MakeSystem();
-  CoverState state(system);
-  EXPECT_EQ(state.Select(0), 3u);  // covers 0,1,2
-  EXPECT_EQ(state.covered_count(), 3u);
-  EXPECT_EQ(state.MarginalCount(0), 0u);
-  EXPECT_EQ(state.MarginalCount(1), 1u);  // {3} left
-  EXPECT_EQ(state.MarginalCount(2), 2u);  // untouched
-  EXPECT_EQ(state.MarginalCount(3), 1u);  // {5} left
-  EXPECT_TRUE(state.IsCovered(1));
-  EXPECT_FALSE(state.IsCovered(3));
-}
-
-TEST(CoverStateTest, RepeatedSelectIsIdempotentOnCoverage) {
-  SetSystem system = MakeSystem();
-  CoverState state(system);
-  state.Select(1);
-  EXPECT_EQ(state.Select(1), 0u);  // nothing new
-  EXPECT_EQ(state.covered_count(), 2u);
-}
-
-TEST(CoverStateTest, ResetRestoresInitialState) {
-  SetSystem system = MakeSystem();
-  CoverState state(system);
-  state.Select(0);
-  state.Reset();
-  EXPECT_EQ(state.covered_count(), 0u);
-  EXPECT_EQ(state.MarginalCount(0), 3u);
-  EXPECT_EQ(state.MarginalCount(1), 2u);
-}
-
 // Pins the shared tie-break order used by CWSC's qualified argmax, the
 // literal Fig. 2 engine and the gain-heap keys: higher gain (exact
 // cross-multiplied), then higher marginal benefit, then lower cost, then
@@ -157,6 +107,30 @@ TEST(LazySelectorTest, EmptySelectorPopsNothing) {
     return std::nullopt;
   };
   EXPECT_FALSE(selector.Pop(refresh).has_value());
+}
+
+TEST(SeedBySizeTest, PushesNonEmptySetsAtTheirSizeAndCountsEverySet) {
+  SetSystem system(6);
+  ASSERT_TRUE(system.AddSet({0, 1, 2}, 3.0).ok());  // set 0
+  ASSERT_TRUE(system.AddSet({}, 1.0).ok());         // set 1: never queued
+  ASSERT_TRUE(system.AddSet({4, 5}, 1.0).ok());     // set 2
+  LazySelector selector;
+  std::size_t considered = 7;
+  SeedBySize(system, selector, considered, MakeGainKey);
+  EXPECT_EQ(considered, 7u + 3u);
+
+  std::vector<SelectionKey> popped;
+  while (!selector.empty()) {
+    auto key = selector.Pop([&](SetId id) -> std::optional<SelectionKey> {
+      return MakeGainKey(system.set(id).elements.size(), system.set(id).cost,
+                         id);
+    });
+    ASSERT_TRUE(key.has_value());
+    popped.push_back(*key);
+  }
+  ASSERT_EQ(popped.size(), 2u);
+  EXPECT_EQ(popped[0], MakeGainKey(2, 1.0, 2));  // gain 2 beats 3/3
+  EXPECT_EQ(popped[1], MakeGainKey(3, 3.0, 0));
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "src/pattern/opt_cwsc.h"
 
+#include <cstdint>
+
 #include "src/common/bitset.h"
 #include "src/table/builder.h"
 
@@ -122,6 +124,28 @@ TEST(OptCwscTest, ConsidersFarFewerPatternsThanEnumerationAtScale) {
   EXPECT_LT(stats.patterns_considered, enumerated->size() / 2)
       << "considered " << stats.patterns_considered << " of "
       << enumerated->size();
+}
+
+// With k >= 2n + 1 the Fig. 3 threshold |MBen| >= rem / i cannot bind (i
+// stays at or above rem), so a k near 2^64 must pick the same patterns
+// instead of wrapping |MBen| * i into noise.
+TEST(OptCwscTest, HugeKPicksAsIfTheThresholdCannotBind) {
+  gen::LblSynthSpec spec;
+  spec.num_rows = 300;
+  auto table = gen::MakeLblSynth(spec);
+  ASSERT_TRUE(table.ok());
+  CostFunction cost(CostKind::kMax);
+  auto reference =
+      RunOptimizedCwsc(*table, cost, {2 * table->num_rows() + 1, 0.9});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const std::size_t k :
+       {std::size_t{1} << 62, std::size_t{1} << 63, SIZE_MAX}) {
+    auto huge = RunOptimizedCwsc(*table, cost, {k, 0.9});
+    ASSERT_TRUE(huge.ok()) << "k=" << k << ": " << huge.status().ToString();
+    EXPECT_EQ(huge->patterns, reference->patterns) << "k=" << k;
+    EXPECT_EQ(huge->total_cost, reference->total_cost) << "k=" << k;
+    EXPECT_EQ(huge->covered, reference->covered) << "k=" << k;
+  }
 }
 
 TEST(OptCwscTest, WorksWithSumCost) {

@@ -10,8 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -256,6 +258,104 @@ TEST(ServerTest, TypedErrorsForBadRequests) {
   // The connection survives all of the above.
   JsonValue pong = client.Call(R"({"version": 2, "type": "ping"})");
   EXPECT_TRUE(pong.Find("ok")->as_bool());
+}
+
+/// Parses `text` as one JSON object.
+JsonValue Json(const std::string& text) {
+  auto parsed = serve::ParseJson(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << text;
+  return parsed.ok() ? *parsed : JsonValue();
+}
+
+/// The error a malformed field must produce: InvalidArgument naming it.
+void ExpectRejected(const Status& status, const std::string& field,
+                    const std::string& body) {
+  EXPECT_TRUE(status.IsInvalidArgument()) << body << ": " << status.ToString();
+  EXPECT_NE(status.ToString().find(field), std::string::npos)
+      << body << ": " << status.ToString();
+}
+
+// JSON numbers are doubles; a negative, fractional or out-of-range one must
+// be rejected, never converted (which would be undefined behaviour).
+TEST(WireDecodeTest, JobIntegersAreRangeChecked) {
+  const InstancePtr instance = BlockInstance();
+  const auto parse = [&](const std::string& body) {
+    return serve::ParseJobObject(Json(body), instance, "job",
+                                 serve::kWireVersion);
+  };
+  auto ok = parse(R"({"solver": "cwsc", "k": 9007199254740992,)"
+                  R"( "deadline_ms": 1500, "priority": -2147483648,)"
+                  R"( "repeat": 3})");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->job.request.k, std::size_t{1} << 53);
+  EXPECT_EQ(ok->job.request.deadline, std::chrono::milliseconds(1500));
+  EXPECT_EQ(ok->job.priority, -2147483647 - 1);
+  EXPECT_EQ(ok->repeat, 3u);
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"k", "-3"},
+      {"k", "2.5"},
+      {"k", "9007199254740994"},
+      {"k", "1e300"},
+      {"deadline_ms", "-1"},
+      {"deadline_ms", "0.5"},
+      {"deadline_ms", "9007199254740994"},
+      {"priority", "2147483648"},
+      {"priority", "-2147483649"},
+      {"priority", "1.5"},
+      {"repeat", "0"},
+      {"repeat", "2.5"},
+      {"repeat", "9007199254740994"},
+  };
+  for (const auto& [field, value] : bad) {
+    const std::string body =
+        R"({"solver": "cwsc", ")" + field + "\": " + value + "}";
+    ExpectRejected(parse(body).status(), "job." + field, body);
+  }
+}
+
+TEST(WireDecodeTest, VersionMustBeAnInteger) {
+  EXPECT_EQ(serve::CheckWireVersion(Json(R"({"version": 2})"), "t").value(),
+            serve::kWireVersion);
+  for (const std::string body :
+       {R"({"version": 2.5})", R"({"version": 1e300})",
+        R"({"version": "2"})"}) {
+    ExpectRejected(serve::CheckWireVersion(Json(body), "t").status(),
+                   "version (t)", body);
+  }
+}
+
+TEST(WireDecodeTest, DeltaIntegersAreRangeChecked) {
+  auto ok = serve::ParseDeltaObject(
+      Json(R"({"retract_rows": [0, 9007199254740992],)"
+           R"( "add_sets": [{"elements": [5, 4294967295], "cost": 1}],)"
+           R"( "remove_sets": [4294967295]})"),
+      "delta");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->retract_rows,
+            (std::vector<std::size_t>{0, std::size_t{1} << 53}));
+  ASSERT_EQ(ok->add_sets.size(), 1u);
+  EXPECT_EQ(ok->add_sets[0].elements,
+            (std::vector<ElementId>{5, 4294967295u}));
+  EXPECT_EQ(ok->remove_sets, (std::vector<SetId>{4294967295u}));
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"delta.retract_rows[]", R"("retract_rows": [-1])"},
+      {"delta.retract_rows[]", R"("retract_rows": [2.5])"},
+      {"delta.retract_rows[]", R"("retract_rows": [9007199254740994])"},
+      {"delta.add_sets[0].elements[]",
+       R"("add_sets": [{"elements": [4294967301]}])"},
+      {"delta.add_sets[0].elements[]", R"("add_sets": [{"elements": [2.5]}])"},
+      {"delta.add_sets[0].elements[]", R"("add_sets": [{"elements": [-1]}])"},
+      {"delta.remove_sets[]", R"("remove_sets": [4294967296])"},
+      {"delta.remove_sets[]", R"("remove_sets": [1.5])"},
+      {"delta.remove_sets[]", R"("remove_sets": [-1])"},
+  };
+  for (const auto& [field, member] : bad) {
+    const std::string body = "{" + member + "}";
+    ExpectRejected(serve::ParseDeltaObject(Json(body), "delta").status(),
+                   field, body);
+  }
 }
 
 TEST(ServerTest, V1PayloadIsAcceptedAsLegacySolve) {

@@ -1,13 +1,9 @@
 #include "src/common/thread_pool.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cstddef>
-#include <mutex>
-#include <numeric>
-#include <stdexcept>
-#include <utility>
-#include <vector>
+#include <chrono>
+#include <future>
+#include <thread>
 
 #include "gtest/gtest.h"
 
@@ -23,137 +19,44 @@ TEST(ThreadPoolTest, ResolveThreadsMapsZeroToHardware) {
 TEST(ThreadPoolTest, SingleLanePoolRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 1u);
-  std::vector<int> hits(100, 0);
-  pool.ParallelFor(hits.size(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) ++hits[i];
+  const std::thread::id caller = std::this_thread::get_id();
+  bool ran = false;
+  std::thread::id ran_on;
+  pool.Submit([&] {
+    ran = true;
+    ran_on = std::this_thread::get_id();
   });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
+  // The task ran before Submit returned, on the submitting thread.
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(ran_on, caller);
 }
 
-TEST(ThreadPoolTest, ChunksCoverRangeExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  const std::size_t n = 10'000;
-  std::vector<std::atomic<int>> hits(n);
-  pool.ParallelFor(n, 8, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
+TEST(ThreadPoolTest, DestructorRunsEveryQueuedTask) {
+  std::atomic<int> done{0};
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::thread opener;
+  {
+    ThreadPool pool(3);
+    EXPECT_EQ(pool.size(), 3u);
+    // Occupy every lane so the tasks below are still queued when the
+    // destructor starts.
+    for (int lane = 0; lane < 3; ++lane) {
+      pool.Submit([gate, &done] {
+        gate.wait();
+        done.fetch_add(1, std::memory_order_relaxed);
+      });
     }
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, SmallRangeRunsInlineWithoutChunking) {
-  ThreadPool pool(4);
-  // n < 2 * min_chunk must run as one inline call over [0, n).
-  std::vector<std::pair<std::size_t, std::size_t>> calls;
-  pool.ParallelFor(10, 100, [&](std::size_t begin, std::size_t end) {
-    calls.emplace_back(begin, end);
-  });
-  ASSERT_EQ(calls.size(), 1u);
-  EXPECT_EQ(calls[0], (std::pair<std::size_t, std::size_t>{0, 10}));
-}
-
-TEST(ThreadPoolTest, EmptyRangeDoesNothing) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.ParallelFor(0, 1, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPoolTest, BackToBackParallelForsReusePool) {
-  ThreadPool pool(3);
-  std::atomic<std::size_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(1000, 1, [&](std::size_t begin, std::size_t end) {
-      total.fetch_add(end - begin, std::memory_order_relaxed);
+    for (int task = 0; task < 40; ++task) {
+      pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+    }
+    opener = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      release.set_value();
     });
-  }
-  EXPECT_EQ(total.load(), 50'000u);
-}
-
-TEST(ThreadPoolTest, ThrowingTaskSurfacesInternalStatus) {
-  ThreadPool pool(4);
-  const Status status =
-      pool.ParallelFor(10'000, 8, [&](std::size_t begin, std::size_t) {
-        if (begin == 0) throw std::runtime_error("task exploded");
-      });
-  EXPECT_TRUE(status.IsInternal());
-  EXPECT_NE(status.ToString().find("task exploded"), std::string::npos);
-}
-
-TEST(ThreadPoolTest, ThrowingTaskDoesNotAbortOtherChunks) {
-  ThreadPool pool(4);
-  const std::size_t n = 10'000;
-  std::vector<std::atomic<int>> hits(n);
-  const Status status =
-      pool.ParallelFor(n, 8, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        }
-        if (begin == 0) throw std::runtime_error("late failure");
-      });
-  EXPECT_TRUE(status.IsInternal());
-  // Every chunk still ran exactly once: a failed batch must not leave the
-  // remaining chunks half-scheduled.
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, PoolStaysUsableAfterThrowingBatch) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 5; ++round) {
-    const Status failed = pool.ParallelFor(
-        1000, 1, [&](std::size_t, std::size_t) { throw 42; });  // non-std too
-    EXPECT_TRUE(failed.IsInternal());
-    std::atomic<std::size_t> total{0};
-    const Status ok =
-        pool.ParallelFor(1000, 1, [&](std::size_t begin, std::size_t end) {
-          total.fetch_add(end - begin, std::memory_order_relaxed);
-        });
-    EXPECT_TRUE(ok.ok());
-    EXPECT_EQ(total.load(), 1000u);
-  }
-}
-
-TEST(ThreadPoolTest, InlinePathCapturesExceptionsToo) {
-  ThreadPool pool(1);
-  const Status status = pool.ParallelFor(
-      100, 1, [&](std::size_t, std::size_t) {
-        throw std::runtime_error("inline failure");
-      });
-  EXPECT_TRUE(status.IsInternal());
-  EXPECT_NE(status.ToString().find("inline failure"), std::string::npos);
-}
-
-TEST(ThreadPoolTest, DeterministicChunkBoundaries) {
-  // Chunk boundaries depend only on (n, min_chunk, size) — record and
-  // compare across two identical pools.
-  auto boundaries = [](ThreadPool& pool) {
-    std::vector<std::pair<std::size_t, std::size_t>> calls;
-    std::mutex mu;
-    pool.ParallelFor(5000, 16, [&](std::size_t begin, std::size_t end) {
-      std::lock_guard<std::mutex> lock(mu);
-      calls.emplace_back(begin, end);
-    });
-    std::sort(calls.begin(), calls.end());
-    return calls;
-  };
-  ThreadPool a(4), b(4);
-  auto ca = boundaries(a);
-  auto cb = boundaries(b);
-  EXPECT_EQ(ca, cb);
-  // And the chunks tile [0, 5000) without gaps or overlap.
-  std::size_t cursor = 0;
-  for (const auto& [begin, end] : ca) {
-    EXPECT_EQ(begin, cursor);
-    EXPECT_LT(begin, end);
-    cursor = end;
-  }
-  EXPECT_EQ(cursor, 5000u);
+  }  // blocks until the gate opens, then drains the 40 queued tasks
+  opener.join();
+  EXPECT_EQ(done.load(), 43);
 }
 
 }  // namespace
