@@ -29,7 +29,7 @@
 //   g5 the fault-free arm is bit-identical to serial;
 //   g6 the chaos arm runs under a telemetry pump with a deliberately
 //      untenable latency SLO: the storm must produce at least one recorded
-//      violation whose auto-dumped flight-recorder trace is valid
+//      violation whose auto-dumped SLO-history trace is valid
 //      Chrome-trace JSON;
 //   g7 the per-solver latency sketches merged across the chaos arm agree
 //      with the exact nearest-rank p99 of the same samples within the
@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
   // Arm 2 — chaos: same workload, every injection point armed, and the
   // telemetry pump running with an untenable latency SLO (1 microsecond
   // p99) so the storm is guaranteed to trip at least one violation and
-  // auto-dump a flight-recorder trace (gate g6).
+  // auto-dump the scheduler's SLO history (gate g6).
   ArmStats chaos_stats;
   serve::JsonObject fired;
   std::uint64_t breaker_opened = 0, results_quarantined = 0,

@@ -38,9 +38,11 @@
 //                       (repeatable; e.g. "p99_latency_ms<=250",
 //                       "error_rate<=0.01" — see docs/observability.md).
 //                       Violations bump serve.slo.violations and dump the
-//                       flight recorder as Chrome-trace JSON. Combines
-//                       with a batch file's "slo" object. A "tenant=NAME:"
-//                       prefix scopes the rule to that tenant's metrics.
+//                       scheduler's serve-path history (spans and events
+//                       of the jobs before the violation) as Chrome-trace
+//                       JSON. Combines with a batch file's "slo" object. A
+//                       "tenant=NAME:" prefix scopes the rule to that
+//                       tenant's metrics.
 //   --serve PORT        run the socket front end (docs/serving.md) over the
 //                       loaded instance, published as snapshot "live";
 //                       0 picks an ephemeral port (printed). Ctrl-C stops.

@@ -150,9 +150,9 @@ EOF
 # Telemetry smoke: the same batch with the continuous-telemetry pump on —
 # an "slo" object with a deliberately untenable latency rule plus CLI
 # --telemetry-out/--slo flags. Every JSONL line must parse, the Prometheus
-# exposition must exist, the violation must auto-dump a flight-recorder
-# trace that chrome://tracing would load, and the aggregate must count the
-# violations.
+# exposition must exist, the violation must auto-dump the scheduler's SLO
+# history as a trace that chrome://tracing would load and that holds at
+# least one serve.run span, and the aggregate must count the violations.
 cat > "$BUILD_DIR"/serve_slo_jobs.json <<'EOF'
 {"slo": {"rules": ["p99_latency_ms<=0.001"], "interval_ms": 25},
  "jobs": [
@@ -178,6 +178,12 @@ EOF
 [ -s "$BUILD_DIR"/telemetry.jsonl.prom ] || fail "telemetry smoke (prom)"
 python3 -m json.tool "$BUILD_DIR"/telemetry.jsonl.slo_trace.json > /dev/null \
   || fail "telemetry smoke (SLO trace dump)"
+python3 - "$BUILD_DIR"/telemetry.jsonl.slo_trace.json <<'EOF' || fail "telemetry smoke (SLO trace content)"
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+runs = [e for e in events if e.get("name") == "serve.run"]
+assert runs, "the SLO dump holds no serve.run span"
+EOF
 python3 - "$BUILD_DIR"/slo_results.json <<'EOF' || fail "telemetry smoke (aggregate)"
 import json, sys
 report = json.load(open(sys.argv[1]))

@@ -7,11 +7,7 @@
 // FromTable/FromSetSystem runs, so its content hash is bit-identical to a
 // rebuild — the property bench/serve_soak gates at every version — and the
 // serve layer's ResultCache invalidates precisely: only keys whose snapshot
-// hash changed.
-//
-// The solver-side complement is ext::WarmStartSolve (ext/incremental.h),
-// which re-evaluates a parent solution on the child and repairs it on the
-// residual instead of solving from scratch.
+// hash changed. A solve against the child runs from scratch.
 
 #ifndef SCWSC_API_DELTA_H_
 #define SCWSC_API_DELTA_H_

@@ -174,7 +174,7 @@ struct SolveRequest {
   /// Empty means the anonymous "default" tenant. The serve scheduler uses it
   /// for admission quotas and weighted-fair dequeue, and stamps it into the
   /// per-tenant serve.tenant.* counters, the serve.tenant.latency_seconds
-  /// sketch family, trace span events and flight-recorder entries. Never
+  /// sketch family and the tenant/ event on the job's serve.run span. Never
   /// interpreted by solvers.
   std::string tenant;
 

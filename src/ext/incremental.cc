@@ -1,13 +1,6 @@
 #include "src/ext/incremental.h"
 
-#include <algorithm>
-#include <chrono>
 #include <string_view>
-#include <unordered_map>
-
-#include "src/api/adapter_util.h"
-#include "src/api/registry.h"
-#include "src/common/strings.h"
 
 namespace scwsc {
 namespace ext {
@@ -166,139 +159,6 @@ Status IncrementalCwsc::TryRepair() {
   }
   ++stats_.repairs;
   return Status::OK();
-}
-
-// --- snapshot-delta warm start ---------------------------------------------
-
-namespace {
-
-Result<api::SolveResult> FullRegistrySolve(const std::string& solver,
-                                           const api::SolveRequest& request,
-                                           WarmStartStats* stats) {
-  if (stats != nullptr) stats->fell_back = true;
-  return api::SolverRegistry::Global().Solve(solver, request, nullptr);
-}
-
-}  // namespace
-
-Result<api::SolveResult> WarmStartSolve(const std::string& solver,
-                                        const api::SolveRequest& request,
-                                        const api::SolveResult* parent_result,
-                                        WarmStartStats* stats) {
-  WarmStartStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = WarmStartStats{};
-  if (request.instance == nullptr) {
-    return Status::InvalidArgument("WarmStartSolve: request has no instance");
-  }
-  if (parent_result == nullptr || parent_result->labels.empty()) {
-    return FullRegistrySolve(solver, request, stats);
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
-                         request.instance->set_system());
-
-  // Re-map the parent selection by label. Labels are the only identity that
-  // survives a delta (SetIds renumber on removal); warm starting needs them
-  // unique and non-empty, otherwise the cold path is the only sound one.
-  std::unordered_map<std::string_view, SetId> by_label;
-  by_label.reserve(system->num_sets());
-  for (SetId id = 0; id < system->num_sets(); ++id) {
-    const std::string& label = system->set(id).label;
-    if (label.empty() || !by_label.emplace(label, id).second) {
-      return FullRegistrySolve(solver, request, stats);
-    }
-  }
-
-  const std::size_t n = system->num_elements();
-  const std::size_t target =
-      SetSystem::CoverageTarget(request.coverage_fraction, n);
-  std::vector<bool> covered(n, false);
-  std::vector<bool> selected(system->num_sets(), false);
-  Solution solution;
-  std::size_t covered_count = 0;
-  for (const std::string& label : parent_result->labels) {
-    const auto it = by_label.find(label);
-    if (it == by_label.end()) {
-      ++stats->dropped;  // the delta retracted this set
-      continue;
-    }
-    if (solution.sets.size() >= request.k) {
-      ++stats->dropped;  // over budget after remapping; keep earliest picks
-      continue;
-    }
-    const SetId id = it->second;
-    const WeightedSet& s = system->set(id);
-    solution.sets.push_back(id);
-    selected[id] = true;
-    solution.total_cost += s.cost;
-    for (const ElementId e : s.elements) {
-      if (!covered[e]) {
-        covered[e] = true;
-        ++covered_count;
-      }
-    }
-    ++stats->carried;
-  }
-
-  // Greedy repair on the residual: spend the remaining budget on the
-  // cheapest-per-newly-covered sets (exact cross-multiplied comparison, no
-  // float division) until the child's coverage target is met.
-  std::size_t sets_considered = 0;
-  while (covered_count < target && solution.sets.size() < request.k) {
-    bool have_best = false;
-    SetId best = 0;
-    std::size_t best_gain = 0;
-    double best_cost = 0.0;
-    for (SetId id = 0; id < system->num_sets(); ++id) {
-      if (selected[id]) continue;
-      const WeightedSet& s = system->set(id);
-      std::size_t gain = 0;
-      for (const ElementId e : s.elements) {
-        if (!covered[e]) ++gain;
-      }
-      ++sets_considered;
-      if (gain == 0) continue;
-      if (!have_best || BetterGain(gain, s.cost, best_gain, best_cost)) {
-        have_best = true;
-        best = id;
-        best_gain = gain;
-        best_cost = s.cost;
-      }
-    }
-    if (!have_best) break;  // nothing left covers anything new
-    const WeightedSet& s = system->set(best);
-    solution.sets.push_back(best);
-    selected[best] = true;
-    solution.total_cost += s.cost;
-    for (const ElementId e : s.elements) {
-      if (!covered[e]) {
-        covered[e] = true;
-        ++covered_count;
-      }
-    }
-    ++stats->repaired;
-  }
-
-  if (covered_count < target) {
-    // Carried + repaired still infeasible (e.g. the delta removed the only
-    // sets covering a region and the greedy ran out of budget): the full
-    // solver may still find a feasible selection.
-    return FullRegistrySolve(solver, request, stats);
-  }
-
-  solution.covered = covered_count;
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  api::SolveContract contract;
-  contract.max_sets = request.k;
-  contract.coverage_target = target;
-  api::SolveCounters counters;
-  counters.sets_considered = sets_considered;
-  return api::internal::FinishSetBacked(request, std::move(solution), seconds,
-                                        contract, counters);
 }
 
 }  // namespace ext

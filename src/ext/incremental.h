@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "src/api/solver.h"
 #include "src/common/result.h"
 #include "src/core/cwsc.h"
 #include "src/pattern/cost.h"
@@ -108,37 +107,6 @@ class IncrementalCwsc {
   std::vector<bool> covered_;  // by the current solution, over table_ rows
   IncrementalStats stats_;
 };
-
-// --- snapshot-delta warm start (serve layer) -------------------------------
-
-/// What one WarmStartSolve did, for telemetry and tests.
-struct WarmStartStats {
-  std::size_t carried = 0;   // parent selections re-mapped onto the child
-  std::size_t dropped = 0;   // parent selections with no unique child match
-  std::size_t repaired = 0;  // greedy additions on the residual
-  bool fell_back = false;    // full registry solve was required
-};
-
-/// Solves `request` (whose instance is typically a delta child, api/delta.h)
-/// warm-started from `parent_result`, the result of the same logical query
-/// against the parent snapshot. The parent's selections are re-mapped onto
-/// the child by set label; if the carried selection already satisfies the
-/// child's constraints it is finished directly (audit recomputed), otherwise
-/// the remaining budget k - |carried| is spent greedily on the residual
-/// (BetterGain marginal-gain scan over the still-uncovered universe), and
-/// only when that still falls short does the call fall back to a full
-/// registry solve of `solver`.
-///
-/// Warm-started solutions are feasible and audited but not guaranteed
-/// bit-identical to a from-scratch solve — the bit-identity the soak bench
-/// gates is the *snapshot* hash, not the solution. Requires unique non-empty
-/// set labels on the child (pattern instances always have them); otherwise
-/// falls back. `parent_result == nullptr` is the cold path: plain registry
-/// solve.
-Result<api::SolveResult> WarmStartSolve(const std::string& solver,
-                                        const api::SolveRequest& request,
-                                        const api::SolveResult* parent_result,
-                                        WarmStartStats* stats = nullptr);
 
 }  // namespace ext
 }  // namespace scwsc

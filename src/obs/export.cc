@@ -1,6 +1,8 @@
 #include "src/obs/export.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -25,6 +27,9 @@ std::string ToChromeTraceJson(const TraceSession& session) {
   const auto comma = [&] {
     if (!first) out += ',';
     first = false;
+  };
+  const auto value_args = [&](double value) {
+    if (value != 0.0) out += ",\"args\":{\"v\":" + JsonNumber(value) + "}";
   };
 
   std::uint32_t max_thread = 0;
@@ -54,6 +59,7 @@ std::string ToChromeTraceJson(const TraceSession& session) {
     } else {
       out += StrFormat(",\"ph\":\"B\",\"ts\":%s", TraceTs(s.start_ns).c_str());
     }
+    value_args(s.value);
     out += StrFormat(",\"pid\":1,\"tid\":%u}", s.thread);
   }
 
@@ -61,10 +67,10 @@ std::string ToChromeTraceJson(const TraceSession& session) {
     comma();
     out += "{\"name\":\"";
     AppendJsonEscaped(e.name, &out);
-    out += StrFormat(
-        "\",\"cat\":\"scwsc\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,"
-        "\"pid\":1,\"tid\":%u}",
-        TraceTs(e.ts_ns).c_str(), e.thread);
+    out += StrFormat("\",\"cat\":\"scwsc\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s",
+                     TraceTs(e.ts_ns).c_str());
+    value_args(e.value);
+    out += StrFormat(",\"pid\":1,\"tid\":%u}", e.thread);
   }
 
   out += "]}";
@@ -105,27 +111,6 @@ std::string ToMetricsJson(const MetricRegistry& registry) {
     AppendJsonEscaped(name, &out);
     out += "\":" + JsonNumber(value);
   }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, snap] : registry.HistogramValues()) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    AppendJsonEscaped(name, &out);
-    out += "\":{\"bounds\":[";
-    for (std::size_t i = 0; i < snap.bounds.size(); ++i) {
-      if (i > 0) out += ',';
-      out += JsonNumber(snap.bounds[i]);
-    }
-    out += "],\"counts\":[";
-    for (std::size_t i = 0; i < snap.counts.size(); ++i) {
-      if (i > 0) out += ',';
-      out += StrFormat("%llu", static_cast<unsigned long long>(snap.counts[i]));
-    }
-    out += StrFormat("],\"total\":%llu,\"sum\":%s}",
-                     static_cast<unsigned long long>(snap.total),
-                     JsonNumber(snap.sum).c_str());
-  }
   out += "},\"sketches\":{";
   first = true;
   for (const auto& [name, sketch] : registry.SketchValues()) {
@@ -156,18 +141,6 @@ std::string ToMetricsCsv(const MetricRegistry& registry) {
   }
   for (const auto& [name, value] : registry.GaugeValues()) {
     out += StrFormat("gauge,%s,%.17g\n", name.c_str(), value);
-  }
-  for (const auto& [name, snap] : registry.HistogramValues()) {
-    for (std::size_t i = 0; i < snap.counts.size(); ++i) {
-      const std::string bucket =
-          i < snap.bounds.size() ? StrFormat("le_%.17g", snap.bounds[i])
-                                 : std::string("le_inf");
-      out += StrFormat("histogram,%s.%s,%llu\n", name.c_str(), bucket.c_str(),
-                       static_cast<unsigned long long>(snap.counts[i]));
-    }
-    out += StrFormat("histogram,%s.sum,%.17g\n", name.c_str(), snap.sum);
-    out += StrFormat("histogram,%s.total,%llu\n", name.c_str(),
-                     static_cast<unsigned long long>(snap.total));
   }
   for (const auto& [name, sketch] : registry.SketchValues()) {
     for (const auto& sq : kSketchQuantiles) {
@@ -215,22 +188,6 @@ std::string ToPrometheusText(const MetricRegistry& registry) {
     const std::string prom = PrometheusName(name);
     out += StrFormat("# TYPE %s gauge\n%s %s\n", prom.c_str(), prom.c_str(),
                      JsonNumber(value).c_str());
-  }
-  for (const auto& [name, snap] : registry.HistogramValues()) {
-    const std::string prom = PrometheusName(name);
-    out += StrFormat("# TYPE %s histogram\n", prom.c_str());
-    std::uint64_t cum = 0;  // Prometheus buckets are cumulative
-    for (std::size_t i = 0; i < snap.counts.size(); ++i) {
-      cum += snap.counts[i];
-      const std::string le = i < snap.bounds.size()
-                                 ? StrFormat("%.17g", snap.bounds[i])
-                                 : std::string("+Inf");
-      out += StrFormat("%s_bucket{le=\"%s\"} %llu\n", prom.c_str(), le.c_str(),
-                       static_cast<unsigned long long>(cum));
-    }
-    out += StrFormat("%s_sum %s\n%s_count %llu\n", prom.c_str(),
-                     JsonNumber(snap.sum).c_str(), prom.c_str(),
-                     static_cast<unsigned long long>(snap.total));
   }
   std::string last_family;
   for (const auto& [name, sketch] : registry.SketchValues()) {

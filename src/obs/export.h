@@ -19,18 +19,19 @@ namespace obs {
 /// The session's spans and events in Chrome trace-event format: closed
 /// spans as complete ("X") events, still-open spans as begin ("B") events,
 /// span events as thread-scoped instants ("i"), plus thread-name metadata.
+/// A record's non-zero value rides in its args as "v".
 std::string ToChromeTraceJson(const TraceSession& session);
 
-/// The registry's counters, gauges and histograms as one JSON object.
+/// The registry's counters, gauges and sketches as one JSON object.
 std::string ToMetricsJson(const MetricRegistry& registry);
 
-/// The same dump as `kind,name,value` CSV rows (histogram buckets flattened
-/// to one row per bound).
+/// The same dump as `kind,name,value` CSV rows (one row per sketch
+/// quantile, sum and count).
 std::string ToMetricsCsv(const MetricRegistry& registry);
 
 /// The registry in the Prometheus text exposition format: counters and
-/// gauges as plain samples, histograms with cumulative `_bucket{le=...}`
-/// rows, sketches as summaries with quantile labels. Sketch family members
+/// gauges as plain samples, sketches as summaries with quantile labels.
+/// Sketch family members
 /// ("serve.latency_seconds#cwsc") become a `member` label on the family
 /// metric. All names are prefixed "scwsc_" with dots mapped to underscores.
 std::string ToPrometheusText(const MetricRegistry& registry);

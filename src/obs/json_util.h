@@ -1,5 +1,5 @@
-// Shared string-building helpers for the obs exporters (export.cc,
-// recorder.cc, telemetry renderers). The repo has no JSON dependency; the
+// Shared string-building helpers for the obs exporters (export.cc and the
+// telemetry renderers). The repo has no JSON dependency; the
 // trace-event and metrics formats only need objects, arrays, numbers and
 // escaped strings.
 

@@ -1,40 +1,7 @@
 #include "src/obs/metrics.h"
 
-#include <algorithm>
-
-#include "src/common/logging.h"
-
 namespace scwsc {
 namespace obs {
-
-MetricHistogram::MetricHistogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {
-  SCWSC_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()),
-              "histogram bounds must be increasing");
-}
-
-void MetricHistogram::Observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
-      1, std::memory_order_relaxed);
-  // C++17 has no fetch_add for atomic<double>; CAS-add the sum.
-  double old = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(old, old + v, std::memory_order_relaxed)) {
-  }
-}
-
-MetricHistogram::Snapshot MetricHistogram::snapshot() const {
-  Snapshot out;
-  out.bounds = bounds_;
-  out.counts.reserve(counts_.size());
-  for (const auto& c : counts_) {
-    const std::uint64_t n = c.load(std::memory_order_relaxed);
-    out.counts.push_back(n);
-    out.total += n;
-  }
-  out.sum = sum_.load(std::memory_order_relaxed);
-  return out;
-}
 
 MetricCounter& MetricRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -47,14 +14,6 @@ MetricGauge& MetricRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<MetricGauge>();
-  return *slot;
-}
-
-MetricHistogram& MetricRegistry::histogram(const std::string& name,
-                                           const std::vector<double>& bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<MetricHistogram>(bounds);
   return *slot;
 }
 
@@ -81,17 +40,6 @@ std::vector<std::pair<std::string, double>> MetricRegistry::GaugeValues()
   std::vector<std::pair<std::string, double>> out;
   out.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) out.emplace_back(name, g->value());
-  return out;
-}
-
-std::vector<std::pair<std::string, MetricHistogram::Snapshot>>
-MetricRegistry::HistogramValues() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, MetricHistogram::Snapshot>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    out.emplace_back(name, h->snapshot());
-  }
   return out;
 }
 

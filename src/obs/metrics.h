@@ -1,10 +1,10 @@
-// Thread-safe metric registry: named counters, gauges and fixed-bucket
-// histograms. This is the generalization of api::SolveCounters — the fixed
+// Thread-safe metric registry: named counters, gauges and quantile
+// sketches. This is the generalization of api::SolveCounters — the fixed
 // struct keeps its role as the typed per-solve snapshot in the Solver API,
 // while the registry lets any layer (benefit engine, simplex pivots, lattice
 // pruning) publish instrumentation without widening that struct.
 //
-// Usage contract: `counter()`/`gauge()`/`histogram()` get-or-create under a
+// Usage contract: `counter()`/`gauge()`/`sketch()` get-or-create under a
 // mutex and return a reference that stays valid for the registry's lifetime
 // (instruments are heap-allocated nodes); the returned instruments are
 // lock-free atomics, so hot loops resolve the name once and then update
@@ -50,29 +50,6 @@ class MetricGauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed upper-bound buckets plus an implicit +inf overflow bucket.
-/// Observe() is lock-free (per-bucket atomic counts, CAS-add for the sum).
-class MetricHistogram {
- public:
-  /// `bounds` are inclusive upper bounds, strictly increasing.
-  explicit MetricHistogram(std::vector<double> bounds);
-
-  void Observe(double v);
-
-  struct Snapshot {
-    std::vector<double> bounds;        // upper bounds, +inf bucket implied
-    std::vector<std::uint64_t> counts; // bounds.size() + 1 entries
-    std::uint64_t total = 0;
-    double sum = 0.0;
-  };
-  Snapshot snapshot() const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<double> sum_{0.0};
-};
-
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -82,10 +59,6 @@ class MetricRegistry {
   /// Get-or-create. The reference stays valid for the registry's lifetime.
   MetricCounter& counter(const std::string& name);
   MetricGauge& gauge(const std::string& name);
-  /// `bounds` is used only on first creation; later calls return the
-  /// existing histogram unchanged.
-  MetricHistogram& histogram(const std::string& name,
-                             const std::vector<double>& bounds);
   /// Mergeable quantile sketch (see obs/sketch.h). `relative_error` is used
   /// only on first creation. A '#' in the name marks a family member
   /// ("serve.latency_seconds#cwsc"): the telemetry pump merges all members
@@ -98,8 +71,6 @@ class MetricRegistry {
   /// call after the recording threads have quiesced for exact totals.
   std::vector<std::pair<std::string, std::uint64_t>> CounterValues() const;
   std::vector<std::pair<std::string, double>> GaugeValues() const;
-  std::vector<std::pair<std::string, MetricHistogram::Snapshot>>
-  HistogramValues() const;
   std::vector<std::pair<std::string, QuantileSketch>> SketchValues() const;
 
   /// Convenience for tests: the counter's value, or 0 when absent.
@@ -111,7 +82,6 @@ class MetricRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<MetricCounter>> counters_;
   std::map<std::string, std::unique_ptr<MetricGauge>> gauges_;
-  std::map<std::string, std::unique_ptr<MetricHistogram>> histograms_;
   std::map<std::string, std::unique_ptr<MetricSketch>> sketches_;
 };
 

@@ -1,7 +1,10 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
+#include <thread>
 
 namespace scwsc {
 namespace obs {
@@ -15,6 +18,15 @@ struct OpenFrame {
 };
 
 thread_local std::vector<OpenFrame> t_open_spans;
+
+std::atomic<std::uint64_t> g_next_session_uid{1};
+
+/// A SpanId is (opening thread's log index + 1) * 2^40 plus that log's
+/// sequence number, so ids stay session-unique while each thread opens
+/// fewer than 2^40 spans, with no counter shared between threads.
+SpanId MakeSpanId(std::uint32_t thread, std::uint64_t sequence) {
+  return ((static_cast<SpanId>(thread) + 1) << 40) + sequence;
+}
 
 std::int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -32,44 +44,138 @@ SpanId CurrentSpanOf(const TraceSession* session) {
 
 }  // namespace
 
-TraceSession::TraceSession() : epoch_ns_(SteadyNowNs()) {}
+struct TraceSession::ThreadLog {
+  ThreadLog(std::thread::id owner_id, std::uint32_t index)
+      : owner(owner_id), thread(index) {}
 
-std::uint32_t TraceSession::ThreadIndexLocked() {
-  const auto id = std::this_thread::get_id();
-  auto it = thread_index_.find(id);
-  if (it == thread_index_.end()) {
-    it = thread_index_
-             .emplace(id, static_cast<std::uint32_t>(thread_index_.size()))
-             .first;
+  /// Moves open span `id` into the closed log. False when it is not open
+  /// here. Requires mu.
+  bool Close(SpanId id, std::int64_t end_ns, double value,
+             std::size_t max_records) {
+    // Newest first: spans close in roughly the reverse of their open order.
+    for (auto it = open.rbegin(); it != open.rend(); ++it) {
+      if (it->id != id) continue;
+      SpanRecord& slot = NextSlot(max_records);
+      slot.id = id;
+      slot.parent = it->parent;
+      slot.name.swap(it->name);
+      slot.thread = it->thread;
+      slot.start_ns = it->start_ns;
+      slot.end_ns = end_ns;
+      slot.value = value;
+      if (&*it != &open.back()) *it = std::move(open.back());
+      open.pop_back();
+      return true;
+    }
+    return false;
   }
-  return it->second;
+
+  /// The slot the next closed record goes into: a new entry, or the oldest
+  /// one once a bounded log is full (overwritten in place, which keeps its
+  /// name's heap buffer for reuse). Requires mu.
+  SpanRecord& NextSlot(std::size_t max_records) {
+    if (max_records == 0 || closed.size() < max_records) {
+      return closed.emplace_back();
+    }
+    SpanRecord& slot = closed[oldest];
+    oldest = oldest + 1 == closed.size() ? 0 : oldest + 1;
+    return slot;
+  }
+
+  const std::thread::id owner;
+  const std::uint32_t thread;  // index in logs_: the exported track id
+  std::mutex mu;  // the owner's appends vs readers and cross-thread ends
+  std::uint64_t next_sequence = 1;
+  std::vector<SpanRecord> open;  // open spans, never dropped
+  // Closed spans and events in closing order; a ring once a bounded log is
+  // full. An event is stored with id kNoSpan, its span in .parent and its
+  // timestamp in .start_ns.
+  std::vector<SpanRecord> closed;
+  std::size_t oldest = 0;  // index of the oldest closed entry
+};
+
+TraceSession::TraceSession(std::size_t max_records)
+    : uid_(g_next_session_uid.fetch_add(1, std::memory_order_relaxed)),
+      epoch_ns_(SteadyNowNs()),
+      max_records_(max_records) {}
+
+TraceSession::~TraceSession() = default;
+
+TraceSession::ThreadLog& TraceSession::LogForThisThread() {
+  // A few (session uid, log) pairs per thread. Uids are never reused, so an
+  // entry left by a destroyed session never matches a live one and its
+  // pointer is never followed.
+  struct Cached {
+    std::uint64_t uid = 0;
+    ThreadLog* log = nullptr;
+  };
+  thread_local std::array<Cached, 4> cache;
+  thread_local std::size_t next_victim = 0;
+  for (const Cached& c : cache) {
+    if (c.uid == uid_) return *c.log;
+  }
+  ThreadLog* log = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(logs_mu_);
+    const std::thread::id me = std::this_thread::get_id();
+    for (const auto& existing : logs_) {
+      if (existing->owner == me) log = existing.get();
+    }
+    if (log == nullptr) {
+      logs_.push_back(std::make_unique<ThreadLog>(
+          me, static_cast<std::uint32_t>(logs_.size())));
+      log = logs_.back().get();
+    }
+  }
+  cache[next_victim] = Cached{uid_, log};
+  next_victim = (next_victim + 1) % cache.size();
+  return *log;
+}
+
+std::vector<TraceSession::ThreadLog*> TraceSession::Logs() const {
+  std::lock_guard<std::mutex> lock(logs_mu_);
+  std::vector<ThreadLog*> out;
+  out.reserve(logs_.size());
+  for (const auto& log : logs_) out.push_back(log.get());
+  return out;
 }
 
 SpanId TraceSession::BeginSpan(std::string_view name) {
   const SpanId parent = CurrentSpanOf(this);
   const std::int64_t now = SteadyNowNs() - epoch_ns_;
+  ThreadLog& log = LogForThisThread();
   SpanId id;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = static_cast<SpanId>(spans_.size()) + 1;
-    SpanRecord record;
+    std::lock_guard<std::mutex> lock(log.mu);
+    id = MakeSpanId(log.thread, log.next_sequence++);
+    SpanRecord& record = log.open.emplace_back();
     record.id = id;
     record.parent = parent;
     record.name.assign(name.data(), name.size());
-    record.thread = ThreadIndexLocked();
+    record.thread = log.thread;
     record.start_ns = now;
-    spans_.push_back(std::move(record));
   }
   t_open_spans.push_back(OpenFrame{this, id});
   return id;
 }
 
-void TraceSession::EndSpan(SpanId id) {
+void TraceSession::EndSpan(SpanId id, double value) {
   if (id == kNoSpan) return;
   const std::int64_t now = SteadyNowNs() - epoch_ns_;
+  ThreadLog& own = LogForThisThread();
+  bool closed;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (id <= spans_.size()) spans_[id - 1].end_ns = now;
+    std::lock_guard<std::mutex> lock(own.mu);
+    closed = own.Close(id, now, value, max_records_);
+  }
+  if (!closed) {
+    // A span closed on another thread than the one that opened it (a moved
+    // Span) lives in its opener's log.
+    for (ThreadLog* log : Logs()) {
+      if (log == &own) continue;
+      std::lock_guard<std::mutex> lock(log->mu);
+      if (log->Close(id, now, value, max_records_)) break;
+    }
   }
   // Pop this span's frame; tolerate out-of-order ends (a moved Span closed
   // on another thread simply leaves no frame here).
@@ -81,53 +187,89 @@ void TraceSession::EndSpan(SpanId id) {
   }
 }
 
-void TraceSession::AddEvent(std::string_view name) {
-  AddEventOn(CurrentSpanOf(this), name);
+void TraceSession::AddEvent(std::string_view name, double value) {
+  AddEventOn(CurrentSpanOf(this), name, value);
 }
 
-void TraceSession::AddEventOn(SpanId span, std::string_view name) {
+void TraceSession::AddEventOn(SpanId span, std::string_view name,
+                              double value) {
   const std::int64_t now = SteadyNowNs() - epoch_ns_;
-  std::lock_guard<std::mutex> lock(mu_);
-  EventRecord record;
-  record.span = span;
-  record.name.assign(name.data(), name.size());
-  record.thread = ThreadIndexLocked();
-  record.ts_ns = now;
-  events_.push_back(std::move(record));
+  ThreadLog& log = LogForThisThread();
+  std::lock_guard<std::mutex> lock(log.mu);
+  SpanRecord& slot = log.NextSlot(max_records_);
+  slot.id = kNoSpan;
+  slot.parent = span;
+  slot.name.assign(name.data(), name.size());
+  slot.thread = log.thread;
+  slot.start_ns = now;
+  slot.end_ns = now;
+  slot.value = value;
 }
 
 std::vector<SpanRecord> TraceSession::spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
+  std::vector<SpanRecord> out;
+  for (ThreadLog* log : Logs()) {
+    std::lock_guard<std::mutex> lock(log->mu);
+    for (const SpanRecord& r : log->closed) {
+      if (r.id != kNoSpan) out.push_back(r);
+    }
+    out.insert(out.end(), log->open.begin(), log->open.end());
+  }
+  std::sort(out.begin(), out.end(),
+            [](const SpanRecord& a, const SpanRecord& b) {
+              return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
+                                              : a.id < b.id;
+            });
+  return out;
 }
 
 std::vector<EventRecord> TraceSession::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  std::vector<EventRecord> out;
+  for (ThreadLog* log : Logs()) {
+    std::lock_guard<std::mutex> lock(log->mu);
+    const std::size_t n = log->closed.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const SpanRecord& r = log->closed[(log->oldest + i) % n];
+      if (r.id != kNoSpan) continue;
+      EventRecord& e = out.emplace_back();
+      e.span = r.parent;
+      e.name = r.name;
+      e.thread = r.thread;
+      e.ts_ns = r.start_ns;
+      e.value = r.value;
+    }
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const EventRecord& a, const EventRecord& b) {
+                     return a.ts_ns < b.ts_ns;
+                   });
+  return out;
 }
 
 double TraceSession::SpanSeconds(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   double total = 0.0;
-  for (const SpanRecord& s : spans_) {
-    if (s.name == name) total += s.seconds();
+  for (ThreadLog* log : Logs()) {
+    std::lock_guard<std::mutex> lock(log->mu);
+    for (const SpanRecord& r : log->closed) {
+      if (r.id != kNoSpan && r.name == name) total += r.seconds();
+    }
   }
   return total;
 }
 
 std::vector<std::pair<std::string, double>> TraceSession::PhaseTotals() const {
   std::vector<std::pair<std::string, double>> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const SpanRecord& s : spans_) {
-      if (!s.closed()) continue;
+  for (ThreadLog* log : Logs()) {
+    std::lock_guard<std::mutex> lock(log->mu);
+    for (const SpanRecord& r : log->closed) {
+      if (r.id == kNoSpan) continue;
       auto it = std::find_if(out.begin(), out.end(), [&](const auto& kv) {
-        return kv.first == s.name;
+        return kv.first == r.name;
       });
       if (it == out.end()) {
-        out.emplace_back(s.name, s.seconds());
+        out.emplace_back(r.name, r.seconds());
       } else {
-        it->second += s.seconds();
+        it->second += r.seconds();
       }
     }
   }

@@ -11,14 +11,6 @@ namespace scwsc {
 namespace serve {
 namespace {
 
-Result<double> RequireNumber(const JsonValue& v, const std::string& what) {
-  if (!v.is_number()) {
-    return Status::InvalidArgument("batch field '" + what +
-                                   "' must be a number");
-  }
-  return v.as_number();
-}
-
 /// Latency percentile over a sorted sample (nearest-rank).
 double Percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
@@ -46,12 +38,14 @@ Result<FaultSpec> ParseFaultSpec(const JsonValue& value) {
   }
   for (const auto& [key, item] : value.as_object()) {
     if (key == "seed") {
-      SCWSC_ASSIGN_OR_RETURN(double n, RequireNumber(item, "faults.seed"));
-      spec.seed = static_cast<std::uint64_t>(n);
+      SCWSC_ASSIGN_OR_RETURN(
+          spec.seed, RequireInteger<std::uint64_t>(item, "faults.seed", 0,
+                                                   kMaxWireInteger));
     } else if (key == "solver_delay_ms") {
-      SCWSC_ASSIGN_OR_RETURN(double n,
-                             RequireNumber(item, "faults.solver_delay_ms"));
-      spec.solver_delay_ms = static_cast<std::uint64_t>(n);
+      SCWSC_ASSIGN_OR_RETURN(
+          spec.solver_delay_ms,
+          RequireInteger<std::uint64_t>(item, "faults.solver_delay_ms", 0,
+                                        kMaxWireInteger));
     } else if (key == "points") {
       if (!item.is_object()) {
         return Status::InvalidArgument("faults.points must be an object");

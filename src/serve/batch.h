@@ -23,7 +23,7 @@
 //    "slo": {                        // optional: telemetry + SLO rules
 //      "rules": ["p99_latency_ms<=250", "error_rate<=0.01"],  // slo.h
 //      "interval_ms": 250,           // telemetry tick period
-//      "dump_path": "trace.json"}}   // flight-recorder dump on violation
+//      "dump_path": "trace.json"}}   // history dump on violation
 //
 // Repeated deterministic jobs are the point: they exercise the result
 // cache, which the report's aggregate section makes visible. A "faults"
@@ -72,8 +72,8 @@ struct SloSpec {
   bool configured = false;
   std::vector<SloRule> rules;
   double interval_ms = 250.0;
-  /// Flight-recorder dump destination on violation; empty = derive from
-  /// the JSONL path (see TelemetryOptions::slo_dump_path).
+  /// History dump destination on violation; empty = derive from the JSONL
+  /// path (see TelemetryOptions::slo_dump_path).
   std::string dump_path;
 };
 

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "src/obs/recorder.h"
-
 namespace scwsc {
 namespace serve {
 namespace {
@@ -96,9 +94,11 @@ const char* CircuitBreaker::StateToString(State state) {
 
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options,
                                obs::MetricRegistry* metrics,
-                               std::atomic<long>* shared_open_count)
+                               std::atomic<long>* shared_open_count,
+                               obs::TraceSession* history)
     : options_(options),
       metrics_(metrics),
+      history_(history),
       open_count_(shared_open_count != nullptr ? shared_open_count
                                                : &own_open_count_) {}
 
@@ -121,7 +121,7 @@ void CircuitBreaker::OpenLocked(std::chrono::steady_clock::time_point now) {
   if (metrics_ != nullptr) {
     metrics_->counter("serve.breaker.opened").Increment();
   }
-  obs::FlightRecorder::Global().RecordInstant("breaker/opened");
+  if (history_ != nullptr) history_->AddEvent("breaker/opened");
 }
 
 Status CircuitBreaker::Admit(std::chrono::steady_clock::time_point now) {
@@ -149,7 +149,7 @@ Status CircuitBreaker::Admit(std::chrono::steady_clock::time_point now) {
   if (metrics_ != nullptr) {
     metrics_->counter("serve.breaker.half_opened").Increment();
   }
-  obs::FlightRecorder::Global().RecordInstant("breaker/half_open");
+  if (history_ != nullptr) history_->AddEvent("breaker/half_open");
   return Status::OK();
 }
 
@@ -164,7 +164,7 @@ void CircuitBreaker::RecordSuccess() {
       if (metrics_ != nullptr) {
         metrics_->counter("serve.breaker.closed").Increment();
       }
-      obs::FlightRecorder::Global().RecordInstant("breaker/closed");
+      if (history_ != nullptr) history_->AddEvent("breaker/closed");
     }
   }
 }
@@ -188,8 +188,9 @@ CircuitBreaker::State CircuitBreaker::state() const {
 }
 
 BreakerBank::BreakerBank(CircuitBreakerOptions options,
-                         obs::MetricRegistry* metrics)
-    : options_(options), metrics_(metrics) {}
+                         obs::MetricRegistry* metrics,
+                         obs::TraceSession* history)
+    : options_(options), metrics_(metrics), history_(history) {}
 
 CircuitBreaker& BreakerBank::ForSolver(const std::string& canonical_name) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -198,7 +199,7 @@ CircuitBreaker& BreakerBank::ForSolver(const std::string& canonical_name) {
     it = breakers_
              .emplace(canonical_name,
                       std::make_unique<CircuitBreaker>(options_, metrics_,
-                                                       &open_count_))
+                                                       &open_count_, history_))
              .first;
   }
   return *it->second;

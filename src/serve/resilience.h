@@ -27,6 +27,7 @@
 
 #include "src/common/result.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 
 namespace scwsc {
 namespace serve {
@@ -126,7 +127,9 @@ struct CircuitBreakerOptions {
 /// attached. The gauge serve.breaker.open tracks how many breakers sharing
 /// `shared_open_count` (the bank's counter; the breaker's own when
 /// standalone) are currently open — the SLO rule `breaker_open==0` reads
-/// it. Transitions also land on the flight recorder as breaker/* instants.
+/// it. With a `history` session, each transition is also recorded there as
+/// a breaker/{opened,half_open,closed} event on the calling thread's open
+/// span (a scheduler worker's serve.run).
 class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen, kHalfOpen };
@@ -134,7 +137,8 @@ class CircuitBreaker {
 
   explicit CircuitBreaker(CircuitBreakerOptions options,
                           obs::MetricRegistry* metrics = nullptr,
-                          std::atomic<long>* shared_open_count = nullptr);
+                          std::atomic<long>* shared_open_count = nullptr,
+                          obs::TraceSession* history = nullptr);
 
   /// OK to run now, or Unavailable ("retry after N.NNNs") while open.
   Status Admit(std::chrono::steady_clock::time_point now =
@@ -154,6 +158,7 @@ class CircuitBreaker {
 
   const CircuitBreakerOptions options_;
   obs::MetricRegistry* const metrics_;
+  obs::TraceSession* const history_;
   std::atomic<long> own_open_count_{0};  // used when no shared counter
   std::atomic<long>* const open_count_;
 
@@ -171,13 +176,15 @@ class CircuitBreaker {
 class BreakerBank {
  public:
   BreakerBank(CircuitBreakerOptions options,
-              obs::MetricRegistry* metrics = nullptr);
+              obs::MetricRegistry* metrics = nullptr,
+              obs::TraceSession* history = nullptr);
 
   CircuitBreaker& ForSolver(const std::string& canonical_name);
 
  private:
   const CircuitBreakerOptions options_;
   obs::MetricRegistry* const metrics_;
+  obs::TraceSession* const history_;
   std::atomic<long> open_count_{0};  // shared by every breaker in the bank
   std::mutex mu_;
   std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;

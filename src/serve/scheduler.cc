@@ -9,11 +9,16 @@
 #include "src/common/fault.h"
 #include "src/common/run_context.h"
 #include "src/common/stopwatch.h"
-#include "src/obs/recorder.h"
 
 namespace scwsc {
 namespace serve {
 namespace {
+
+/// Closed spans plus events an owned SLO history retains per recording
+/// thread: the incident window an SLO dump can show, at a few hundred KB
+/// per thread. A worker records two per cache-served job (serve.run and
+/// cache.hit), so this holds its last ~2,000 such jobs.
+constexpr std::size_t kSloHistoryRecords = 4096;
 
 double SecondsSince(std::chrono::steady_clock::time_point start,
                     std::chrono::steady_clock::time_point now) {
@@ -26,6 +31,10 @@ SolveScheduler::SolveScheduler(ThreadPool* pool, SchedulerOptions options)
     : pool_(pool),
       options_(std::move(options)),
       retry_budget_(options_.resilience.retry_budget) {
+  if (options_.trace == nullptr && !options_.telemetry.slo_rules.empty()) {
+    owned_trace_ = std::make_unique<obs::TraceSession>(kSloHistoryRecords);
+  }
+  trace_ = options_.trace != nullptr ? options_.trace : owned_trace_.get();
   if (options_.trace != nullptr) {
     metrics_ = &options_.trace->metrics();
   } else {
@@ -37,11 +46,12 @@ SolveScheduler::SolveScheduler(ThreadPool* pool, SchedulerOptions options)
   result_cache_ = std::make_unique<ResultCache>(
       options_.result_cache_entries == 0 ? 1 : options_.result_cache_entries,
       metrics_);
-  breakers_ =
-      std::make_unique<BreakerBank>(options_.resilience.breaker, metrics_);
+  breakers_ = std::make_unique<BreakerBank>(options_.resilience.breaker,
+                                            metrics_, trace_);
   tenants_ = std::make_unique<TenantAdmission>(options_.tenant);
   if (options_.telemetry.configured()) {
-    pump_ = std::make_unique<TelemetryPump>(metrics_, options_.telemetry);
+    pump_ = std::make_unique<TelemetryPump>(metrics_, options_.telemetry,
+                                            trace_);
     pump_->SetTickSampler([this] { SampleQueueGauges(); });
   }
 }
@@ -49,7 +59,7 @@ SolveScheduler::SolveScheduler(ThreadPool* pool, SchedulerOptions options)
 SolveScheduler::~SolveScheduler() { Drain(); }
 
 Result<std::future<JobOutcome>> SolveScheduler::Enqueue(SolveJob job) {
-  obs::Span enqueue_span(options_.trace, "serve.enqueue");
+  obs::Span enqueue_span(trace_, "serve.enqueue");
   if (job.request.instance == nullptr) {
     return Status::InvalidArgument("SolveJob has no instance snapshot");
   }
@@ -63,7 +73,7 @@ Result<std::future<JobOutcome>> SolveScheduler::Enqueue(SolveJob job) {
     if (!admitted.ok()) {
       metrics_->counter("serve.jobs.rejected").Increment();
       metrics_->counter("serve.tenant." + tenant + ".rejected").Increment();
-      obs::FlightRecorder::Global().RecordInstant("serve.reject/tenant_quota");
+      enqueue_span.Event("serve.reject/tenant_quota");
       return admitted;
     }
   }
@@ -72,15 +82,15 @@ Result<std::future<JobOutcome>> SolveScheduler::Enqueue(SolveJob job) {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_) {
       metrics_->counter("serve.jobs.rejected").Increment();
-      obs::FlightRecorder::Global().RecordInstant("serve.reject/draining");
+      enqueue_span.Event("serve.reject/draining");
       return Status::Cancelled(
           "scheduler is draining; new jobs are not admitted");
     }
     if (options_.max_queue_depth > 0 &&
         in_flight_ >= options_.max_queue_depth) {
       metrics_->counter("serve.jobs.rejected").Increment();
-      obs::FlightRecorder::Global().RecordInstant(
-          "serve.reject/queue_full", static_cast<double>(in_flight_));
+      enqueue_span.Event("serve.reject/queue_full",
+                         static_cast<double>(in_flight_));
       // The hint approximates one aging interval — long enough for a worker
       // to pop at least one job, short enough that clients keep the queue
       // warm. Machine-readable so wire frontends emit retry_after_ms.
@@ -100,9 +110,12 @@ Result<std::future<JobOutcome>> SolveScheduler::Enqueue(SolveJob job) {
     metrics_->counter("serve.jobs.accepted").Increment();
     metrics_->gauge("serve.queue.depth")
         .Set(static_cast<double>(queue_.size()));
-    obs::FlightRecorder::Global().RecordInstant(
-        "serve.enqueue", static_cast<double>(queue_.size()));
+    enqueue_span.set_value(static_cast<double>(queue_.size()));
   }
+  // Close the span before the job's task exists: until then at least one
+  // admitted job stays queued, so Drain() cannot return and the history
+  // session the scheduler may own is still alive.
+  enqueue_span.End();
   // One pool task per admitted job; the task picks the most urgent waiting
   // job at pop time, which is how priority aging takes effect.
   pool_->Submit([this] { RunOneJob(); });
@@ -209,7 +222,8 @@ void SolveScheduler::FlushTelemetry() {
 }
 
 void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
-  obs::Span run_span(options_.trace, "serve.run");
+  obs::Span run_span(trace_, "serve.run");
+  run_span.set_value(queue_seconds);
   JobOutcome outcome;
   outcome.queue_seconds = queue_seconds;
   outcome.label = pending.job.request.label;
@@ -230,20 +244,7 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
   const std::string requested_canonical =
       info != nullptr ? info->name : std::string();
 
-  // Always-on flight-recorder span for this job, named after the solver
-  // that was requested (degradation shows up as degrade/* instants inside).
-  // Queue wait rides as the span's value, so the dispatch needs no separate
-  // instant — the warm path records exactly one span plus the enqueue
-  // instant per job, which is what keeps the recorder inside its 3%
-  // throughput budget (bench/serve_throughput gates this).
-  // Tenant-scoped jobs append "@tenant" to the member, so the recorder's
-  // dump groups one tenant's serving history without a separate entry.
-  obs::RecorderScope recorder_scope(
-      "serve.run/",
-      (requested_canonical.empty() ? solver_to_run : requested_canonical) +
-          (tenant_scoped ? "@" + tenant : std::string()));
-  recorder_scope.set_value(queue_seconds);
-  if (tenant_scoped) run_span.Event("tenant/" + tenant);
+  if (tenant_scoped && trace_ != nullptr) run_span.Event("tenant/" + tenant);
 
   auto complete = [&](JobOutcome finished) {
     const bool succeeded =
@@ -267,6 +268,10 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
       metrics_->sketch("serve.tenant.latency_seconds#" + tenant)
           .Observe(finished.queue_seconds + finished.run_seconds);
     }
+    // Close the span first: once the last slot is freed, Drain() returns
+    // and the scheduler, with the history session it may own, can be
+    // destroyed.
+    run_span.End();
     // Free the slot and fulfil the promise under one lock: a caller that
     // sees its future ready and enqueues again must find the slot free.
     std::lock_guard<std::mutex> lock(mu_);
@@ -297,7 +302,6 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
         metrics_->counter("serve.degraded.breaker").Increment();
         metrics_->counter("serve.degraded.jobs").Increment();
         run_span.Event("degrade/breaker");
-        obs::FlightRecorder::Global().RecordInstant("degrade/breaker");
         admit = Status::OK();
       }
     }
@@ -316,8 +320,6 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
     // A cache hit bypasses breakers and faults entirely — serving memoized
     // results is the cheapest form of graceful degradation.
     if (std::optional<api::SolveResult> cached = result_cache_->Lookup(key)) {
-      // No recorder instant here: a hit is the common, boring case on the
-      // warm path, and it is already visible as a near-zero serve.run span.
       run_span.Event("cache.hit");
       if (!outcome.degraded_from.empty()) {
         cached->degraded_from = outcome.degraded_from;
@@ -328,16 +330,15 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
       return;
     }
     run_span.Event("cache.miss");
-    obs::FlightRecorder::Global().RecordInstant("serve.cache.miss");
   }
 
   // The job deadline becomes this job's RunContext; the registry would
   // reject a request carrying both.
   const std::chrono::milliseconds deadline = request.deadline;
   request.deadline = std::chrono::milliseconds{0};
-  if (request.trace == nullptr) {
-    request.trace = options_.trace;  // jobs trace into the serve session
-  }
+  // Solver spans go to the caller's session only; the owned SLO history
+  // keeps serve-path records, so one large solve cannot flush it.
+  if (request.trace == nullptr) request.trace = options_.trace;
 
   const int max_attempts = std::max(1, res.retry.max_attempts);
   double backoff_ms = 0.0;
@@ -358,7 +359,6 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
           plan != nullptr && plan->ShouldFire(FaultPoint::kSolverDelay)) {
         metrics_->counter("serve.faults.solver_delay").Increment();
         run_span.Event("fault/solver_delay");
-        obs::FlightRecorder::Global().RecordInstant("fault/solver_delay");
         std::this_thread::sleep_for(
             std::chrono::milliseconds(plan->solver_delay_ms()));
       }
@@ -368,13 +368,11 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
         if (FaultFires(FaultPoint::kSolverError)) {
           metrics_->counter("serve.faults.solver_error").Increment();
           run_span.Event("fault/solver_error");
-          obs::FlightRecorder::Global().RecordInstant("fault/solver_error");
           outcome.result = Status::Internal(
               "injected fault: solver failure (FaultPoint solver_error)");
         } else if (FaultFires(FaultPoint::kSolverThrow)) {
           metrics_->counter("serve.faults.solver_throw").Increment();
           run_span.Event("fault/solver_throw");
-          obs::FlightRecorder::Global().RecordInstant("fault/solver_throw");
           throw std::runtime_error(
               "injected fault: solver exception (FaultPoint solver_throw)");
         } else {
@@ -425,8 +423,7 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
         std::hash<std::string>{}(outcome.label) ^
             static_cast<std::uint64_t>(outcome.attempts));
     metrics_->counter("serve.retries.attempted").Increment();
-    run_span.Event("retry/backoff");
-    obs::FlightRecorder::Global().RecordInstant("retry/backoff", backoff_ms);
+    run_span.Event("retry/backoff", backoff_ms);
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(backoff_ms));
     if (res.breaker.enabled && info != nullptr) {

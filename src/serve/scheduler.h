@@ -21,8 +21,9 @@
 //     waits for every accepted job to finish; submitted futures always
 //     complete.
 //
-// Caching: the scheduler content-hashes each job's snapshot (memoized per
-// snapshot pointer) and consults its ResultCache before dispatch.
+// Caching: the scheduler keys each job by its snapshot's content hash
+// (computed once, when the snapshot is built) and consults its ResultCache
+// before dispatch.
 // Deadline-free jobs are deterministic — every registered algorithm is,
 // given its options (LP rounding is seeded) — so they are served from cache
 // when the (snapshot, solver, k, ŝ, canonical options) key matches;
@@ -51,12 +52,20 @@
 // (solver_throw — contained and converted to Status::Internal) or stall
 // (solver_delay); the result cache carries its own point.
 //
-// Observability: spans serve.enqueue / serve.run per job and counters
+// Observability: every serve-path moment is recorded once, into one
+// TraceSession: the caller's SchedulerOptions::trace, else — when SLO rules
+// are configured — a bounded session the scheduler owns, so an SLO
+// violation can dump the history that led up to it. With neither, nothing
+// is recorded and each site costs one pointer branch. Per job: a
+// serve.enqueue span (value: queue depth after admission) carrying any
+// serve.reject/{tenant_quota,draining,queue_full} event, and a serve.run
+// span (value: queue wait) carrying tenant/, cache.hit|cache.miss,
+// degrade/breaker, fault/*, retry/backoff (value: backoff ms) and
+// breaker/{opened,half_open,closed} events. Counters
 // serve.jobs.{accepted,rejected,completed,failed}, serve.result_cache.*,
 // serve.snapshot_cache.*, serve.retries.*, serve.breaker.*,
-// serve.degraded.*, serve.faults.* through the session's
-// MetricRegistry; retry/degrade/fault moments appear as span events
-// ("retry/backoff", "degrade/breaker", "fault/solver_error").
+// serve.degraded.*, serve.faults.* go to the session's MetricRegistry, or
+// to the scheduler's own when the caller gave no session.
 
 #ifndef SCWSC_SERVE_SCHEDULER_H_
 #define SCWSC_SERVE_SCHEDULER_H_
@@ -120,9 +129,10 @@ struct SchedulerOptions {
   std::size_t result_cache_entries = 512;
   /// Snapshot-cache byte budget for the cache owned by the scheduler.
   std::size_t snapshot_cache_bytes = 256ull << 20;
-  /// Optional trace session: serve.enqueue/serve.run spans and all serve.*
-  /// counters go here. The scheduler keeps its own MetricRegistry when
-  /// null, so counters are always available via metrics().
+  /// Optional trace session: serve.enqueue/serve.run spans, their events,
+  /// all serve.* counters and the jobs' solver spans go here. The scheduler
+  /// keeps its own MetricRegistry when null, so counters are always
+  /// available via metrics().
   obs::TraceSession* trace = nullptr;
   /// Recovery policies (retries, breakers, degradation). The default is
   /// inert — see serve/resilience.h.
@@ -164,6 +174,10 @@ class SolveScheduler {
   /// The session's registry when options.trace was set, else internal.
   obs::MetricRegistry& metrics() { return *metrics_; }
 
+  /// The session serve-path spans and events are recorded into:
+  /// options.trace, the owned SLO history, or nullptr.
+  const obs::TraceSession* history() const { return trace_; }
+
   SnapshotCache& snapshot_cache() { return *snapshot_cache_; }
   ResultCache& result_cache() { return *result_cache_; }
 
@@ -204,6 +218,8 @@ class SolveScheduler {
 
   ThreadPool* const pool_;
   const SchedulerOptions options_;
+  std::unique_ptr<obs::TraceSession> owned_trace_;  // SLO history, or null
+  obs::TraceSession* trace_;  // options_.trace, owned_trace_ or nullptr
   obs::MetricRegistry* metrics_;  // session registry or owned_metrics_
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   std::unique_ptr<SnapshotCache> snapshot_cache_;

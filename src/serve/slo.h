@@ -4,8 +4,9 @@
 // at startup; the telemetry pump assembles an SloSample per tick (merged
 // latency sketch, per-tick completion deltas, queue/breaker gauges) and
 // EvaluateSlos returns the rules the sample violates. The pump turns each
-// violation into a `serve.slo.violations` bump, a warn log and a
-// flight-recorder dump — see docs/observability.md for the rule syntax.
+// violation into a `serve.slo.violations` bump, a warn log and a dump of
+// the scheduler's serve-path history — see docs/observability.md for the
+// rule syntax.
 
 #ifndef SCWSC_SERVE_SLO_H_
 #define SCWSC_SERVE_SLO_H_

@@ -7,7 +7,6 @@
 #include "src/common/logging.h"
 #include "src/obs/export.h"
 #include "src/obs/json_util.h"
-#include "src/obs/recorder.h"
 #include "src/serve/json.h"
 
 namespace scwsc {
@@ -56,9 +55,11 @@ Status AppendLine(const std::string& path, const std::string& line) {
 }  // namespace
 
 TelemetryPump::TelemetryPump(obs::MetricRegistry* registry,
-                             TelemetryOptions options)
+                             TelemetryOptions options,
+                             const obs::TraceSession* history)
     : registry_(registry),
       options_(std::move(options)),
+      history_(history),
       started_(std::chrono::steady_clock::now()) {
   if (options_.interval_seconds > 0.0 && options_.configured()) {
     thread_ = std::thread([this] { Loop(); });
@@ -218,7 +219,7 @@ void TelemetryPump::Tick() {
       SCWSC_LOG_WARN("slo violation: %s (observed %.6g)",
                      v.rule.text.c_str(), v.observed);
     }
-    if (dump_paths_.size() < options_.max_slo_dumps) {
+    if (history_ != nullptr && dump_paths_.size() < options_.max_slo_dumps) {
       std::string base = options_.slo_dump_path;
       if (base.empty()) {
         base = options_.jsonl_path.empty()
@@ -229,12 +230,10 @@ void TelemetryPump::Tick() {
       if (!dump_paths_.empty()) {
         path += "." + std::to_string(dump_paths_.size() + 1);
       }
-      const Status dumped = obs::FlightRecorder::Global().DumpToFile(
-          path, options_.slo_dump_seconds);
+      const Status dumped = obs::WriteChromeTraceJson(*history_, path);
       if (dumped.ok()) {
         dump_paths_.push_back(path);
-        SCWSC_LOG_WARN("slo violation: flight recorder dumped to %s",
-                       path.c_str());
+        SCWSC_LOG_WARN("slo violation: history dumped to %s", path.c_str());
       } else if (error_.ok()) {
         error_ = dumped;
       }

@@ -5,8 +5,9 @@
 // sketches, diffing counters against the previous tick, (3) merges sketch
 // '#'-families into aggregate quantiles, (4) evaluates the configured SLO
 // rules (serve/slo.h) — a violation bumps `serve.slo.violations`, logs a
-// warning and dumps the flight recorder — and (5) appends one JSON object
-// to the JSONL time series and rewrites the Prometheus text exposition.
+// warning and writes the history session (the scheduler's serve-path spans
+// and events) as Chrome-trace JSON — and (5) appends one JSON object to the
+// JSONL time series and rewrites the Prometheus text exposition.
 //
 // The pump is owned by SolveScheduler when SchedulerOptions::telemetry is
 // configured; TickNow() lets tests and the batch runner force a final tick
@@ -28,6 +29,7 @@
 
 #include "src/common/result.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/serve/slo.h"
 
 namespace scwsc {
@@ -44,11 +46,9 @@ struct TelemetryOptions {
   std::string prom_path;
   /// SLO rules evaluated each tick (parse with ParseSloRules).
   std::vector<SloRule> slo_rules;
-  /// Flight-recorder dump target on an SLO violation. Empty derives
+  /// History dump target on an SLO violation. Empty derives
   /// `<jsonl_path>.slo_trace.json` (or "slo_trace.json" with no JSONL).
   std::string slo_dump_path;
-  /// Seconds of recorder history each dump keeps (0 = recorder retention).
-  double slo_dump_seconds = 0.0;
   /// At most this many dump files per pump; later violating ticks only
   /// count and log. Dump k > 1 is written to `<slo_dump_path>.<k>`.
   std::size_t max_slo_dumps = 4;
@@ -60,9 +60,11 @@ struct TelemetryOptions {
 
 class TelemetryPump {
  public:
-  /// `registry` must outlive the pump. Starts the tick thread when
-  /// options.interval_seconds > 0 and options.configured().
-  TelemetryPump(obs::MetricRegistry* registry, TelemetryOptions options);
+  /// `registry` and `history` must outlive the pump. Starts the tick thread
+  /// when options.interval_seconds > 0 and options.configured(). A violating
+  /// tick dumps `history`; without one it only counts and logs.
+  TelemetryPump(obs::MetricRegistry* registry, TelemetryOptions options,
+                const obs::TraceSession* history = nullptr);
   ~TelemetryPump();
   TelemetryPump(const TelemetryPump&) = delete;
   TelemetryPump& operator=(const TelemetryPump&) = delete;
@@ -83,7 +85,7 @@ class TelemetryPump {
   /// Total SLO rule violations observed (also the `serve.slo.violations`
   /// counter in the registry).
   std::uint64_t violations() const;
-  /// Flight-recorder dump files written by violating ticks, in order.
+  /// History dump files written by violating ticks, in order.
   std::vector<std::string> dump_paths() const;
   /// First output error (JSONL append, exposition write, dump write), or
   /// OK. Output errors never stop the pump.
@@ -97,6 +99,7 @@ class TelemetryPump {
 
   obs::MetricRegistry* const registry_;
   const TelemetryOptions options_;
+  const obs::TraceSession* const history_;
   const std::chrono::steady_clock::time_point started_;
 
   mutable std::mutex tick_mu_;  // serializes ticks; guards everything below

@@ -36,35 +36,14 @@ Result<std::string> OptionValueToString(const std::string& key,
   }
 }
 
+}  // namespace
+
 Result<double> RequireNumber(const JsonValue& v, const std::string& what) {
   if (!v.is_number()) {
     return Status::InvalidArgument("field '" + what + "' must be a number");
   }
   return v.as_number();
 }
-
-/// The integers a JSON number (an IEEE double) carries exactly: [0, 2^53].
-constexpr std::int64_t kMaxWireInteger = std::int64_t{1} << 53;
-
-/// Reads an integral number in [lo, hi] (both exactly representable as
-/// doubles) as a T. Converting a fractional or out-of-range double to an
-/// integer type is undefined behaviour, so anything else is rejected with
-/// InvalidArgument naming the field.
-template <typename T>
-Result<T> RequireInteger(const JsonValue& v, const std::string& what,
-                         std::int64_t lo, std::int64_t hi) {
-  SCWSC_ASSIGN_OR_RETURN(double n, RequireNumber(v, what));
-  if (!(n >= static_cast<double>(lo) && n <= static_cast<double>(hi)) ||
-      n != std::floor(n)) {
-    return Status::InvalidArgument("field '" + what +
-                                   "' must be an integer in [" +
-                                   std::to_string(lo) + ", " +
-                                   std::to_string(hi) + "]");
-  }
-  return static_cast<T>(n);
-}
-
-}  // namespace
 
 ErrorInfo ErrorInfoFromStatus(const Status& status) {
   ErrorInfo error;

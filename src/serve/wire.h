@@ -26,6 +26,7 @@
 #ifndef SCWSC_SERVE_WIRE_H_
 #define SCWSC_SERVE_WIRE_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -41,6 +42,31 @@ namespace serve {
 
 /// The protocol version this build speaks natively.
 inline constexpr int kWireVersion = 2;
+
+/// The integers a JSON number (an IEEE double) carries exactly: [0, 2^53].
+inline constexpr std::int64_t kMaxWireInteger = std::int64_t{1} << 53;
+
+/// The number in `v`, or InvalidArgument naming the field `what`.
+Result<double> RequireNumber(const JsonValue& v, const std::string& what);
+
+/// Reads an integral number in [lo, hi] (both exactly representable as
+/// doubles) as a T. Converting a fractional or out-of-range double to an
+/// integer type is undefined behaviour, so anything else is rejected with
+/// InvalidArgument naming the field. Shared by every decoder of client JSON
+/// (wire requests and batch files).
+template <typename T>
+Result<T> RequireInteger(const JsonValue& v, const std::string& what,
+                         std::int64_t lo, std::int64_t hi) {
+  SCWSC_ASSIGN_OR_RETURN(double n, RequireNumber(v, what));
+  if (!(n >= static_cast<double>(lo) && n <= static_cast<double>(hi)) ||
+      n != std::floor(n)) {
+    return Status::InvalidArgument("field '" + what +
+                                   "' must be an integer in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
+  }
+  return static_cast<T>(n);
+}
 
 /// The typed error envelope: a 1:1 mapping of Status onto the wire.
 /// `retryable` mirrors the scheduler's own retry classification plus

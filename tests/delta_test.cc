@@ -13,7 +13,6 @@
 #include "src/api/instance.h"
 #include "src/api/registry.h"
 #include "src/core/set_system.h"
-#include "src/ext/incremental.h"
 #include "src/obs/metrics.h"
 #include "src/serve/cache.h"
 #include "src/table/builder.h"
@@ -330,41 +329,6 @@ TEST(DeltaTest, MixedAndInvalidOpsAreTyped) {
 
   EXPECT_EQ(ApplyDelta(nullptr, SnapshotDelta{}).status().code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(DeltaTest, WarmStartCarriesParentSelectionAcrossADelta) {
-  InstancePtr parent = BlockInstance();
-  auto request = api::SolveRequest::Builder(parent)
-                     .WithK(4)
-                     .WithCoverage(0.5)
-                     .Build();
-  ASSERT_TRUE(request.ok());
-  auto parent_result =
-      api::SolverRegistry::Global().Solve("greedy-wsc", *request, nullptr);
-  ASSERT_TRUE(parent_result.ok()) << parent_result.status().ToString();
-
-  SnapshotDelta delta;
-  SnapshotDelta::SetAdd add;
-  add.elements = {1, 2, 3};
-  add.cost = 10.0;  // expensive: the parent selection should survive
-  add.label = "pricey";
-  delta.add_sets.push_back(std::move(add));
-  auto applied = ApplyDelta(parent, delta);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-
-  auto child_request = api::SolveRequest::Builder(applied->snapshot)
-                           .WithK(4)
-                           .WithCoverage(0.5)
-                           .Build();
-  ASSERT_TRUE(child_request.ok());
-  ext::WarmStartStats stats;
-  auto warm = ext::WarmStartSolve("greedy-wsc", *child_request,
-                                  &*parent_result, &stats);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_FALSE(stats.fell_back);
-  EXPECT_GT(stats.carried, 0u);
-  EXPECT_GE(warm->covered,
-            SetSystem::CoverageTarget(0.5, kUniverse));
 }
 
 }  // namespace

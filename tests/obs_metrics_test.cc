@@ -1,5 +1,5 @@
-// Tests for the metric registry (counters, gauges, histograms, concurrent
-// recording) and the metrics JSON/CSV exporters.
+// Tests for the metric registry (counters, gauges, sketches, concurrent
+// recording) and the metrics JSON/CSV/Prometheus exporters.
 
 #include "src/obs/metrics.h"
 
@@ -35,32 +35,6 @@ TEST(MetricRegistryTest, GaugeIsLastWriteWins) {
   EXPECT_EQ(registry.GaugeValue("missing"), 0.0);
 }
 
-TEST(MetricRegistryTest, HistogramBucketsAreInclusiveUpperBounds) {
-  MetricRegistry registry;
-  MetricHistogram& h = registry.histogram("seconds", {0.1, 1.0, 10.0});
-  h.Observe(0.05);   // bucket 0 (<= 0.1)
-  h.Observe(0.1);    // bucket 0 (inclusive)
-  h.Observe(0.5);    // bucket 1
-  h.Observe(100.0);  // overflow bucket
-  const MetricHistogram::Snapshot snap = h.snapshot();
-  ASSERT_EQ(snap.bounds.size(), 3u);
-  ASSERT_EQ(snap.counts.size(), 4u);
-  EXPECT_EQ(snap.counts[0], 2u);
-  EXPECT_EQ(snap.counts[1], 1u);
-  EXPECT_EQ(snap.counts[2], 0u);
-  EXPECT_EQ(snap.counts[3], 1u);
-  EXPECT_EQ(snap.total, 4u);
-  EXPECT_DOUBLE_EQ(snap.sum, 0.05 + 0.1 + 0.5 + 100.0);
-}
-
-TEST(MetricRegistryTest, HistogramBoundsFixedOnFirstCreation) {
-  MetricRegistry registry;
-  MetricHistogram& h = registry.histogram("h", {1.0, 2.0});
-  MetricHistogram& again = registry.histogram("h", {42.0});
-  EXPECT_EQ(&h, &again);
-  EXPECT_EQ(again.snapshot().bounds.size(), 2u);
-}
-
 TEST(MetricRegistryTest, ConcurrentIncrementsSumExactly) {
   MetricRegistry registry;
   constexpr int kThreads = 8;
@@ -71,19 +45,12 @@ TEST(MetricRegistryTest, ConcurrentIncrementsSumExactly) {
     threads.emplace_back([&registry] {
       // Resolve-once-then-update, the pattern the hot loops use.
       MetricCounter& counter = registry.counter("shared");
-      MetricHistogram& hist = registry.histogram("lat", {0.5});
-      for (int i = 0; i < kIncrements; ++i) {
-        counter.Increment();
-        hist.Observe(0.25);
-      }
+      for (int i = 0; i < kIncrements; ++i) counter.Increment();
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(registry.CounterValue("shared"),
             static_cast<std::uint64_t>(kThreads) * kIncrements);
-  const auto snap = registry.histogram("lat", {}).snapshot();
-  EXPECT_EQ(snap.total, static_cast<std::uint64_t>(kThreads) * kIncrements);
-  EXPECT_NEAR(snap.sum, 0.25 * kThreads * kIncrements, 1e-6);
 }
 
 TEST(MetricRegistryTest, SnapshotsAreSortedByName) {
@@ -102,15 +69,13 @@ TEST(MetricsExportTest, JsonIsWellFormedAndCarriesEveryInstrument) {
   MetricRegistry registry;
   registry.counter("engine.celf_hits").Increment(7);
   registry.gauge("solve.cwsc.final_budget").Set(32.0);
-  registry.histogram("solve.seconds", {0.001, 0.1}).Observe(0.02);
+  registry.sketch("solve.seconds").Observe(0.02);
 
   const std::string json = ToMetricsJson(registry);
   EXPECT_TRUE(test::JsonChecker::IsValid(json)) << json;
   EXPECT_NE(json.find("\"engine.celf_hits\":7"), std::string::npos);
   EXPECT_NE(json.find("solve.cwsc.final_budget"), std::string::npos);
   EXPECT_NE(json.find("\"solve.seconds\""), std::string::npos);
-  EXPECT_NE(json.find("\"bounds\""), std::string::npos);
-  EXPECT_NE(json.find("\"counts\""), std::string::npos);
 }
 
 TEST(MetricsExportTest, EmptyRegistryStillParses) {
@@ -132,7 +97,6 @@ TEST(MetricsExportTest, PrometheusTextRendersEveryInstrument) {
   MetricRegistry registry;
   registry.counter("serve.jobs.completed").Increment(3);
   registry.gauge("serve.queue.depth").Set(4.0);
-  registry.histogram("lat", {0.1, 1.0}).Observe(0.5);
   registry.sketch("serve.latency_seconds#cwsc").Observe(0.02);
 
   const std::string text = ToPrometheusText(registry);
@@ -141,8 +105,6 @@ TEST(MetricsExportTest, PrometheusTextRendersEveryInstrument) {
   EXPECT_NE(text.find("scwsc_serve_jobs_completed 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE scwsc_serve_queue_depth gauge"),
             std::string::npos);
-  // Histograms render cumulative le buckets ending at +Inf.
-  EXPECT_NE(text.find("scwsc_lat_bucket{le=\"+Inf\"} 1"), std::string::npos);
   // Sketch members become labelled summary quantiles on the family name.
   EXPECT_NE(text.find("scwsc_serve_latency_seconds{member=\"cwsc\","),
             std::string::npos);
@@ -165,7 +127,6 @@ TEST(MetricsExportTest, ConcurrentWritersAndExportersStayWellFormed) {
       for (int i = 0; i < kUpdates; ++i) {
         registry.counter("w.count." + suffix).Increment();
         registry.gauge("w.gauge." + suffix).Set(static_cast<double>(i));
-        registry.histogram("w.hist", {0.5, 5.0}).Observe(1.0);
         registry.sketch("w.lat#" + suffix).Observe(0.001 * (i + 1));
       }
     });
@@ -188,19 +149,18 @@ TEST(MetricsExportTest, ConcurrentWritersAndExportersStayWellFormed) {
   EXPECT_TRUE(test::JsonChecker::IsValid(json)) << json;
 }
 
-TEST(MetricsExportTest, CsvFlattensHistogramBuckets) {
+TEST(MetricsExportTest, CsvFlattensEveryInstrument) {
   MetricRegistry registry;
   registry.counter("picks").Increment(3);
   registry.gauge("budget").Set(8.0);
-  registry.histogram("lat", {1.0}).Observe(0.5);
+  registry.sketch("lat").Observe(0.5);
 
   const std::string csv = ToMetricsCsv(registry);
   EXPECT_EQ(csv.rfind("kind,name,value\n", 0), 0u);  // header first
   EXPECT_NE(csv.find("counter,picks,3\n"), std::string::npos);
   EXPECT_NE(csv.find("gauge,budget,8\n"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,lat.le_1,1\n"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,lat.le_inf,0\n"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,lat.total,1\n"), std::string::npos);
+  EXPECT_NE(csv.find("sketch,lat.p50,"), std::string::npos);
+  EXPECT_NE(csv.find("sketch,lat.count,1\n"), std::string::npos);
 }
 
 }  // namespace

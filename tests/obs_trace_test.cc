@@ -1,11 +1,14 @@
 // Tests for the trace-span system: nesting/parenting, ordering, thread
-// tagging, events, the disabled-session no-op contract, and the Chrome
-// trace-event exporter (structure + JSON well-formedness).
+// tagging, events and values, the disabled-session no-op contract, bounded
+// retention (wrap, long-open spans, writers racing dumps — the TSan CI job
+// runs this file), and the Chrome trace-event exporter (structure, file
+// dump, JSON well-formedness).
 
 #include "src/obs/trace.h"
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +27,15 @@ const SpanRecord* FindSpan(const std::vector<SpanRecord>& spans,
     if (s.name == name) return &s;
   }
   return nullptr;
+}
+
+std::size_t CountOf(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++n;
+  }
+  return n;
 }
 
 TEST(TraceSessionTest, NestedSpansParentToInnermostOpen) {
@@ -178,6 +190,137 @@ TEST(TraceSessionTest, SpanSecondsAndPhaseTotalsAggregateByName) {
   EXPECT_EQ(session.SpanSeconds("phase"), totals[1].second);
 }
 
+TEST(TraceSessionTest, MovedFromSpanDoesNotDoubleClose) {
+  TraceSession session;
+  {
+    Span outer;
+    {
+      Span inner(&session, "moved");
+      outer = std::move(inner);
+    }  // inner destroyed moved-from: the span stays open
+    ASSERT_EQ(session.spans().size(), 1u);
+    EXPECT_FALSE(session.spans()[0].closed());
+  }  // outer closes it once
+  ASSERT_EQ(session.spans().size(), 1u);
+  EXPECT_TRUE(session.spans()[0].closed());
+
+  // A span moved to another thread closes there, in its opener's record.
+  Span handed_off(&session, "handed-off");
+  handed_off.set_value(2.0);
+  std::thread([span = std::move(handed_off)]() mutable { span.End(); })
+      .join();
+  const std::vector<SpanRecord> spans = session.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  const SpanRecord* record = FindSpan(spans, "handed-off");
+  ASSERT_NE(record, nullptr);
+  EXPECT_TRUE(record->closed());
+  EXPECT_EQ(record->value, 2.0);
+}
+
+TEST(TraceSessionTest, BoundedSessionKeepsMemoryBoundedUnderWrap) {
+  constexpr std::size_t kBound = 64;
+  TraceSession session(kBound);
+  for (int i = 1; i <= 1000; ++i) {
+    session.AddEvent("tick", static_cast<double>(i));
+    if (i % 10 == 0) Span span(&session, "phase");
+  }
+  const std::vector<EventRecord> events = session.events();
+  const std::vector<SpanRecord> spans = session.spans();
+  // Closed spans and events share the one bound; nothing is open.
+  EXPECT_EQ(events.size() + spans.size(), kBound);
+  ASSERT_FALSE(events.empty());
+  // The newest records survived the wrap, oldest first; the oldest did not.
+  EXPECT_EQ(events.back().value, 1000.0);
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    EXPECT_LT(events[i - 1].value, events[i].value);
+  }
+  EXPECT_GT(events.front().value, 1000.0 - static_cast<double>(kBound));
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_LT(spans[i - 1].id, spans[i].id);  // still in open order
+  }
+  const std::string json = ToChromeTraceJson(session);
+  EXPECT_TRUE(test::JsonChecker::IsValid(json));
+  EXPECT_EQ(CountOf(json, "\"tick\""), events.size());
+  EXPECT_NE(json.find("\"v\":1000"), std::string::npos);
+  EXPECT_EQ(json.find("\"v\":1,"), std::string::npos);
+}
+
+TEST(TraceSessionTest, LongOpenSpanSurvivesAHundredTimesItsBound) {
+  constexpr std::size_t kBound = 32;
+  TraceSession session(kBound);
+  Span long_run(&session, "serve.run");
+  long_run.set_value(4.6);
+  // Later records on the same thread, so they share the span's log.
+  for (std::size_t i = 0; i < 100 * kBound; ++i) {
+    Span job(&session, "serve.enqueue");
+    job.Event("cache.hit");
+  }
+  // Mid-flight the open span is retained beside a full log.
+  std::vector<SpanRecord> spans = session.spans();
+  EXPECT_LE(spans.size() + session.events().size(), kBound + 1);
+  const SpanRecord* open = FindSpan(spans, "serve.run");
+  ASSERT_NE(open, nullptr);
+  EXPECT_FALSE(open->closed());
+  EXPECT_EQ(spans.front().name, "serve.run");  // opened first
+
+  long_run.End();
+  spans = session.spans();
+  const SpanRecord* closed = FindSpan(spans, "serve.run");
+  ASSERT_NE(closed, nullptr);
+  EXPECT_TRUE(closed->closed());
+  EXPECT_EQ(closed->value, 4.6);
+  EXPECT_LE(spans.size() + session.events().size(), kBound);
+  EXPECT_GT(session.SpanSeconds("serve.run"), 0.0);
+}
+
+TEST(TraceSessionTest, LongNamesAreKeptNotRejected) {
+  TraceSession session(8);
+  const std::string long_name(100, 'x');
+  session.AddEvent(long_name);
+  { Span span(&session, long_name + "-span"); }
+  ASSERT_EQ(session.events().size(), 1u);
+  EXPECT_EQ(session.events()[0].name, long_name);
+  EXPECT_EQ(session.spans()[0].name, long_name + "-span");
+  const std::string json = ToChromeTraceJson(session);
+  EXPECT_TRUE(test::JsonChecker::IsValid(json));
+  EXPECT_NE(json.find("\"" + long_name + "\""), std::string::npos);
+}
+
+TEST(TraceSessionTest, ConcurrentWritersAndDumpsStayConsistent) {
+  constexpr std::size_t kBound = 256;
+  TraceSession session(kBound);
+  constexpr int kThreads = 4;
+  constexpr int kJobs = 2000;
+  std::atomic<bool> stop{false};
+  std::thread dumper([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      EXPECT_TRUE(test::JsonChecker::IsValid(ToChromeTraceJson(session)));
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&session, t] {
+      for (int i = 0; i < kJobs; ++i) {
+        Span run(&session, "serve.run");
+        run.set_value(static_cast<double>(t));
+        run.Event("cache.hit");
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  stop.store(true, std::memory_order_relaxed);
+  dumper.join();
+  // Every writer's spans closed, so each writer's log holds exactly the
+  // bound, and every retained event still names a span.
+  const std::vector<SpanRecord> spans = session.spans();
+  const std::vector<EventRecord> events = session.events();
+  EXPECT_EQ(spans.size() + events.size(), kThreads * kBound);
+  for (const SpanRecord& s : spans) EXPECT_TRUE(s.closed());
+  for (const EventRecord& e : events) EXPECT_NE(e.span, kNoSpan);
+  EXPECT_TRUE(test::JsonChecker::IsValid(ToChromeTraceJson(session)));
+}
+
 TEST(ChromeExportTest, EmitsWellFormedTraceEventJson) {
   TraceSession session;
   {
@@ -201,6 +344,47 @@ TEST(ChromeExportTest, EmitsWellFormedTraceEventJson) {
   // The quote and newline in the span name were escaped.
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
   EXPECT_EQ(json.find("outer \"quoted\"\n"), std::string::npos);
+}
+
+TEST(ChromeExportTest, ValuesRideInArgs) {
+  TraceSession session;
+  {
+    Span run(&session, "serve.run");
+    run.set_value(0.25);
+    run.Event("retry/backoff", 3.0);
+    run.Event("cache.miss");
+  }
+  const std::string json = ToChromeTraceJson(session);
+  EXPECT_TRUE(test::JsonChecker::IsValid(json)) << json;
+  EXPECT_NE(json.find("\"args\":{\"v\":0.25}"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"v\":3}"), std::string::npos);
+  // Zero values carry no args.
+  EXPECT_EQ(CountOf(json, "\"v\":"), 2u);
+}
+
+TEST(ChromeExportTest, DumpToFileWritesParsableTrace) {
+  TraceSession session(16);
+  session.AddEvent("first");
+  Span open(&session, "still-open");
+  open.Event("inside", 7.0);
+
+  const std::string path = ::testing::TempDir() + "/scwsc_history_dump.json";
+  ASSERT_TRUE(WriteChromeTraceJson(session, path).ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string contents;
+  char buffer[4096];
+  std::size_t n;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    contents.append(buffer, n);
+  }
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_TRUE(test::JsonChecker::IsValid(contents)) << contents;
+  EXPECT_EQ(contents, ToChromeTraceJson(session));
+  EXPECT_NE(contents.find("\"first\""), std::string::npos);
+  EXPECT_NE(contents.find("still-open"), std::string::npos);
+  EXPECT_NE(contents.find("\"v\":7"), std::string::npos);
 }
 
 TEST(ChromeExportTest, EmptySessionStillParses) {

@@ -828,6 +828,107 @@ TEST(SolveSchedulerTest, ExhaustedRetriesSurfaceTheInjectedError) {
   EXPECT_GE(scheduler.metrics().CounterValue("serve.jobs.failed"), 1u);
 }
 
+TEST(SolveSchedulerTest, SloHistoryRecordsEachServeEventOnce) {
+  ScopedFaultPlan chaos(/*seed=*/11);
+  chaos.plan().Arm(FaultPoint::kSolverError, 1.0);  // every attempt fails
+
+  ThreadPool pool(2);
+  serve::SchedulerOptions options;
+  options.resilience.retry.max_attempts = 3;
+  options.resilience.retry.initial_backoff_ms = 0.1;
+  options.resilience.retry.max_backoff_ms = 1.0;
+  // The third failure opens the breaker, inside the job's serve.run.
+  options.resilience.breaker.enabled = true;
+  options.resilience.breaker.failure_threshold = 3;
+  // One rule no run can break: the scheduler keeps its own bounded history,
+  // and interval 0 starts no pump thread.
+  auto rule = serve::ParseSloRule("error_rate<=1");
+  ASSERT_TRUE(rule.ok());
+  options.telemetry.slo_rules.push_back(*rule);
+  options.telemetry.interval_seconds = 0.0;
+  SolveScheduler scheduler(&pool, options);
+  ASSERT_NE(scheduler.history(), nullptr);
+
+  auto future = scheduler.Enqueue(MakeJob(ToyInstance(), "cwsc"));
+  ASSERT_TRUE(future.ok());
+  EXPECT_EQ(future->get().attempts, 3);
+  scheduler.Drain();
+
+  const std::vector<obs::SpanRecord> spans = scheduler.history()->spans();
+  const std::vector<obs::EventRecord> events = scheduler.history()->events();
+  const auto spans_named = [&spans](const std::string& name) {
+    std::vector<obs::SpanRecord> out;
+    for (const obs::SpanRecord& s : spans) {
+      if (s.name == name) out.push_back(s);
+    }
+    return out;
+  };
+  const auto events_named = [&events](const std::string& name) {
+    std::vector<obs::EventRecord> out;
+    for (const obs::EventRecord& e : events) {
+      if (e.name == name) out.push_back(e);
+    }
+    return out;
+  };
+  const std::vector<obs::SpanRecord> runs = spans_named("serve.run");
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_TRUE(runs[0].closed());
+  const std::vector<obs::SpanRecord> enqueues = spans_named("serve.enqueue");
+  ASSERT_EQ(enqueues.size(), 1u);
+  EXPECT_EQ(enqueues[0].value, 1.0);  // queue depth after admission
+  EXPECT_EQ(spans.size(), 2u);  // solver spans stay out of the history
+
+  const std::vector<obs::EventRecord> faults =
+      events_named("fault/solver_error");
+  const std::vector<obs::EventRecord> backoffs = events_named("retry/backoff");
+  const std::vector<obs::EventRecord> opened = events_named("breaker/opened");
+  EXPECT_EQ(faults.size(), 3u);
+  ASSERT_EQ(backoffs.size(), 2u);
+  EXPECT_EQ(opened.size(), 1u);
+  EXPECT_EQ(events_named("cache.miss").size(), 1u);
+  for (const obs::EventRecord& e : events) {
+    EXPECT_EQ(e.span, runs[0].id) << e.name;
+  }
+  for (const obs::EventRecord& e : backoffs) {
+    EXPECT_GT(e.value, 0.0);  // the backoff in ms
+  }
+  EXPECT_EQ(events.size(), 7u);
+
+  // No rule and no session: nothing is recorded. A caller's session is the
+  // one history.
+  SolveScheduler plain(&pool);
+  EXPECT_EQ(plain.history(), nullptr);
+  obs::TraceSession trace;
+  serve::SchedulerOptions traced_options = options;
+  traced_options.trace = &trace;
+  SolveScheduler traced(&pool, traced_options);
+  EXPECT_EQ(traced.history(), &trace);
+}
+
+TEST(SolveSchedulerTest, OwnedHistoryOutlivesEveryRecordingJob) {
+  // Destroying the scheduler right after its last future resolves frees the
+  // history it owns; a worker must be done recording into it by then (the
+  // ASan and TSan jobs turn a late write into a failure).
+  ThreadPool pool(4);
+  serve::SchedulerOptions options;
+  auto rule = serve::ParseSloRule("error_rate<=1");
+  ASSERT_TRUE(rule.ok());
+  options.telemetry.slo_rules.push_back(*rule);
+  options.telemetry.interval_seconds = 0.0;
+  InstancePtr instance = ToyInstance();
+  for (int round = 0; round < 200; ++round) {
+    auto scheduler = std::make_unique<SolveScheduler>(&pool, options);
+    auto future = scheduler->Enqueue(MakeJob(instance, "cwsc"));
+    ASSERT_TRUE(future.ok());
+    ASSERT_TRUE(future->get().result.ok());
+    const std::vector<obs::SpanRecord> spans = scheduler->history()->spans();
+    for (const obs::SpanRecord& s : spans) {
+      EXPECT_TRUE(s.closed()) << s.name;  // serve.run closed before get()
+    }
+    scheduler.reset();
+  }
+}
+
 TEST(SolveSchedulerTest, RetriesRecoverFromTransientInjectedErrors) {
   ScopedFaultPlan chaos(/*seed=*/20240808);
   chaos.plan().Arm(FaultPoint::kSolverError, 0.5);
@@ -1187,6 +1288,29 @@ TEST(ServeBatchTest, FaultSpecParsesAndArmsAPlan) {
   }
   EXPECT_TRUE(
       serve::ParseBatchSpec(path, instance).status().IsInvalidArgument());
+}
+
+TEST(ServeBatchTest, FaultIntegersAreRangeChecked) {
+  const std::string path = ::testing::TempDir() + "/serve_batch_fault_ints.json";
+  InstancePtr instance = ToyInstance();
+  // Casting these doubles to an unsigned integer would be undefined
+  // behaviour (-1, 1e300) or truncate silently (2.5).
+  for (const char* field : {"seed", "solver_delay_ms"}) {
+    for (const char* value : {"-1", "2.5", "1e300"}) {
+      {
+        std::ofstream out(path);
+        out << R"({"faults": {")" << field << R"(": )" << value
+            << R"(}, "jobs": []})";
+      }
+      const Status status = serve::ParseBatchSpec(path, instance).status();
+      EXPECT_TRUE(status.IsInvalidArgument())
+          << field << "=" << value << ": " << status.ToString();
+      EXPECT_NE(status.message().find(std::string("faults.") + field),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ServeBatchTest, ChaosBatchReportCountsResilienceEvents) {

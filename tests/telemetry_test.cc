@@ -1,7 +1,7 @@
 // Tests for the SLO rule language (serve/slo.h) and the telemetry pump
 // (serve/telemetry.h): rule parsing, per-tick evaluation, JSONL output,
 // Prometheus exposition, counter deltas, '#'-family sketch merging, and
-// SLO-triggered flight-recorder dumps.
+// SLO-triggered history dumps.
 
 #include "src/serve/telemetry.h"
 
@@ -11,6 +11,7 @@
 
 #include "gtest/gtest.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/serve/json.h"
 #include "src/serve/slo.h"
 #include "tests/test_util.h"
@@ -202,13 +203,14 @@ TEST(TelemetryPumpTest, TicksAppendParsableJsonlWithDeltas) {
   std::remove(jsonl.c_str());
 }
 
-TEST(TelemetryPumpTest, ViolationBumpsCounterAndDumpsFlightRecorder) {
+TEST(TelemetryPumpTest, ViolationBumpsCounterAndDumpsHistory) {
   const std::string jsonl = ::testing::TempDir() + "/scwsc_slo.jsonl";
   const std::string dump = ::testing::TempDir() + "/scwsc_slo_trace.json";
   std::remove(jsonl.c_str());
   std::remove(dump.c_str());
 
   obs::MetricRegistry registry;
+  obs::TraceSession history(64);
   TelemetryOptions options;
   options.interval_seconds = 0.0;
   options.jsonl_path = jsonl;
@@ -216,8 +218,13 @@ TEST(TelemetryPumpTest, ViolationBumpsCounterAndDumpsFlightRecorder) {
   SCWSC_ASSERT_OK(rule.status());
   options.slo_rules.push_back(*rule);
   options.slo_dump_path = dump;
-  TelemetryPump pump(&registry, options);
+  TelemetryPump pump(&registry, options, &history);
 
+  {
+    obs::Span run(&history, "serve.run");
+    run.set_value(0.125);
+    run.Event("retry/backoff", 2.5);
+  }
   registry.sketch("serve.latency_seconds#cwsc").Observe(0.5);
   pump.TickNow();
   EXPECT_GE(pump.violations(), 1u);
@@ -226,9 +233,14 @@ TEST(TelemetryPumpTest, ViolationBumpsCounterAndDumpsFlightRecorder) {
   ASSERT_FALSE(pump.dump_paths().empty());
   EXPECT_EQ(pump.dump_paths()[0], dump);
 
+  // The dump is the history session through the Chrome exporter, values
+  // included.
   const std::string trace = ReadWholeFile(dump);
   EXPECT_TRUE(test::JsonChecker::IsValid(trace)) << trace;
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"serve.run\""), std::string::npos);
+  EXPECT_NE(trace.find("\"v\":0.125"), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"retry/backoff\""), std::string::npos);
 
   // The violating tick's JSONL line names the rule.
   const auto lines = SplitLines(ReadWholeFile(jsonl));
@@ -244,6 +256,7 @@ TEST(TelemetryPumpTest, ViolationBumpsCounterAndDumpsFlightRecorder) {
 
 TEST(TelemetryPumpTest, DumpCountIsCapped) {
   obs::MetricRegistry registry;
+  obs::TraceSession history(16);
   TelemetryOptions options;
   options.interval_seconds = 0.0;
   auto rule = ParseSloRule("queue_depth<=0.5");
@@ -251,7 +264,7 @@ TEST(TelemetryPumpTest, DumpCountIsCapped) {
   options.slo_rules.push_back(*rule);
   options.slo_dump_path = ::testing::TempDir() + "/scwsc_capped_trace.json";
   options.max_slo_dumps = 1;
-  TelemetryPump pump(&registry, options);
+  TelemetryPump pump(&registry, options, &history);
 
   registry.gauge("serve.queue.depth").Set(10.0);
   pump.TickNow();
