@@ -1,31 +1,25 @@
 // BENCH_chaos — an open-loop chaos soak of the serve path.
 //
 // One synthetic trace, one shared snapshot, and a mixed deterministic
-// workload pushed through a SolveScheduler three times:
+// workload run three ways:
 //
-//  * serial: a plain registry loop computing the legitimate fingerprint of
-//    every (solver, k, ŝ) the workload — or any degradation of it — can
-//    produce. No faults, no scheduler.
-//  * fault-free: a scheduler with the full resilience stack configured
-//    (retries, breakers, ladder) but NO FaultPlan installed. This arm must
-//    be bit-identical to serial: resilience machinery at rest changes
-//    nothing.
+//  * serial: a plain registry loop computing the fingerprint of every
+//    (solver, k, ŝ) in the workload. No faults, no scheduler.
+//  * fault-free: a default scheduler with NO FaultPlan installed. This arm
+//    must be bit-identical to serial.
 //  * chaos: the same workload under an installed, seeded FaultPlan arming
 //    every injection point at once (solver errors/throws/delays and
-//    result-cache corruption) while the scheduler retries, breaks and
-//    degrades its way through.
+//    result-cache corruption). The scheduler runs each admitted job once.
 //
 // Gates (exit 1 on any failure), written to BENCH_chaos.json:
 //   g1 every chaos future completes (no deadlock, no lost promise);
-//   g2 failure rate <= injected per-attempt error rate x a bounded
-//      amplification factor — recovery must shrink the blast radius, not
-//      grow it;
+//   g2 exact failure accounting: failed jobs == fires(solver_error) +
+//      fires(solver_throw). Each such fire fails the one job that drew it,
+//      and nothing else may fail (delays and cache corruption never do);
 //   g3 zero corrupt results served: every successful outcome fingerprints
-//      identically to a legitimate serial solve of that request (its own
-//      solver or a ladder fallback);
-//   g4 p99 latency of unaffected chaos jobs (first-attempt successes, no
-//      degradation) within 2x the fault-free arm's p99 (plus a floor for
-//      timer noise);
+//      identically to the serial solve of its own request;
+//   g4 p99 run latency of every successful chaos job within 2x the
+//      fault-free arm's p99 (plus a floor for timer noise);
 //   g5 the fault-free arm is bit-identical to serial;
 //   g6 the chaos arm runs under a telemetry pump with a deliberately
 //      untenable latency SLO: the storm must produce at least one recorded
@@ -54,7 +48,6 @@
 #include "src/obs/sketch.h"
 #include "src/serve/cache.h"
 #include "src/serve/json.h"
-#include "src/serve/resilience.h"
 #include "src/serve/scheduler.h"
 #include "src/serve/slo.h"
 
@@ -71,12 +64,9 @@ constexpr std::size_t kRepeats = 6;       // jittered requests per base combo
 constexpr std::size_t kChaosPasses = 3;   // the soak re-enqueues the list
 constexpr std::uint64_t kDefaultSeed = 20260808;
 
-// Per-attempt probabilities for the storm. The per-attempt injected error
-// rate (error + throw; delay and cache corruption do not fail an attempt)
-// anchors gate g2.
+// Per-solve probabilities for the storm. Errors and throws fail the job
+// that draws them (gate g2); delays and cache corruption must not.
 constexpr double kPErr = 0.10, kPThrow = 0.02, kPDelay = 0.05, kPCorrupt = 0.10;
-constexpr double kInjectedRate = kPErr + kPThrow;
-constexpr double kAmplificationBound = 2.0;
 constexpr double kLatencyFloorSeconds = 0.05;
 
 /// The base combos, expanded so every repeat is a distinct request (a small
@@ -133,62 +123,35 @@ serve::SolveJob MakeJob(const api::InstancePtr& instance, const Combo& combo,
   return job;
 }
 
-serve::SchedulerOptions ResilientOptions() {
-  serve::SchedulerOptions options;
-  serve::ResilienceOptions& res = options.resilience;
-  res.retry.max_attempts = 5;
-  res.retry.initial_backoff_ms = 0.2;
-  res.retry.max_backoff_ms = 5.0;
-  res.retry_budget.tokens_per_second = 500.0;
-  res.retry_budget.burst = 500.0;
-  res.breaker.enabled = true;
-  res.breaker.failure_threshold = 8;
-  res.breaker.open_seconds = 0.05;
-  res.breaker.half_open_successes = 1;
-  res.ladder = serve::DegradationLadder::Default();
-  return options;
+std::string KeyOf(const Combo& combo) {
+  return combo.solver + "/" + std::to_string(combo.k) + "/" +
+         std::to_string(combo.coverage);
 }
 
-/// Serial fingerprints of every solve the chaos arm could legitimately
-/// serve: each workload combo under its requested solver and every solver
-/// reachable from it down the degradation ladder.
-std::map<std::string, Fingerprint> LegitimateFingerprints(
+/// Serial fingerprint of each workload combo under its own solver: the one
+/// result a successful job may serve.
+std::map<std::string, Fingerprint> SerialFingerprints(
     const api::InstancePtr& instance, const std::vector<Combo>& combos) {
-  const serve::DegradationLadder ladder = serve::DegradationLadder::Default();
-  std::map<std::string, Fingerprint> legit;  // "solver/k/coverage" -> print
+  std::map<std::string, Fingerprint> serial;  // KeyOf(combo) -> print
   for (const Combo& combo : combos) {
-    std::string solver = combo.solver;
-    for (;;) {
-      const std::string key = solver + "/" + std::to_string(combo.k) + "/" +
-                              std::to_string(combo.coverage);
-      if (legit.find(key) == legit.end()) {
-        Combo shifted = combo;
-        shifted.solver = solver;
-        serve::SolveJob job = MakeJob(instance, shifted, 0, 0);
-        auto result =
-            api::SolverRegistry::Global().Solve(job.solver, job.request);
-        SCWSC_CHECK(result.ok(), "serial %s failed: %s", solver.c_str(),
-                    result.status().ToString().c_str());
-        legit[key] = FingerprintOf(*result);
-      }
-      const std::string* fallback = ladder.FallbackFor(solver);
-      if (fallback == nullptr) break;
-      solver = *fallback;
-    }
+    if (serial.count(KeyOf(combo)) != 0) continue;
+    serve::SolveJob job = MakeJob(instance, combo, 0, 0);
+    auto result = api::SolverRegistry::Global().Solve(job.solver, job.request);
+    SCWSC_CHECK(result.ok(), "serial %s failed: %s", combo.solver.c_str(),
+                result.status().ToString().c_str());
+    serial[KeyOf(combo)] = FingerprintOf(*result);
   }
-  return legit;
+  return serial;
 }
 
 struct ArmStats {
   std::size_t jobs = 0;
   std::size_t ok = 0;
   std::size_t failed = 0;
-  std::size_t degraded = 0;
   std::size_t incomplete = 0;      // futures that never resolved (gate g1)
-  std::size_t corrupt_served = 0;  // ok results with no legitimate print
-  std::size_t retried_jobs = 0;    // attempts > 1
+  std::size_t corrupt_served = 0;  // ok results unlike their serial print
   double wall_seconds = 0.0;
-  std::vector<double> unaffected_latencies;  // sorted run_seconds
+  std::vector<double> success_latencies;  // sorted run_seconds
   // Sorted queue+run seconds of EVERY resolved future — the same values the
   // scheduler feeds its serve.latency_seconds sketches, so the sketch
   // accuracy gate (g7) compares like with like.
@@ -204,12 +167,11 @@ double Percentile(const std::vector<double>& sorted, double p) {
 
 /// Pushes `passes` copies of the workload through `scheduler` open-loop
 /// (every job enqueued before any future is waited on) and audits the
-/// outcomes against the legitimate fingerprint set.
+/// outcomes against the serial fingerprints.
 ArmStats RunArm(const api::InstancePtr& instance,
                 const std::vector<Combo>& combos, std::size_t passes,
                 serve::SolveScheduler& scheduler,
-                const std::map<std::string, Fingerprint>& legit) {
-  const serve::DegradationLadder ladder = serve::DegradationLadder::Default();
+                const std::map<std::string, Fingerprint>& serial) {
   struct Pending {
     Combo combo;
     std::future<serve::JobOutcome> future;
@@ -243,37 +205,19 @@ ArmStats RunArm(const api::InstancePtr& instance,
       continue;
     }
     ++stats.ok;
-    if (outcome.attempts > 1) ++stats.retried_jobs;
-    if (!outcome.result->degraded_from.empty()) ++stats.degraded;
 
-    // Gate g3: the served result must match a legitimate serial solve —
-    // the requested solver's own fingerprint or one of its ladder
-    // fallbacks'. Anything else is a corrupt result escaping the caches.
-    bool legitimate = false;
-    std::string solver = p.combo.solver;
-    const Fingerprint served = FingerprintOf(*outcome.result);
-    for (;;) {
-      const std::string key = solver + "/" + std::to_string(p.combo.k) +
-                              "/" + std::to_string(p.combo.coverage);
-      auto it = legit.find(key);
-      if (it != legit.end() && it->second == served) {
-        legitimate = true;
-        break;
-      }
-      const std::string* fallback = ladder.FallbackFor(solver);
-      if (fallback == nullptr) break;
-      solver = *fallback;
+    // Gate g3: the served result must match the serial solve of its own
+    // request. Anything else is a corrupt result escaping the caches.
+    const auto it = serial.find(KeyOf(p.combo));
+    if (it == serial.end() || it->second != FingerprintOf(*outcome.result)) {
+      ++stats.corrupt_served;
     }
-    if (!legitimate) ++stats.corrupt_served;
 
-    // Gate g4 sample: jobs the faults did not touch at all.
-    if (outcome.attempts <= 1 && outcome.result->degraded_from.empty()) {
-      stats.unaffected_latencies.push_back(outcome.run_seconds);
-    }
+    // Gate g4 sample: every successful job.
+    stats.success_latencies.push_back(outcome.run_seconds);
   }
   stats.wall_seconds = wall.ElapsedSeconds();
-  std::sort(stats.unaffected_latencies.begin(),
-            stats.unaffected_latencies.end());
+  std::sort(stats.success_latencies.begin(), stats.success_latencies.end());
   std::sort(stats.all_latencies.begin(), stats.all_latencies.end());
   return stats;
 }
@@ -283,13 +227,10 @@ serve::JsonValue ArmJson(const ArmStats& stats) {
   arm["jobs"] = stats.jobs;
   arm["ok"] = stats.ok;
   arm["failed"] = stats.failed;
-  arm["degraded"] = stats.degraded;
   arm["incomplete"] = stats.incomplete;
   arm["corrupt_served"] = stats.corrupt_served;
-  arm["retried_jobs"] = stats.retried_jobs;
   arm["wall_seconds"] = stats.wall_seconds;
-  arm["p99_unaffected_seconds"] =
-      Percentile(stats.unaffected_latencies, 0.99);
+  arm["p99_success_seconds"] = Percentile(stats.success_latencies, 0.99);
   return serve::JsonValue(std::move(arm));
 }
 
@@ -309,16 +250,16 @@ int main(int argc, char** argv) {
   api::InstancePtr instance = bench::MakeTraceSnapshot(20000);
   const std::vector<Combo> combos = Workload();
 
-  // Legitimate fingerprints first, while no plan is installed.
-  const std::map<std::string, Fingerprint> legit =
-      LegitimateFingerprints(instance, combos);
+  // Serial fingerprints first, while no plan is installed.
+  const std::map<std::string, Fingerprint> serial =
+      SerialFingerprints(instance, combos);
 
-  // Arm 1 — fault-free: resilience configured, no plan installed.
+  // Arm 1 — fault-free: a default scheduler, no plan installed.
   ThreadPool pool(0);  // hardware concurrency
   ArmStats faultfree;
   {
-    serve::SolveScheduler scheduler(&pool, ResilientOptions());
-    faultfree = RunArm(instance, combos, 1, scheduler, legit);
+    serve::SolveScheduler scheduler(&pool);
+    faultfree = RunArm(instance, combos, 1, scheduler, serial);
   }
 
   // Arm 2 — chaos: same workload, every injection point armed, and the
@@ -327,8 +268,8 @@ int main(int argc, char** argv) {
   // auto-dump the scheduler's SLO history (gate g6).
   ArmStats chaos_stats;
   serve::JsonObject fired;
-  std::uint64_t breaker_opened = 0, results_quarantined = 0,
-                retries_attempted = 0;
+  std::uint64_t failing_fires = 0;  // fires(solver_error) + fires(solver_throw)
+  std::uint64_t results_quarantined = 0;
   std::uint64_t slo_violations = 0;
   std::vector<std::string> slo_dumps;
   obs::QuantileSketch merged_latency;
@@ -343,7 +284,7 @@ int main(int argc, char** argv) {
     chaos.plan().set_solver_delay_ms(1);
     chaos.plan().Arm(FaultPoint::kResultCacheCorrupt, kPCorrupt);
 
-    serve::SchedulerOptions chaos_options = ResilientOptions();
+    serve::SchedulerOptions chaos_options;
     serve::TelemetryOptions& tel = chaos_options.telemetry;
     tel.interval_seconds = 0.05;
     tel.jsonl_path = telemetry_jsonl;
@@ -354,7 +295,7 @@ int main(int argc, char** argv) {
     tel.slo_rules.push_back(std::move(rule).value());
 
     serve::SolveScheduler scheduler(&pool, chaos_options);
-    chaos_stats = RunArm(instance, combos, kChaosPasses, scheduler, legit);
+    chaos_stats = RunArm(instance, combos, kChaosPasses, scheduler, serial);
     scheduler.FlushTelemetry();
 
     obs::MetricRegistry& metrics = scheduler.metrics();
@@ -375,10 +316,10 @@ int main(int argc, char** argv) {
                     merged.ToString().c_str());
       }
     }
-    breaker_opened = metrics.CounterValue("serve.breaker.opened");
     results_quarantined =
         metrics.CounterValue("serve.result_cache.quarantined");
-    retries_attempted = metrics.CounterValue("serve.retries.attempted");
+    failing_fires = chaos.plan().fires(FaultPoint::kSolverError) +
+                    chaos.plan().fires(FaultPoint::kSolverThrow);
     for (int p = 0; p < kNumFaultPoints; ++p) {
       const FaultPoint point = static_cast<FaultPoint>(p);
       serve::JsonObject entry;
@@ -391,27 +332,19 @@ int main(int argc, char** argv) {
   // --- gates ---------------------------------------------------------------
   const bool g1_complete = chaos_stats.incomplete == 0;
 
-  const double failure_rate =
-      chaos_stats.jobs > 0
-          ? static_cast<double>(chaos_stats.failed) /
-                static_cast<double>(chaos_stats.jobs)
-          : 0.0;
-  const double failure_bound = kInjectedRate * kAmplificationBound;
-  const bool g2_error_rate = failure_rate <= failure_bound;
+  const bool g2_failures_exact = chaos_stats.failed == failing_fires;
 
   const bool g3_no_corruption = chaos_stats.corrupt_served == 0;
 
-  const double baseline_p99 =
-      Percentile(faultfree.unaffected_latencies, 0.99);
-  const double chaos_p99 = Percentile(chaos_stats.unaffected_latencies, 0.99);
+  const double baseline_p99 = Percentile(faultfree.success_latencies, 0.99);
+  const double chaos_p99 = Percentile(chaos_stats.success_latencies, 0.99);
   const double latency_bound =
       std::max(2.0 * baseline_p99, kLatencyFloorSeconds);
   const bool g4_latency = chaos_p99 <= latency_bound;
 
-  const bool g5_faultfree_clean =
-      faultfree.incomplete == 0 && faultfree.failed == 0 &&
-      faultfree.corrupt_served == 0 && faultfree.degraded == 0 &&
-      faultfree.retried_jobs == 0;
+  const bool g5_faultfree_clean = faultfree.incomplete == 0 &&
+                                  faultfree.failed == 0 &&
+                                  faultfree.corrupt_served == 0;
 
   // Gate g6: the untenable SLO tripped, and the auto-dumped trace is valid
   // Chrome-trace JSON (an object carrying traceEvents).
@@ -442,19 +375,14 @@ int main(int argc, char** argv) {
   report["rows"] = rows;
   report["seed"] = static_cast<std::size_t>(seed);
   report["threads"] = static_cast<std::size_t>(pool.size());
-  report["injected_rate"] = kInjectedRate;
-  report["amplification_bound"] = kAmplificationBound;
   report["fault_free"] = ArmJson(faultfree);
   report["chaos"] = ArmJson(chaos_stats);
-  report["failure_rate"] = failure_rate;
-  report["failure_bound"] = failure_bound;
+  report["failing_fires"] = failing_fires;
   report["baseline_p99_seconds"] = baseline_p99;
   report["chaos_p99_seconds"] = chaos_p99;
   report["latency_bound_seconds"] = latency_bound;
   report["faults"] = serve::JsonValue(std::move(fired));
-  report["breaker_opened"] = breaker_opened;
   report["results_quarantined"] = results_quarantined;
-  report["retries_attempted"] = retries_attempted;
   report["slo_violations"] = slo_violations;
   report["slo_dump"] = slo_dumps.empty() ? std::string() : slo_dumps.front();
   report["telemetry_jsonl"] = telemetry_jsonl;
@@ -463,14 +391,14 @@ int main(int argc, char** argv) {
   report["sketch_p99_bound_seconds"] = sketch_bound;
   serve::JsonObject gates;
   gates["all_futures_completed"] = g1_complete;
-  gates["error_rate_bounded"] = g2_error_rate;
+  gates["failures_match_fires"] = g2_failures_exact;
   gates["zero_corrupt_served"] = g3_no_corruption;
-  gates["unaffected_p99_bounded"] = g4_latency;
+  gates["success_p99_bounded"] = g4_latency;
   gates["fault_free_arm_clean"] = g5_faultfree_clean;
   gates["slo_violation_dumped"] = g6_slo_dump;
   gates["sketch_p99_within_bound"] = g7_sketch_accurate;
   report["gates"] = serve::JsonValue(std::move(gates));
-  const bool pass = g1_complete && g2_error_rate && g3_no_corruption &&
+  const bool pass = g1_complete && g2_failures_exact && g3_no_corruption &&
                     g4_latency && g5_faultfree_clean && g6_slo_dump &&
                     g7_sketch_accurate;
   report["pass"] = pass;
@@ -484,8 +412,7 @@ int main(int argc, char** argv) {
       "serve_chaos",
       {"jobs=" + std::to_string(chaos_stats.jobs),
        "failed=" + std::to_string(chaos_stats.failed),
-       "degraded=" + std::to_string(chaos_stats.degraded),
-       "retried=" + std::to_string(chaos_stats.retried_jobs),
+       "failing_fires=" + std::to_string(failing_fires),
        "quarantined=" + std::to_string(results_quarantined),
        "slo_violations=" + std::to_string(slo_violations),
        "pass=" + std::string(pass ? "1" : "0")});
@@ -496,9 +423,9 @@ int main(int argc, char** argv) {
 
   if (!pass) {
     std::fprintf(stderr,
-                 "FAIL: chaos gates: complete=%d error_rate=%d corruption=%d "
+                 "FAIL: chaos gates: complete=%d failures=%d corruption=%d "
                  "latency=%d fault_free=%d slo_dump=%d sketch_p99=%d\n",
-                 g1_complete, g2_error_rate, g3_no_corruption, g4_latency,
+                 g1_complete, g2_failures_exact, g3_no_corruption, g4_latency,
                  g5_faultfree_clean, g6_slo_dump, g7_sketch_accurate);
     return 1;
   }

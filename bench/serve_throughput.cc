@@ -26,7 +26,7 @@
 // asserts that scheduler outcomes are identical (selection, cost, coverage)
 // to the serial loop's — exit 1 on any divergence or on a missed speedup
 // bar. Results go to BENCH_serve.json (or argv[1]): jobs/sec per arm,
-// speedups, result/snapshot cache hit counters and p50/p99 job latency.
+// speedups, result-cache hit counters and p50/p99 job latency.
 
 #include <algorithm>
 #include <cstdio>
@@ -40,7 +40,6 @@
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
 #include "src/serve/batch.h"
-#include "src/serve/cache.h"
 #include "src/serve/scheduler.h"
 #include "src/serve/slo.h"
 
@@ -214,12 +213,6 @@ int main(int argc, char** argv) {
 
   ThreadPool pool(0);  // hardware concurrency
   serve::SolveScheduler scheduler(&pool);
-  // The batch frontend's snapshot path: key the instance by content so the
-  // snapshot counters in the report are live.
-  const std::uint64_t hash = serve::ContentHash(*instance);
-  if (scheduler.snapshot_cache().Lookup(hash) == nullptr) {
-    scheduler.snapshot_cache().Insert(hash, instance);
-  }
   // The same scheduler plus one SLO rule no run can break. The rule makes
   // the scheduler keep its serve-path history; interval 0 starts no pump
   // thread, so recording is the only difference between the two.
@@ -298,10 +291,6 @@ int main(int argc, char** argv) {
   report["history_records"] = history_records;
   report["result_cache_hits"] = result_hits;
   report["result_cache_misses"] = result_misses;
-  report["snapshot_cache_hits"] =
-      metrics.CounterValue("serve.snapshot_cache.hits");
-  report["snapshot_cache_misses"] =
-      metrics.CounterValue("serve.snapshot_cache.misses");
   report["solutions_identical"] = divergences == 0;
   Status written =
       serve::WriteJsonFile(serve::JsonValue(std::move(report)), out_path);

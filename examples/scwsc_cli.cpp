@@ -26,8 +26,7 @@
 //   --batch PATH        run a jobs.json file through the SolveScheduler
 //                       instead of a single solve (see docs/serving.md).
 //                       A top-level "faults" object installs a seeded
-//                       FaultPlan for the run and arms the scheduler's
-//                       retries, breakers and degradation ladder.
+//                       FaultPlan for the run; each job still runs once.
 //   --batch-out PATH    where --batch writes its JSON report
 //                                               [default batch_results.json]
 //   --threads N         scheduler worker threads for --batch; 0 = all cores
@@ -395,14 +394,6 @@ int RunBatchMode(const CliArgs& args, api::InstancePtr instance) {
     if (!tenant_policy.ok()) return Fail(tenant_policy.status().ToString());
     scheduler_options.tenant = *std::move(tenant_policy);
   }
-  if (spec->faults.configured) {
-    // A chaos run arms the recovery machinery alongside the faults; a
-    // fault-free batch keeps the inert defaults (bit-identical serve path).
-    serve::ResilienceOptions& res = scheduler_options.resilience;
-    res.retry.max_attempts = 3;
-    res.breaker.enabled = true;
-    res.ladder = serve::DegradationLadder::Default();
-  }
 
   // Telemetry: the batch file's "slo" object and the --telemetry-out /
   // --slo flags merge into one pump configuration.
@@ -425,16 +416,6 @@ int RunBatchMode(const CliArgs& args, api::InstancePtr instance) {
     tel.slo_dump_path = spec->slo.dump_path;
   }
   serve::SolveScheduler scheduler(&pool, scheduler_options);
-
-  // Key the loaded table by content in the scheduler's snapshot cache: a
-  // frontend reloading the same CSV reuses the cached snapshot (and its
-  // lazily built pattern enumeration) instead of the fresh copy.
-  const std::uint64_t hash = serve::ContentHash(*instance);
-  if (api::InstancePtr cached = scheduler.snapshot_cache().Lookup(hash)) {
-    instance = std::move(cached);
-  } else {
-    scheduler.snapshot_cache().Insert(hash, instance);
-  }
 
   // The fault plan stays installed for exactly the span of the batch run.
   std::optional<ScopedFaultPlan> chaos;

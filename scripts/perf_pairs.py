@@ -21,7 +21,8 @@ same code. So this script runs the two sides in alternating pairs:
     into its own .bench_build/;
   * per metric it prints the parent's median and interquartile range, the
     change's median, the median ratio, and in how many pairs the change
-    was better, by the direction BENCHMARK.json declares for the metric.
+    was better, by the direction BENCHMARK.json declares for the metric;
+    then every pair's parent and change value of each end-to-end metric.
 
 Runs are sequential (a perfbench run peaks near 2 GB RSS). Exit code 0
 when every run produced a correct result, 1 when any run failed or
@@ -41,15 +42,16 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def metric_directions():
-    """Maps each metric BENCHMARK.json names to "lower" or "higher"."""
+def load_spec():
+    """BENCHMARK.json's metrics: a map of each name to "lower" or "higher",
+    and the end-to-end names in declared order."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    out = {}
+    directions = {}
     for group in ("end_to_end", "per_layer"):
         for metric in spec.get(group, []):
-            out[metric["name"]] = metric["better"]
-    return out
+            directions[metric["name"]] = metric["better"]
+    return directions, [m["name"] for m in spec.get("end_to_end", [])]
 
 
 def run_once(tree, args, seed):
@@ -79,7 +81,7 @@ def quartiles(values):
     return q[0], q[2]
 
 
-def report(parent_runs, change_runs, directions):
+def report(parent_runs, change_runs, directions, end_to_end):
     names = sorted(set().union(*parent_runs, *change_runs))
     print(f"{'metric':32} {'parent p50':>12} {'parent IQR':>12} "
           f"{'change p50':>12} {'ratio':>7} {'wins':>6}")
@@ -98,6 +100,12 @@ def report(parent_runs, change_runs, directions):
         ratio = f"{c50 / p50:7.3f}" if p50 else "      -"
         print(f"{name:32} {p50:12.4g} {q3 - q1:12.4g} {c50:12.4g} "
               f"{ratio} {wins:>3}/{len(pairs)}")
+    print("# every pair, parent -> change:")
+    for name in end_to_end:
+        runs = [f"{p[name]:.4g}->{c[name]:.4g}"
+                for p, c in zip(parent_runs, change_runs)
+                if name in p and name in c]
+        print(f"{name:32} " + "  ".join(runs))
 
 
 def main():
@@ -145,7 +153,7 @@ def main():
         print(f"# {args.workload}: {len(parent_runs)} complete pairs "
               f"(parent {args.parent})")
         if parent_runs:
-            report(parent_runs, change_runs, metric_directions())
+            report(parent_runs, change_runs, *load_spec())
         return 1 if failed else 0
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)

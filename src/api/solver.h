@@ -292,14 +292,6 @@ struct SolveResult {
   /// set costs); 0 when no estimate applies (pattern-backed payloads,
   /// empty selections). See core/accuracy.h.
   double accuracy_ratio = 0.0;
-
-  /// Serving provenance: when the serve layer degraded the job onto a
-  /// cheaper solver (queue pressure, open circuit breaker), this is the
-  /// canonical name of the solver *originally requested*; empty whenever
-  /// the requested solver itself produced the result. Never set by solvers
-  /// or the registry — only the scheduler stamps it, and never on the copy
-  /// it memoizes in the result cache.
-  std::string degraded_from;
 };
 
 // --- the interface --------------------------------------------------------

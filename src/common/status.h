@@ -41,9 +41,9 @@ enum class StatusCode : int {
   /// The operation was cancelled via RunContext::RequestCancel(). The
   /// Status may carry the best solution found so far as a payload.
   kCancelled = 9,
-  /// The serving target is temporarily refusing work (an open circuit
-  /// breaker, a draining backend). Unlike kResourceExhausted this is a
-  /// health signal, not a capacity one; the message names a retry-after.
+  /// A serving resource cannot be had right now (the socket server cannot
+  /// create or bind its listening socket). Unlike kResourceExhausted this
+  /// is not a capacity signal.
   kUnavailable = 10,
 };
 
@@ -51,9 +51,9 @@ enum class StatusCode : int {
 std::string_view StatusCodeToString(StatusCode code);
 
 /// Machine-readable retry-after carried as a Status payload by throttling
-/// rejections (open circuit breakers, tenant quota denials, a full serve
-/// queue). Frontends map it into the wire error envelope's retry_after_ms
-/// field instead of parsing it out of the message text.
+/// rejections (tenant quota denials, a full serve queue). Frontends map it
+/// into the wire error envelope's retry_after_ms field instead of parsing
+/// it out of the message text.
 struct RetryAfterHint {
   double ms = 0.0;
 };

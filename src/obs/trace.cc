@@ -34,14 +34,6 @@ std::int64_t SteadyNowNs() {
       .count();
 }
 
-/// Innermost open span of `session` on this thread, or kNoSpan.
-SpanId CurrentSpanOf(const TraceSession* session) {
-  for (auto it = t_open_spans.rbegin(); it != t_open_spans.rend(); ++it) {
-    if (it->session == session) return it->id;
-  }
-  return kNoSpan;
-}
-
 }  // namespace
 
 struct TraceSession::ThreadLog {
@@ -68,6 +60,38 @@ struct TraceSession::ThreadLog {
       return true;
     }
     return false;
+  }
+
+  /// The calling thread's innermost span of `session` that is still open,
+  /// or kNoSpan. Frames of spans closed on another thread (a moved Span)
+  /// are dropped on the way, so a closed span is never a parent. Called
+  /// from the log's owner thread; requires mu.
+  SpanId InnermostOpen(const TraceSession* session) {
+    for (std::size_t i = t_open_spans.size(); i-- > 0;) {
+      const OpenFrame frame = t_open_spans[i];
+      if (frame.session != session) continue;
+      const bool still_open =
+          std::any_of(open.begin(), open.end(), [&](const SpanRecord& r) {
+            return r.id == frame.id;
+          });
+      if (still_open) return frame.id;
+      t_open_spans.erase(t_open_spans.begin() +
+                         static_cast<std::ptrdiff_t>(i));
+    }
+    return kNoSpan;
+  }
+
+  /// Appends an event on `span` at `ts_ns`. Requires mu.
+  void AppendEvent(SpanId span, std::string_view name, std::int64_t ts_ns,
+                   double value, std::size_t max_records) {
+    SpanRecord& slot = NextSlot(max_records);
+    slot.id = kNoSpan;
+    slot.parent = span;
+    slot.name.assign(name.data(), name.size());
+    slot.thread = thread;
+    slot.start_ns = ts_ns;
+    slot.end_ns = ts_ns;
+    slot.value = value;
   }
 
   /// The slot the next closed record goes into: a new entry, or the oldest
@@ -141,12 +165,12 @@ std::vector<TraceSession::ThreadLog*> TraceSession::Logs() const {
 }
 
 SpanId TraceSession::BeginSpan(std::string_view name) {
-  const SpanId parent = CurrentSpanOf(this);
   const std::int64_t now = SteadyNowNs() - epoch_ns_;
   ThreadLog& log = LogForThisThread();
   SpanId id;
   {
     std::lock_guard<std::mutex> lock(log.mu);
+    const SpanId parent = log.InnermostOpen(this);
     id = MakeSpanId(log.thread, log.next_sequence++);
     SpanRecord& record = log.open.emplace_back();
     record.id = id;
@@ -178,7 +202,8 @@ void TraceSession::EndSpan(SpanId id, double value) {
     }
   }
   // Pop this span's frame; tolerate out-of-order ends (a moved Span closed
-  // on another thread simply leaves no frame here).
+  // on another thread leaves its frame on the opener's stack, where
+  // InnermostOpen drops it).
   for (auto it = t_open_spans.rbegin(); it != t_open_spans.rend(); ++it) {
     if (it->session == this && it->id == id) {
       t_open_spans.erase(std::next(it).base());
@@ -188,7 +213,10 @@ void TraceSession::EndSpan(SpanId id, double value) {
 }
 
 void TraceSession::AddEvent(std::string_view name, double value) {
-  AddEventOn(CurrentSpanOf(this), name, value);
+  const std::int64_t now = SteadyNowNs() - epoch_ns_;
+  ThreadLog& log = LogForThisThread();
+  std::lock_guard<std::mutex> lock(log.mu);
+  log.AppendEvent(log.InnermostOpen(this), name, now, value, max_records_);
 }
 
 void TraceSession::AddEventOn(SpanId span, std::string_view name,
@@ -196,14 +224,7 @@ void TraceSession::AddEventOn(SpanId span, std::string_view name,
   const std::int64_t now = SteadyNowNs() - epoch_ns_;
   ThreadLog& log = LogForThisThread();
   std::lock_guard<std::mutex> lock(log.mu);
-  SpanRecord& slot = log.NextSlot(max_records_);
-  slot.id = kNoSpan;
-  slot.parent = span;
-  slot.name.assign(name.data(), name.size());
-  slot.thread = log.thread;
-  slot.start_ns = now;
-  slot.end_ns = now;
-  slot.value = value;
+  log.AppendEvent(span, name, now, value, max_records_);
 }
 
 std::vector<SpanRecord> TraceSession::spans() const {

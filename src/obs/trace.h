@@ -68,7 +68,7 @@ struct SpanRecord {
   }
 };
 
-/// A point-in-time marker (RunContext trip, retry backoff) attached to the
+/// A point-in-time marker (RunContext trip, injected fault) attached to the
 /// span that was open on the recording thread, or kNoSpan.
 struct EventRecord {
   SpanId span = kNoSpan;

@@ -223,10 +223,6 @@ Result<JsonValue> RunBatch(std::vector<SolveJob> jobs,
     report["from_result_cache"] = outcome.from_result_cache;
     report["queue_seconds"] = outcome.queue_seconds;
     report["run_seconds"] = outcome.run_seconds;
-    report["attempts"] = outcome.attempts;
-    if (!outcome.degraded_from.empty()) {
-      report["degraded_from"] = outcome.degraded_from;
-    }
     if (outcome.from_result_cache) ++cache_hits;
     const api::SolveResult* result = nullptr;
     if (outcome.result.ok()) {
@@ -275,21 +271,9 @@ Result<JsonValue> RunBatch(std::vector<SolveJob> jobs,
       metrics.CounterValue("serve.result_cache.hits");
   aggregate["result_cache_misses"] =
       metrics.CounterValue("serve.result_cache.misses");
-  aggregate["snapshot_cache_hits"] =
-      metrics.CounterValue("serve.snapshot_cache.hits");
-  aggregate["snapshot_cache_misses"] =
-      metrics.CounterValue("serve.snapshot_cache.misses");
   aggregate["batch_result_cache_hits"] = cache_hits;
   aggregate["p50_latency_seconds"] = Percentile(latencies, 0.50);
   aggregate["p99_latency_seconds"] = Percentile(latencies, 0.99);
-  aggregate["retries_attempted"] =
-      metrics.CounterValue("serve.retries.attempted");
-  aggregate["retries_exhausted"] =
-      metrics.CounterValue("serve.retries.exhausted");
-  aggregate["breaker_opened"] = metrics.CounterValue("serve.breaker.opened");
-  aggregate["breaker_rejected"] =
-      metrics.CounterValue("serve.breaker.rejected");
-  aggregate["degraded_jobs"] = metrics.CounterValue("serve.degraded.jobs");
   aggregate["results_quarantined"] =
       metrics.CounterValue("serve.result_cache.quarantined");
   aggregate["slo_violations"] =

@@ -1,7 +1,6 @@
 #include "src/serve/scheduler.h"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -28,9 +27,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start,
 }  // namespace
 
 SolveScheduler::SolveScheduler(ThreadPool* pool, SchedulerOptions options)
-    : pool_(pool),
-      options_(std::move(options)),
-      retry_budget_(options_.resilience.retry_budget) {
+    : pool_(pool), options_(std::move(options)) {
   if (options_.trace == nullptr && !options_.telemetry.slo_rules.empty()) {
     owned_trace_ = std::make_unique<obs::TraceSession>(kSloHistoryRecords);
   }
@@ -46,8 +43,6 @@ SolveScheduler::SolveScheduler(ThreadPool* pool, SchedulerOptions options)
   result_cache_ = std::make_unique<ResultCache>(
       options_.result_cache_entries == 0 ? 1 : options_.result_cache_entries,
       metrics_);
-  breakers_ = std::make_unique<BreakerBank>(options_.resilience.breaker,
-                                            metrics_, trace_);
   tenants_ = std::make_unique<TenantAdmission>(options_.tenant);
   if (options_.telemetry.configured()) {
     pump_ = std::make_unique<TelemetryPump>(metrics_, options_.telemetry,
@@ -236,13 +231,8 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
       tenants_->enabled() || !pending.job.request.tenant.empty();
 
   api::SolveRequest& request = pending.job.request;
-  const ResilienceOptions& res = options_.resilience;
   api::SolverRegistry& registry = api::SolverRegistry::Global();
-
-  std::string solver_to_run = pending.job.solver;
-  const api::SolverInfo* info = registry.Find(solver_to_run);
-  const std::string requested_canonical =
-      info != nullptr ? info->name : std::string();
+  const api::SolverInfo* info = registry.Find(pending.job.solver);
 
   if (tenant_scoped && trace_ != nullptr) run_span.Event("tenant/" + tenant);
 
@@ -279,37 +269,8 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
     if (--in_flight_ == 0) drained_cv_.notify_all();
   };
 
-  // Breaker admission, decided before any cache interaction so the memo key
-  // always names the solver that actually runs. An open breaker walks the
-  // ladder looking for a rung whose breaker admits; when none does, the job
-  // carries the typed Unavailable into the attempt loop (retryable, so a
-  // configured retry policy backs off and probes again).
-  Status admit = Status::OK();
-  if (res.breaker.enabled && info != nullptr) {
-    admit = breakers_->ForSolver(info->name).Admit();
-    const api::SolverInfo* walk = info;
-    while (!admit.ok()) {
-      const std::string* fb = res.ladder.FallbackFor(walk->name);
-      if (fb == nullptr) break;
-      const api::SolverInfo* fb_info = registry.Find(*fb);
-      if (fb_info == nullptr) break;
-      const Status fb_admit = breakers_->ForSolver(fb_info->name).Admit();
-      walk = fb_info;
-      if (fb_admit.ok()) {
-        outcome.degraded_from = requested_canonical;
-        info = fb_info;
-        solver_to_run = fb_info->name;
-        metrics_->counter("serve.degraded.breaker").Increment();
-        metrics_->counter("serve.degraded.jobs").Increment();
-        run_span.Event("degrade/breaker");
-        admit = Status::OK();
-      }
-    }
-  }
-
   // Deadline-free solves are deterministic: memoizable. Keys use the
-  // canonical spelling of the *executing* solver so "CWSC" and "cwsc"
-  // share one entry and degraded runs memoize under the fallback's name.
+  // canonical spelling so "CWSC" and "cwsc" share one entry.
   const bool cacheable = info != nullptr && request.deadline.count() == 0 &&
                          options_.result_cache_entries > 0;
   ResultKey key;
@@ -317,13 +278,9 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
     // Keyed by content, never by address: a snapshot allocated where a
     // freed one lived must not inherit its results.
     key = MakeResultKey(ContentHash(*request.instance), info->name, request);
-    // A cache hit bypasses breakers and faults entirely — serving memoized
-    // results is the cheapest form of graceful degradation.
+    // A cache hit bypasses the solver's fault points entirely.
     if (std::optional<api::SolveResult> cached = result_cache_->Lookup(key)) {
       run_span.Event("cache.hit");
-      if (!outcome.degraded_from.empty()) {
-        cached->degraded_from = outcome.degraded_from;
-      }
       outcome.result = *std::move(cached);
       outcome.from_result_cache = true;
       complete(std::move(outcome));
@@ -332,114 +289,52 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
     run_span.Event("cache.miss");
   }
 
-  // The job deadline becomes this job's RunContext; the registry would
-  // reject a request carrying both.
-  const std::chrono::milliseconds deadline = request.deadline;
-  request.deadline = std::chrono::milliseconds{0};
   // Solver spans go to the caller's session only; the owned SLO history
   // keeps serve-path records, so one large solve cannot flush it.
   if (request.trace == nullptr) request.trace = options_.trace;
 
-  const int max_attempts = std::max(1, res.retry.max_attempts);
-  double backoff_ms = 0.0;
   Stopwatch timer;
-  for (;;) {
-    ++outcome.attempts;
-    if (!admit.ok()) {
-      outcome.result = admit;  // typed Unavailable from the open breaker
-    } else {
-      RunContext context;
-      RunContext* run_context = nullptr;
-      if (deadline.count() > 0) {
-        context.SetDeadline(deadline);
-        run_context = &context;
-      }
-
-      if (FaultPlan* plan = FaultPlan::Active();
-          plan != nullptr && plan->ShouldFire(FaultPoint::kSolverDelay)) {
-        metrics_->counter("serve.faults.solver_delay").Increment();
-        run_span.Event("fault/solver_delay");
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(plan->solver_delay_ms()));
-      }
-      // The solver call site is exception-contained: a throwing solver (or
-      // an injected throw) becomes Status::Internal, never a lost future.
-      try {
-        if (FaultFires(FaultPoint::kSolverError)) {
-          metrics_->counter("serve.faults.solver_error").Increment();
-          run_span.Event("fault/solver_error");
-          outcome.result = Status::Internal(
-              "injected fault: solver failure (FaultPoint solver_error)");
-        } else if (FaultFires(FaultPoint::kSolverThrow)) {
-          metrics_->counter("serve.faults.solver_throw").Increment();
-          run_span.Event("fault/solver_throw");
-          throw std::runtime_error(
-              "injected fault: solver exception (FaultPoint solver_throw)");
-        } else {
-          outcome.result = registry.Solve(solver_to_run, request, run_context);
-        }
-      } catch (const std::exception& e) {
-        outcome.result =
-            Status::Internal(std::string("solver threw: ") + e.what());
-      } catch (...) {
-        outcome.result =
-            Status::Internal("solver threw a non-standard exception");
-      }
-
-      // Breaker accounting: success heals, Internal and deadline trips are
-      // failures; cancel / budget trips say nothing about solver health.
-      if (res.breaker.enabled && info != nullptr) {
-        CircuitBreaker& breaker = breakers_->ForSolver(info->name);
-        if (outcome.result.ok()) {
-          breaker.RecordSuccess();
-        } else {
-          const StatusCode code = outcome.result.status().code();
-          if (code == StatusCode::kInternal ||
-              code == StatusCode::kDeadlineExceeded) {
-            breaker.RecordFailure();
-          }
-        }
-      }
-    }
-
-    if (outcome.result.ok()) break;
-    const Status& status = outcome.result.status();
-    if (status.IsInterruption()) break;  // typed partials are never retried
-    if (!IsRetryableFailure(status)) break;
-    if (outcome.attempts >= max_attempts) {
-      if (res.retry.enabled()) {
-        metrics_->counter("serve.retries.exhausted").Increment();
-      }
-      break;
-    }
-    if (!retry_budget_.TryAcquire(outcome.label)) {
-      metrics_->counter("serve.retries.budget_denied").Increment();
-      break;
-    }
-    // Decorrelated jitter; the draw mixes the label so concurrent retrying
-    // jobs spread out instead of thundering in lockstep.
-    backoff_ms = NextBackoffMs(
-        res.retry, backoff_ms,
-        std::hash<std::string>{}(outcome.label) ^
-            static_cast<std::uint64_t>(outcome.attempts));
-    metrics_->counter("serve.retries.attempted").Increment();
-    run_span.Event("retry/backoff", backoff_ms);
+  // The job deadline becomes this job's RunContext; the registry would
+  // reject a request carrying both.
+  RunContext context;
+  RunContext* run_context = nullptr;
+  if (request.deadline.count() > 0) {
+    context.SetDeadline(request.deadline);
+    run_context = &context;
+    request.deadline = std::chrono::milliseconds{0};
+  }
+  if (FaultPlan* plan = FaultPlan::Active();
+      plan != nullptr && plan->ShouldFire(FaultPoint::kSolverDelay)) {
+    metrics_->counter("serve.faults.solver_delay").Increment();
+    run_span.Event("fault/solver_delay");
     std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(backoff_ms));
-    if (res.breaker.enabled && info != nullptr) {
-      admit = breakers_->ForSolver(info->name).Admit();
+        std::chrono::milliseconds(plan->solver_delay_ms()));
+  }
+  // The solver call site is exception-contained: a throwing solver (or an
+  // injected throw) becomes Status::Internal, never a lost future.
+  try {
+    if (FaultFires(FaultPoint::kSolverError)) {
+      metrics_->counter("serve.faults.solver_error").Increment();
+      run_span.Event("fault/solver_error");
+      outcome.result = Status::Internal(
+          "injected fault: solver failure (FaultPoint solver_error)");
+    } else if (FaultFires(FaultPoint::kSolverThrow)) {
+      metrics_->counter("serve.faults.solver_throw").Increment();
+      run_span.Event("fault/solver_throw");
+      throw std::runtime_error(
+          "injected fault: solver exception (FaultPoint solver_throw)");
+    } else {
+      outcome.result = registry.Solve(pending.job.solver, request, run_context);
     }
+  } catch (const std::exception& e) {
+    outcome.result = Status::Internal(std::string("solver threw: ") + e.what());
+  } catch (...) {
+    outcome.result = Status::Internal("solver threw a non-standard exception");
   }
   outcome.run_seconds = timer.ElapsedSeconds();
 
-  // Memoize the *clean* result under the executing solver's key before
-  // stamping serve-layer provenance: a later non-degraded request for the
-  // fallback solver must not inherit this job's degraded_from.
   if (cacheable && outcome.result.ok()) {
     result_cache_->Insert(key, *outcome.result);
-  }
-  if (!outcome.degraded_from.empty() && outcome.result.ok()) {
-    outcome.result->degraded_from = outcome.degraded_from;
   }
   complete(std::move(outcome));
 }

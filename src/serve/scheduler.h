@@ -28,24 +28,13 @@
 // given its options (LP rounding is seeded) — so they are served from cache
 // when the (snapshot, solver, k, ŝ, canonical options) key matches;
 // deadline-bearing jobs bypass the cache both ways since their partials
-// depend on timing. A SnapshotCache is owned alongside for frontends to
-// dedupe instance construction (the batch front end keys table loads by
-// content).
+// depend on timing. A SnapshotCache is owned alongside; a SnapshotStore
+// (serve/server.h) built over it publishes every snapshot version into it
+// by content hash.
 //
-// Resilience (opt-in; defaults are inert and bit-identical to a scheduler
-// without them — see serve/resilience.h):
-//   - Retries: per-job attempt loop re-running retryable failures
-//     (Internal / Unavailable) up to RetryPolicy::max_attempts with
-//     decorrelated-jitter backoff, gated by a per-label token-bucket
-//     RetryBudget so one tenant's failures cannot storm the pool.
-//   - Circuit breakers: one breaker per canonical solver name; consecutive
-//     Internal/deadline failures open it, open-state jobs get a typed
-//     Unavailable with retry-after (or degrade, below), probes half-open it
-//     back.
-//   - Degradation: a DegradationLadder substitutes the next-cheaper
-//     registered solver when the requested one's breaker is open; the
-//     substitution is stamped into SolveResult::degraded_from and the
-//     outcome, never into the memoized cache entry.
+// One attempt per job: every served solver is a deterministic function of
+// (snapshot, request), so re-running a failed solve would recompute the
+// same status. A failure is reported once, typed, on the job's future.
 //
 // Fault injection (src/common/fault.h): with an installed FaultPlan the
 // scheduler's solve call site can be told to fail (solver_error), throw
@@ -59,13 +48,11 @@
 // is recorded and each site costs one pointer branch. Per job: a
 // serve.enqueue span (value: queue depth after admission) carrying any
 // serve.reject/{tenant_quota,draining,queue_full} event, and a serve.run
-// span (value: queue wait) carrying tenant/, cache.hit|cache.miss,
-// degrade/breaker, fault/*, retry/backoff (value: backoff ms) and
-// breaker/{opened,half_open,closed} events. Counters
-// serve.jobs.{accepted,rejected,completed,failed}, serve.result_cache.*,
-// serve.snapshot_cache.*, serve.retries.*, serve.breaker.*,
-// serve.degraded.*, serve.faults.* go to the session's MetricRegistry, or
-// to the scheduler's own when the caller gave no session.
+// span (value: queue wait) carrying tenant/, cache.hit|cache.miss and
+// fault/* events. Counters serve.jobs.{accepted,rejected,completed,failed},
+// serve.result_cache.*, serve.snapshot_cache.* and serve.faults.* go to the
+// session's MetricRegistry, or to the scheduler's own when the caller gave
+// no session.
 
 #ifndef SCWSC_SERVE_SCHEDULER_H_
 #define SCWSC_SERVE_SCHEDULER_H_
@@ -85,7 +72,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/serve/cache.h"
-#include "src/serve/resilience.h"
 #include "src/serve/telemetry.h"
 #include "src/serve/tenant.h"
 
@@ -110,13 +96,6 @@ struct JobOutcome {
   double queue_seconds = 0.0;  // admission -> dispatch
   double run_seconds = 0.0;    // dispatch -> completion (0 on cache hit)
   std::string label;           // echoed from the request
-  /// Solve attempts executed (0 on a cache hit, 1 for a plain run, more
-  /// when the retry policy re-ran a retryable failure).
-  int attempts = 0;
-  /// Canonical name of the originally requested solver when degradation
-  /// substituted a cheaper one; empty otherwise (mirrors
-  /// SolveResult::degraded_from so error outcomes carry it too).
-  std::string degraded_from;
 };
 
 struct SchedulerOptions {
@@ -134,9 +113,6 @@ struct SchedulerOptions {
   /// keeps its own MetricRegistry when null, so counters are always
   /// available via metrics().
   obs::TraceSession* trace = nullptr;
-  /// Recovery policies (retries, breakers, degradation). The default is
-  /// inert — see serve/resilience.h.
-  ResilienceOptions resilience;
   /// Continuous telemetry (JSONL time series, Prometheus exposition, SLO
   /// rules). Inert unless configured() — see serve/telemetry.h. The pump's
   /// tick sampler refreshes serve.queue.depth and the per-priority
@@ -184,11 +160,6 @@ class SolveScheduler {
   /// Jobs admitted but not yet completed (queued + running).
   std::size_t in_flight() const;
 
-  /// The per-solver circuit breakers (visible for tests and frontends that
-  /// report breaker state). Always constructed; inert unless
-  /// options.resilience.breaker.enabled.
-  BreakerBank& breakers() { return *breakers_; }
-
   /// The telemetry pump, or nullptr when options.telemetry is inert.
   TelemetryPump* telemetry() { return pump_.get(); }
 
@@ -204,12 +175,11 @@ class SolveScheduler {
   };
 
   /// Worker-side: pops the job with the highest effective priority and
-  /// runs it to completion (cache lookup, attempt loop with retries /
-  /// breaker / degradation, cache fill).
+  /// runs it to completion (cache lookup, one solve, cache fill).
   void RunOneJob();
 
-  /// Completes one popped job: resolves degradation, consults the result
-  /// cache, runs the attempt loop, fills the outcome and the promise.
+  /// Completes one popped job: consults the result cache, runs the solve
+  /// once, fills the outcome and the promise.
   void ExecuteJob(PendingJob pending, double queue_seconds);
 
   /// Telemetry tick sampler: refreshes serve.queue.depth and the
@@ -224,8 +194,6 @@ class SolveScheduler {
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   std::unique_ptr<SnapshotCache> snapshot_cache_;
   std::unique_ptr<ResultCache> result_cache_;
-  std::unique_ptr<BreakerBank> breakers_;
-  RetryBudget retry_budget_;
   std::unique_ptr<TenantAdmission> tenants_;
 
   mutable std::mutex mu_;

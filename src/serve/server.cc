@@ -109,10 +109,6 @@ std::string RenderSolveResponse(JsonObject envelope, const std::string& solver,
   result["from_result_cache"] = JsonValue(outcome.from_result_cache);
   result["queue_seconds"] = JsonValue(outcome.queue_seconds);
   result["run_seconds"] = JsonValue(outcome.run_seconds);
-  result["attempts"] = JsonValue(outcome.attempts);
-  if (!outcome.degraded_from.empty()) {
-    result["degraded_from"] = JsonValue(outcome.degraded_from);
-  }
   const api::SolveResult* solve = nullptr;
   if (outcome.result.ok()) {
     envelope["ok"] = JsonValue(true);

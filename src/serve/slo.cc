@@ -22,7 +22,6 @@ constexpr MetricSpec kMetrics[] = {
     {"p999_latency_ms", SloMetric::kLatencyQuantile, 0.999},
     {"error_rate", SloMetric::kErrorRate, 0.0},
     {"queue_depth", SloMetric::kQueueDepth, 0.0},
-    {"breaker_open", SloMetric::kBreakerOpen, 0.0},
 };
 
 std::string StripWhitespace(const std::string& s) {
@@ -156,9 +155,6 @@ std::vector<SloViolation> EvaluateSlos(const std::vector<SloRule>& rules,
       }
       case SloMetric::kQueueDepth:
         observed = sample.queue_depth;
-        break;
-      case SloMetric::kBreakerOpen:
-        observed = sample.breaker_open;
         break;
     }
     if (!has_data) continue;

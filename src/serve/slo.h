@@ -1,12 +1,11 @@
 // Declarative SLO rules over the serving metrics, evaluated every telemetry
 // tick. A rule is one line of text — "p99_latency_ms<=50",
-// "error_rate<=0.05", "breaker_open==0", "queue_depth<=100" — parsed once
-// at startup; the telemetry pump assembles an SloSample per tick (merged
-// latency sketch, per-tick completion deltas, queue/breaker gauges) and
-// EvaluateSlos returns the rules the sample violates. The pump turns each
-// violation into a `serve.slo.violations` bump, a warn log and a dump of
-// the scheduler's serve-path history — see docs/observability.md for the
-// rule syntax.
+// "error_rate<=0.05", "queue_depth<=100" — parsed once at startup; the
+// telemetry pump assembles an SloSample per tick (merged latency sketch,
+// per-tick completion deltas, the queue-depth gauge) and EvaluateSlos
+// returns the rules the sample violates. The pump turns each violation into
+// a `serve.slo.violations` bump, a warn log and a dump of the scheduler's
+// serve-path history — see docs/observability.md for the rule syntax.
 
 #ifndef SCWSC_SERVE_SLO_H_
 #define SCWSC_SERVE_SLO_H_
@@ -26,7 +25,6 @@ enum class SloMetric {
   kLatencyQuantile,  // p50_/p90_/p99_/p999_latency_ms: merged sketch quantile
   kErrorRate,        // failed / (completed + failed), per tick
   kQueueDepth,       // serve.queue.depth gauge
-  kBreakerOpen,      // serve.breaker.open gauge (breakers currently open)
 };
 
 enum class SloOp {
@@ -48,8 +46,8 @@ struct SloRule {
 };
 
 /// Parses one rule. Accepted metrics: p50_latency_ms, p90_latency_ms,
-/// p99_latency_ms, p999_latency_ms, error_rate, queue_depth, breaker_open;
-/// operators: "<=", "<" (both at-most) and "==". Whitespace is ignored.
+/// p99_latency_ms, p999_latency_ms, error_rate, queue_depth; operators:
+/// "<=", "<" (both at-most) and "==". Whitespace is ignored.
 /// A "tenant=NAME:" prefix scopes the rule to one tenant's metrics, e.g.
 /// "tenant=acme:p99_latency_ms<=50".
 Result<SloRule> ParseSloRule(const std::string& text);
@@ -68,7 +66,6 @@ struct SloSample {
   std::uint64_t completed_delta = 0;
   std::uint64_t failed_delta = 0;
   double queue_depth = 0.0;
-  double breaker_open = 0.0;
 };
 
 struct SloViolation {

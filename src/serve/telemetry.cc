@@ -173,11 +173,10 @@ void TelemetryPump::Tick() {
   prev_completed_ = completed;
   prev_failed_ = failed;
   sample.queue_depth = registry_->GaugeValue("serve.queue.depth");
-  sample.breaker_open = registry_->GaugeValue("serve.breaker.open");
 
   // Tenant-scoped rules read that tenant's own sketch member and completion
-  // deltas; queue depth and breaker state stay global (they are shared
-  // resources, not per-tenant ones). Aggregate rules see the merged sample.
+  // deltas; queue depth stays global (the queue is a shared resource, not a
+  // per-tenant one). Aggregate rules see the merged sample.
   std::vector<SloRule> aggregate_rules;
   std::map<std::string, std::vector<SloRule>> tenant_rules;
   for (const SloRule& rule : options_.slo_rules) {
@@ -206,7 +205,6 @@ void TelemetryPump::Tick() {
     tenant_sample.failed_delta =
         delta_of("serve.tenant." + tenant + ".failed");
     tenant_sample.queue_depth = sample.queue_depth;
-    tenant_sample.breaker_open = sample.breaker_open;
     for (SloViolation& v : EvaluateSlos(rules, tenant_sample)) {
       violated.push_back(std::move(v));
     }

@@ -36,6 +36,20 @@ Result<std::string> OptionValueToString(const std::string& key,
   }
 }
 
+/// The string in `v` when it is at most kMaxTenantLabelBytes long, or
+/// InvalidArgument naming the field `what`.
+Result<std::string> RequireName(const JsonValue& v, const std::string& what) {
+  if (!v.is_string()) {
+    return Status::InvalidArgument(what + " must be a string");
+  }
+  if (v.as_string().size() > kMaxTenantLabelBytes) {
+    return Status::InvalidArgument(
+        what + " is " + std::to_string(v.as_string().size()) +
+        " bytes; the limit is " + std::to_string(kMaxTenantLabelBytes));
+  }
+  return v.as_string();
+}
+
 }  // namespace
 
 Result<double> RequireNumber(const JsonValue& v, const std::string& what) {
@@ -151,16 +165,12 @@ Result<ParsedJob> ParseJobObject(const JsonValue& entry,
                                        kMaxWireInteger));
       builder.WithDeadline(std::chrono::milliseconds(ms));
     } else if (key == "label") {
-      if (!value.is_string()) {
-        return Status::InvalidArgument(at + ".label must be a string");
-      }
-      label = value.as_string();
+      SCWSC_ASSIGN_OR_RETURN(label, RequireName(value, at + ".label"));
       have_label = true;
     } else if (key == "tenant") {
-      if (!value.is_string()) {
-        return Status::InvalidArgument(at + ".tenant must be a string");
-      }
-      builder.WithTenant(value.as_string());
+      SCWSC_ASSIGN_OR_RETURN(std::string tenant,
+                             RequireName(value, at + ".tenant"));
+      builder.WithTenant(std::move(tenant));
     } else if (key == "priority") {
       SCWSC_ASSIGN_OR_RETURN(
           parsed.job.priority,

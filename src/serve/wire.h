@@ -46,6 +46,11 @@ inline constexpr int kWireVersion = 2;
 /// The integers a JSON number (an IEEE double) carries exactly: [0, 2^53].
 inline constexpr std::int64_t kMaxWireInteger = std::int64_t{1} << 53;
 
+/// The longest `tenant` or `label` a job may carry, in bytes. Each tenant
+/// names serve.tenant.<tenant>.* metrics and the label is echoed in every
+/// report, so neither may grow to the request-line cap.
+inline constexpr std::size_t kMaxTenantLabelBytes = 256;
+
 /// The number in `v`, or InvalidArgument naming the field `what`.
 Result<double> RequireNumber(const JsonValue& v, const std::string& what);
 
@@ -69,11 +74,12 @@ Result<T> RequireInteger(const JsonValue& v, const std::string& what,
 }
 
 /// The typed error envelope: a 1:1 mapping of Status onto the wire.
-/// `retryable` mirrors the scheduler's own retry classification plus
-/// capacity rejections (Internal, Unavailable, ResourceExhausted);
-/// `retry_after_ms` surfaces a RetryAfterHint payload (open breaker,
-/// tenant quota, full queue) machine-readably, 0 when the status carried
-/// none.
+/// `retryable` tells a client that sending the same request again may
+/// succeed: true for Internal (a solver that failed or threw, say out of
+/// memory), Unavailable and ResourceExhausted (a full queue, a tenant
+/// quota). The server itself runs each admitted job once and never re-runs
+/// it. `retry_after_ms` surfaces a RetryAfterHint payload (tenant quota,
+/// full queue) machine-readably, 0 when the status carried none.
 struct ErrorInfo {
   std::string code;     // stable StatusCode name, e.g. "ResourceExhausted"
   std::string message;  // the status message, verbatim
@@ -111,9 +117,10 @@ struct ParsedJob {
 /// "solve" request) into a SolveJob over `instance`. Accepted keys: solver
 /// (required), k, coverage, options, deadline_ms, priority, label, tenant,
 /// repeat. Integer keys must be integral and in range: k and deadline_ms in
-/// [0, 2^53], repeat in [1, 2^53], priority within int; anything else is
-/// InvalidArgument naming the field. Under version >= 2 unknown keys land in `forward`; under v1 they
-/// are ignored (the legacy behaviour). `at` prefixes error messages
+/// [0, 2^53], repeat in [1, 2^53], priority within int; tenant and label
+/// are at most kMaxTenantLabelBytes long; anything else is InvalidArgument
+/// naming the field. Under version >= 2 unknown keys land in `forward`;
+/// under v1 they are ignored (the legacy behaviour). `at` prefixes error messages
 /// ("jobs[3]"). Envelope keys (version/id/type) are skipped, never
 /// forwarded.
 Result<ParsedJob> ParseJobObject(const JsonValue& entry,

@@ -26,12 +26,12 @@ TEST(StatusTest, FactoryConstructorsSetCodeAndMessage) {
 }
 
 TEST(StatusTest, UnavailableIsNotAnInterruption) {
-  // Unavailable (open circuit breaker) is a retryable condition, not a
-  // cooperative interruption carrying a partial result.
-  Status st = Status::Unavailable("breaker open; retry after 0.5s");
+  // Unavailable (a listening socket that cannot be bound) is an error, not
+  // a cooperative interruption carrying a partial result.
+  Status st = Status::Unavailable("bind: Address already in use");
   EXPECT_FALSE(st.IsInterruption());
   EXPECT_EQ(StatusCodeToString(st.code()), "Unavailable");
-  EXPECT_EQ(st.ToString(), "Unavailable: breaker open; retry after 0.5s");
+  EXPECT_EQ(st.ToString(), "Unavailable: bind: Address already in use");
 }
 
 TEST(StatusTest, ToStringIncludesCodeNameAndMessage) {

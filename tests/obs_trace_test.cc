@@ -204,17 +204,35 @@ TEST(TraceSessionTest, MovedFromSpanDoesNotDoubleClose) {
   ASSERT_EQ(session.spans().size(), 1u);
   EXPECT_TRUE(session.spans()[0].closed());
 
-  // A span moved to another thread closes there, in its opener's record.
+  // A span moved to another thread closes there, in its opener's record,
+  // and stops being a parent on the opener: later spans and events there
+  // attach to the opener's innermost span that is still open.
+  Span root(&session, "root");
   Span handed_off(&session, "handed-off");
   handed_off.set_value(2.0);
   std::thread([span = std::move(handed_off)]() mutable { span.End(); })
       .join();
+  { Span next(&session, "next"); }
+  session.AddEvent("after-hand-off");
+  root.End();
+  { Span orphan(&session, "orphan"); }  // nothing is open any more
+  session.AddEvent("after-root");
+
   const std::vector<SpanRecord> spans = session.spans();
-  ASSERT_EQ(spans.size(), 2u);
+  ASSERT_EQ(spans.size(), 5u);
   const SpanRecord* record = FindSpan(spans, "handed-off");
+  const SpanRecord* root_record = FindSpan(spans, "root");
   ASSERT_NE(record, nullptr);
+  ASSERT_NE(root_record, nullptr);
   EXPECT_TRUE(record->closed());
   EXPECT_EQ(record->value, 2.0);
+  EXPECT_EQ(record->parent, root_record->id);
+  EXPECT_EQ(FindSpan(spans, "next")->parent, root_record->id);
+  EXPECT_EQ(FindSpan(spans, "orphan")->parent, kNoSpan);
+  const std::vector<EventRecord> events = session.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].span, root_record->id);
+  EXPECT_EQ(events[1].span, kNoSpan);
 }
 
 TEST(TraceSessionTest, BoundedSessionKeepsMemoryBoundedUnderWrap) {
@@ -351,7 +369,7 @@ TEST(ChromeExportTest, ValuesRideInArgs) {
   {
     Span run(&session, "serve.run");
     run.set_value(0.25);
-    run.Event("retry/backoff", 3.0);
+    run.Event("serve.reject/queue_full", 3.0);
     run.Event("cache.miss");
   }
   const std::string json = ToChromeTraceJson(session);

@@ -314,6 +314,29 @@ TEST(WireDecodeTest, JobIntegersAreRangeChecked) {
   }
 }
 
+// Each tenant names its own metrics, so neither string may grow unbounded.
+TEST(WireDecodeTest, TenantAndLabelAreLengthCapped) {
+  const InstancePtr instance = BlockInstance();
+  const auto parse = [&](const std::string& field, std::size_t bytes) {
+    const std::string body = R"({"solver": "cwsc", ")" + field + R"(": ")" +
+                             std::string(bytes, 'x') + R"("})";
+    return serve::ParseJobObject(Json(body), instance, "job",
+                                 serve::kWireVersion);
+  };
+  constexpr std::size_t kCap = serve::kMaxTenantLabelBytes;
+  auto at_cap = parse("tenant", kCap);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->job.request.tenant, std::string(kCap, 'x'));
+  auto label_at_cap = parse("label", kCap);
+  ASSERT_TRUE(label_at_cap.ok()) << label_at_cap.status().ToString();
+  EXPECT_EQ(label_at_cap->job.request.label, std::string(kCap, 'x'));
+
+  ExpectRejected(parse("tenant", kCap + 1).status(), "job.tenant",
+                 "tenant of kMaxTenantLabelBytes + 1");
+  ExpectRejected(parse("label", kCap + 1).status(), "job.label",
+                 "label of kMaxTenantLabelBytes + 1");
+}
+
 TEST(WireDecodeTest, VersionMustBeAnInteger) {
   EXPECT_EQ(serve::CheckWireVersion(Json(R"({"version": 2})"), "t").value(),
             serve::kWireVersion);

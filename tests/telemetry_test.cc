@@ -71,11 +71,11 @@ TEST(SloRuleTest, ParsesEveryMetricAndOperator) {
   SCWSC_ASSERT_OK(depth.status());
   EXPECT_EQ(depth->metric, SloMetric::kQueueDepth);
 
-  auto breaker = ParseSloRule("breaker_open==0");
-  SCWSC_ASSERT_OK(breaker.status());
-  EXPECT_EQ(breaker->metric, SloMetric::kBreakerOpen);
-  EXPECT_EQ(breaker->op, SloOp::kEquals);
-  EXPECT_EQ(breaker->text, "breaker_open==0");
+  auto empty = ParseSloRule("queue_depth==0");
+  SCWSC_ASSERT_OK(empty.status());
+  EXPECT_EQ(empty->metric, SloMetric::kQueueDepth);
+  EXPECT_EQ(empty->op, SloOp::kEquals);
+  EXPECT_EQ(empty->text, "queue_depth==0");
 }
 
 TEST(SloRuleTest, RejectsMalformedRules) {
@@ -139,18 +139,21 @@ TEST(SloEvaluateTest, ErrorRateSkipsTicksWithoutTraffic) {
   EXPECT_DOUBLE_EQ(violations[0].observed, 0.5);
 }
 
-TEST(SloEvaluateTest, GaugeRulesUseQueueAndBreaker) {
-  auto depth = ParseSloRule("queue_depth<=10");
-  auto breaker = ParseSloRule("breaker_open==0");
-  SCWSC_ASSERT_OK(depth.status());
-  SCWSC_ASSERT_OK(breaker.status());
+TEST(SloEvaluateTest, GaugeRulesUseQueueDepth) {
+  auto at_most = ParseSloRule("queue_depth<=10");
+  auto empty = ParseSloRule("queue_depth==0");
+  auto exact = ParseSloRule("queue_depth==50");
+  SCWSC_ASSERT_OK(at_most.status());
+  SCWSC_ASSERT_OK(empty.status());
+  SCWSC_ASSERT_OK(exact.status());
   SloSample sample;
   sample.queue_depth = 50.0;
-  sample.breaker_open = 2.0;
-  const auto violations = EvaluateSlos({*depth, *breaker}, sample);
+  const auto violations = EvaluateSlos({*at_most, *empty, *exact}, sample);
   ASSERT_EQ(violations.size(), 2u);
+  EXPECT_EQ(violations[0].rule.text, "queue_depth<=10");
+  EXPECT_EQ(violations[1].rule.text, "queue_depth==0");
   EXPECT_DOUBLE_EQ(violations[0].observed, 50.0);
-  EXPECT_DOUBLE_EQ(violations[1].observed, 2.0);
+  EXPECT_DOUBLE_EQ(violations[1].observed, 50.0);
 }
 
 // --- the pump --------------------------------------------------------------
@@ -223,7 +226,7 @@ TEST(TelemetryPumpTest, ViolationBumpsCounterAndDumpsHistory) {
   {
     obs::Span run(&history, "serve.run");
     run.set_value(0.125);
-    run.Event("retry/backoff", 2.5);
+    run.Event("cache.miss");
   }
   registry.sketch("serve.latency_seconds#cwsc").Observe(0.5);
   pump.TickNow();
@@ -240,7 +243,7 @@ TEST(TelemetryPumpTest, ViolationBumpsCounterAndDumpsHistory) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"serve.run\""), std::string::npos);
   EXPECT_NE(trace.find("\"v\":0.125"), std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"retry/backoff\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"cache.miss\""), std::string::npos);
 
   // The violating tick's JSONL line names the rule.
   const auto lines = SplitLines(ReadWholeFile(jsonl));
