@@ -424,7 +424,7 @@ int RunBatchMode(const CliArgs& args, api::InstancePtr instance) {
     spec->faults.ApplyTo(chaos->plan());
   }
 
-  auto report = serve::RunBatch(std::move(spec->jobs), scheduler);
+  auto report = serve::RunBatch(std::move(*spec), scheduler);
   if (!report.ok()) return Fail(report.status().ToString());
   if (Status s = serve::WriteJsonFile(*report, args.batch_out); !s.ok()) {
     return Fail(s.ToString());

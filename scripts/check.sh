@@ -80,17 +80,24 @@ python3 -m json.tool "$BUILD_DIR"/trace.json > /dev/null \
 python3 -m json.tool "$BUILD_DIR"/metrics.json > /dev/null \
   || fail "observability smoke (metrics JSON)"
 
-# Serve smoke: a 20-job batch through the SolveScheduler must produce a
+# Serve smoke: a 21-job v2 batch through the SolveScheduler must produce a
 # well-formed report with zero failures and visible result-cache hits (the
 # repeats are deterministic duplicates, so misses-only means the cache or
-# the canonical option keys broke).
+# the canonical option keys broke). The unknown root and job keys must come
+# back under the report's "forward"; the one certifying job, and no other,
+# must carry a lower bound at most its cost (its cwsc twin without certify
+# is a separate cache entry).
 cat > "$BUILD_DIR"/serve_jobs.json <<'EOF'
-{"jobs": [
+{"version": 2, "run_tag": "serve-smoke",
+ "jobs": [
   {"solver": "cwsc", "k": 3, "coverage": 0.5, "label": "warm", "repeat": 8},
   {"solver": "opt-cwsc", "k": 3, "coverage": 0.5, "repeat": 6},
   {"solver": "CMC", "k": 3, "coverage": 0.5, "options": {"b": 2}, "repeat": 4},
-  {"solver": "greedy-max-coverage", "k": 4, "coverage": 0.9, "priority": 2},
-  {"solver": "exact", "k": 3, "coverage": 0.5, "deadline_ms": 30000}
+  {"solver": "greedy-max-coverage", "k": 4, "coverage": 0.9, "priority": 2,
+   "ticket": 17},
+  {"solver": "exact", "k": 3, "coverage": 0.5, "deadline_ms": 30000},
+  {"solver": "cwsc", "k": 3, "coverage": 0.5, "label": "certified",
+   "certify": true}
 ]}
 EOF
 "$BUILD_DIR"/examples/scwsc_cli --input "$BUILD_DIR"/obs_smoke.csv \
@@ -100,10 +107,24 @@ python3 -m json.tool "$BUILD_DIR"/batch_results.json > /dev/null \
   || fail "serve smoke (report JSON)"
 python3 - "$BUILD_DIR"/batch_results.json <<'EOF' || fail "serve smoke (report contents)"
 import json, sys
-agg = json.load(open(sys.argv[1]))["aggregate"]
-assert agg["total_jobs"] == 20, agg
+report = json.load(open(sys.argv[1]))
+agg = report["aggregate"]
+assert agg["total_jobs"] == 21, agg
 assert agg["failed"] == 0, agg
 assert agg["result_cache_hits"] > 0, agg
+forward = report.get("forward", {})
+assert forward.get("run_tag") == "serve-smoke", forward
+assert forward.get("jobs[3].ticket") == 17, forward
+certified = [job for job in report["jobs"] if job["label"] == "certified"]
+assert len(certified) == 1, certified
+job = certified[0]
+# 1e-9: rounding slack in the sum of the scaled prices.
+assert job["lower_bound"] <= job["total_cost"] * (1 + 1e-9), job
+assert job["certified_ratio"] >= 1 - 1e-9, job
+for job in report["jobs"]:
+    if job["label"] != "certified":
+        assert "lower_bound" not in job, job
+        assert "certified_ratio" not in job, job
 EOF
 
 # Batch negative smoke: a missing jobs file must surface as a typed error

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/common/bitset.h"
-#include "src/core/accuracy.h"
 #include "src/obs/trace.h"
 #include "src/pattern/pattern_system.h"
 
@@ -52,10 +51,6 @@ Result<SolveResult> FinishSetBacked(const SolveRequest& request,
                                            : s.label);
     }
   }
-  // Solution.sets is in selection order, which is exactly what the
-  // dual-fitting certificate replays; pattern-/hierarchy-backed payloads
-  // have no SetSystem in scope and keep the 0.0 "no estimate" default.
-  out.accuracy_ratio = EstimateAccuracyRatio(*system, solution.sets);
   out.solution = std::move(solution);
   out.contract = contract;
   out.counters = counters;

@@ -18,7 +18,8 @@ namespace internal {
 
 /// Builds the SolveResult for a SetId-backed solution: labels from the set
 /// system (pattern strings when the instance is a patterned table), audit
-/// independently recomputed via AuditSolution.
+/// independently recomputed via AuditSolution. No certificate: the registry
+/// adds one after a completed solve when the request asks (`certify`).
 Result<SolveResult> FinishSetBacked(const SolveRequest& request,
                                     Solution solution, double seconds,
                                     SolveContract contract,

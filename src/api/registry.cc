@@ -3,7 +3,9 @@
 #include <cctype>
 #include <utility>
 
+#include "src/api/adapter_util.h"
 #include "src/common/run_context.h"
+#include "src/core/accuracy.h"
 #include "src/obs/trace.h"
 
 namespace scwsc {
@@ -42,16 +44,42 @@ void RecordSolveMetrics(obs::MetricRegistry& metrics, const std::string& name,
   metrics.gauge(p + "total_cost").Set(result.total_cost);
   metrics.gauge(p + "covered").Set(static_cast<double>(result.covered));
   metrics.gauge(p + "seconds").Set(result.seconds);
-  if (result.accuracy_ratio > 0.0) {
-    // The Prolubnikov instance-specific certificate: solution cost is
-    // within this factor of OPT on this very instance (core/accuracy.h).
-    metrics.gauge(p + "accuracy_ratio").Set(result.accuracy_ratio);
+  if (result.certificate.has_value()) {
+    metrics.gauge(p + "certified_ratio")
+        .Set(result.certificate->certified_ratio);
   }
   // Latency distribution as a mergeable per-solver sketch (obs/sketch.h);
   // the '#'-family convention lets the telemetry pump aggregate an overall
   // "solve.seconds" quantile across solvers, which fixed-bucket histograms
   // could not offer.
   metrics.sketch("solve.seconds#" + name).Observe(result.seconds);
+}
+
+/// A certifying request's completed answer gains the accuracy certificate
+/// (core/accuracy.h), computed under its own "certify" span; anything else
+/// passes through. A RunContext trip while certifying returns the trip
+/// status carrying the answer, uncertified, as its payload.
+Result<SolveResult> Certify(const SolveRequest& request,
+                            const RunContext* run_context,
+                            Result<SolveResult> result) {
+  if (!request.certify || !result.ok()) return result;
+  obs::Span span(request.trace, "certify");
+  SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
+                         request.instance->set_system());
+  Result<double> bound =
+      CoverageLowerBound(*system, request.coverage_fraction, run_context);
+  if (!bound.ok()) {
+    const Solution* greedy = bound.status().payload<Solution>();
+    if (greedy == nullptr) return bound.status();
+    // The answer is complete, but the trip still ends the request.
+    result->provenance.trip = greedy->provenance.trip;
+    result->provenance.sets_chosen = result->labels.size();
+    result->provenance.coverage_reached = result->covered;
+    return internal::Rewrap(bound.status(), std::move(result));
+  }
+  result->certificate =
+      Certificate{*bound, CertifiedRatio(result->total_cost, *bound)};
+  return result;
 }
 
 }  // namespace
@@ -175,6 +203,13 @@ Result<SolveResult> SolverRegistry::Solve(const std::string& name,
     return Create(name).status();  // NotFound listing the known names
   }
   SCWSC_RETURN_NOT_OK(CheckCapabilities(*info, *request.instance));
+  if (request.certify && (info->capabilities & kNeedsSetSystem) == 0) {
+    return Status::InvalidArgument(
+        "solver '" + info->name +
+        "' cannot certify: the accuracy certificate prices the SetSystem "
+        "view, which this solver does not run over; drop certify or use a "
+        "set-system solver such as 'cwsc'");
+  }
   // Rewrite the bag onto canonical snake_case keys (deprecated aliases warn
   // once, unknown keys are InvalidArgument naming the accepted spellings),
   // so adapters only ever read canonical keys.
@@ -200,7 +235,10 @@ Result<SolveResult> SolverRegistry::Solve(const std::string& name,
   canonical.deadline = std::chrono::milliseconds{0};
 
   SCWSC_ASSIGN_OR_RETURN(auto solver, Create(info->name));
-  if (canonical.trace == nullptr) return solver->Solve(canonical, run_context);
+  if (canonical.trace == nullptr) {
+    return Certify(canonical, run_context,
+                   solver->Solve(canonical, run_context));
+  }
 
   // Tracing on: one root span per dispatch; enumeration (lazy set-system
   // materialization) gets its own phase span so "enumerate vs. solve" in
@@ -211,7 +249,8 @@ Result<SolveResult> SolverRegistry::Solve(const std::string& name,
     obs::Span materialize(canonical.trace, "materialize");
     (void)canonical.instance->set_system();  // errors resurface in the solver
   }
-  Result<SolveResult> result = solver->Solve(canonical, run_context);
+  Result<SolveResult> result =
+      Certify(canonical, run_context, solver->Solve(canonical, run_context));
   const SolveResult* outcome = nullptr;
   if (result.ok()) {
     outcome = &*result;

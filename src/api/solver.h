@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -178,6 +179,13 @@ struct SolveRequest {
   /// interpreted by solvers.
   std::string tenant;
 
+  /// Ask for the accuracy certificate (SolveResult::certificate). Only
+  /// solvers that run over the SetSystem view (kNeedsSetSystem) can certify;
+  /// the registry rejects the request on any other solver. Off by default:
+  /// the certificate costs a greedy full cover of the instance after the
+  /// solve. The serve layer's result cache keys on it.
+  bool certify = false;
+
   class Builder;
 };
 
@@ -229,6 +237,10 @@ class SolveRequest::Builder {
     request_.tenant = std::move(tenant);
     return *this;
   }
+  Builder& WithCertificate(bool certify = true) {
+    request_.certify = certify;
+    return *this;
+  }
 
   /// The assembled request, or the first error recorded by a With* call.
   Result<SolveRequest> Build() const;
@@ -260,6 +272,19 @@ struct SolveCounters {
   std::size_t feasible_trials = 0;     // LP rounding
 };
 
+/// Instance-specific accuracy certificate of one answer, after Prolubnikov
+/// (arXiv 1811.04037); see core/accuracy.h for the dual-fitting argument.
+struct Certificate {
+  /// A lower bound on the cost of every selection, of any size, that covers
+  /// at least ⌈ŝn⌉ elements: so on the optimum too.
+  double lower_bound = 0.0;
+  /// total_cost / lower_bound (CertifiedRatio): >= 1 whenever the answer
+  /// covers ⌈ŝn⌉ elements, below 1 only for an answer that covers fewer
+  /// (CMC's relaxed target allows that); +infinity when the bound is 0 and
+  /// the cost positive.
+  double certified_ratio = 0.0;
+};
+
 /// The uniform response. `solution.sets` carries SetIds only for solvers
 /// that ran over the SetSystem view; `patterns` only for flat-pattern
 /// solvers; `labels` is always filled (one printable name per selection)
@@ -285,13 +310,10 @@ struct SolveResult {
   /// materialization and audit).
   double seconds = 0.0;
 
-  /// Instance-specific approximation-ratio certificate (Prolubnikov, arXiv
-  /// 1811.04037) computed by dual fitting over the selection order: the
-  /// solution's cost is at most this factor times the optimum covering the
-  /// same elements. >= 1 when estimable (set-backed solves with positive
-  /// set costs); 0 when no estimate applies (pattern-backed payloads,
-  /// empty selections). See core/accuracy.h.
-  double accuracy_ratio = 0.0;
+  /// The accuracy certificate (core/accuracy.h), present only when the
+  /// request set `certify` and the solve completed; interruption payloads
+  /// never carry one.
+  std::optional<Certificate> certificate;
 };
 
 // --- the interface --------------------------------------------------------

@@ -1,40 +1,53 @@
-// Instance-specific accuracy estimate for set covers, after Prolubnikov
-// (arXiv 1811.04037): instead of quoting the worst-case H_n bound, certify
-// the solution actually produced on the instance actually solved.
+// Instance-specific accuracy certificate for size-constrained weighted set
+// cover, after Prolubnikov (arXiv 1811.04037): instead of quoting a
+// worst-case factor, certify the answer actually produced on the instance
+// actually solved.
 //
-// Replay the selection order and price each newly covered element at
-// cost(S_t) / |newly covered by S_t| — the classic dual-fitting prices.
-// The selection's total cost equals the sum of all prices. For any set S,
-// gamma(S) = (sum of prices of S's elements) / cost(S) measures how far the
-// prices overshoot the dual constraint sum_{e in S} y_e <= cost(S);
-// dividing every price by gamma = max_S gamma(S) makes them dual feasible,
-// so by LP weak duality
+// The certificate is a lower bound on the cost of every selection that
+// covers at least m = ⌈ŝn⌉ elements, whatever its size — so also on the
+// k-constrained optimum. It comes from dual fitting on a greedy weighted
+// cover of every element some set contains (GreedyFullCover,
+// core/baselines.h): each element is priced when first covered, at
+// cost(S_t) / |newly covered by S_t|. The greedy takes zero-cost sets
+// first, so their elements cost 0. For every set S with positive cost,
+// gamma(S) = (price mass of S) / cost(S) measures how far the prices
+// overshoot the dual constraint Σ_{e∈S} y_e ≤ cost(S); dividing every price
+// by gamma = max_S gamma(S) makes them dual feasible. The partial-cover LP
 //
-//   cost(selection) = sum of prices <= gamma * OPT
+//   min Σ_S cost(S)·x_S  s.t.  z_e ≤ Σ_{S∋e} x_S,  Σ_e z_e ≥ m,
+//                              0 ≤ z_e ≤ 1,  x_S ≥ 0
 //
-// where OPT is the cheapest cover of the same elements. The argument only
-// needs the selection order, not greediness, so the estimate is valid for
-// every set-backed solver in the registry. gamma is often far below the
-// worst-case logarithmic bound — that gap is the point of exporting it as
-// telemetry next to latency.
+// has the dual  max m·t − Σ_e u_e  s.t.  Σ_{e∈S} y_e ≤ cost(S),
+// t ≤ y_e + u_e,  y, u, t ≥ 0.  With the scaled prices as y the best t
+// yields the sum of the m smallest scaled prices, which by weak duality is
+// at most the LP optimum; the k constraint and integrality can only raise
+// that. An element no set contains has no dual constraint, so it never
+// counts among the m smallest.
+//
+// The bound reads no selection, so it holds for every solver's answer, and
+// cost / bound is >= 1 for any answer that covers m elements.
 
 #ifndef SCWSC_CORE_ACCURACY_H_
 #define SCWSC_CORE_ACCURACY_H_
 
-#include <vector>
-
+#include "src/common/result.h"
+#include "src/common/run_context.h"
 #include "src/core/set_system.h"
 
 namespace scwsc {
 
-/// The certified approximation ratio gamma (>= 1) for covering the elements
-/// the selection covers, or 0.0 when no estimate applies (empty selection,
-/// or no priced element touches a positive-cost set). Sets with cost <= 0
-/// are skipped in the maximization: a zero-cost set admits no finite price
-/// scaling, and charging OPT for free sets would be meaningless anyway.
-/// O(total set sizes) time, O(num_elements) space.
-double EstimateAccuracyRatio(const SetSystem& system,
-                             const std::vector<SetId>& selection_order);
+/// The certificate's lower bound on the cost of any selection covering at
+/// least CoverageTarget(coverage_fraction, n) elements: 0 when the target is
+/// 0 or zero-cost sets alone reach it; InvalidArgument for a fraction
+/// outside [0, 1]. Cost: one greedy full cover, one pass over the sets and a
+/// selection over n prices; O(n) extra memory. A RunContext trip during the
+/// greedy returns its interruption status.
+Result<double> CoverageLowerBound(const SetSystem& system,
+                                  double coverage_fraction,
+                                  const RunContext* run_context = nullptr);
+
+/// total_cost / lower_bound, with 0 / 0 = 1 and c / 0 = +infinity for c > 0.
+double CertifiedRatio(double total_cost, double lower_bound);
 
 }  // namespace scwsc
 

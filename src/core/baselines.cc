@@ -5,20 +5,17 @@
 #include "src/obs/trace.h"
 
 namespace scwsc {
-Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
-                                           const GreedyWscOptions& options,
-                                           ScanStats* stats) {
-  if (options.coverage_fraction < 0.0 || options.coverage_fraction > 1.0) {
-    return Status::InvalidArgument("coverage_fraction must be in [0, 1]");
-  }
-  std::size_t rem =
-      SetSystem::CoverageTarget(options.coverage_fraction,
-                                system.num_elements());
-  Solution solution;
-  if (rem == 0) return solution;
+namespace {
 
-  ScanStats local_stats;
-  ScanStats& tally = stats != nullptr ? *stats : local_stats;
+/// The greedy weighted set cover loop: selects the set with the highest
+/// marginal gain |MBen(s)|/Cost(s) until `target` elements are covered or no
+/// set adds coverage; the returned covered count tells which. Errors: a
+/// RunContext trip (partial Solution payload) and max_sets reached first.
+Result<Solution> GreedyWscLoop(const SetSystem& system, std::size_t target,
+                               const GreedyWscOptions& options,
+                               ScanStats& tally) {
+  Solution solution;
+  if (target == 0) return solution;
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
   BenefitEngine state(system, &ctx, options.trace);
@@ -26,6 +23,7 @@ Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
   LazySelector selector;
   SeedBySize(system, selector, tally.sets_considered, MakeGainKey);
 
+  std::size_t rem = target;
   while (rem > 0) {
     if (const TripKind trip = ctx.Check(); trip != TripKind::kNone) {
       solution.covered = state.covered_count();
@@ -40,9 +38,7 @@ Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
       if (count == 0) return std::nullopt;
       return MakeGainKey(count, system.set(id).cost, id);
     });
-    if (!key.has_value()) {
-      return Status::Infeasible("greedy WSC: sets exhausted before target");
-    }
+    if (!key.has_value()) break;  // no set adds coverage
     const std::size_t newly = state.Select(key->id);
     solution.sets.push_back(key->id);
     solution.total_cost += system.set(key->id).cost;
@@ -50,6 +46,34 @@ Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
   }
   solution.covered = state.covered_count();
   return solution;
+}
+
+}  // namespace
+
+Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
+                                           const GreedyWscOptions& options,
+                                           ScanStats* stats) {
+  if (options.coverage_fraction < 0.0 || options.coverage_fraction > 1.0) {
+    return Status::InvalidArgument("coverage_fraction must be in [0, 1]");
+  }
+  const std::size_t target = SetSystem::CoverageTarget(
+      options.coverage_fraction, system.num_elements());
+  ScanStats local_stats;
+  ScanStats& tally = stats != nullptr ? *stats : local_stats;
+  SCWSC_ASSIGN_OR_RETURN(Solution solution,
+                         GreedyWscLoop(system, target, options, tally));
+  if (solution.covered < target) {
+    return Status::Infeasible("greedy WSC: sets exhausted before target");
+  }
+  return solution;
+}
+
+Result<Solution> GreedyFullCover(const SetSystem& system,
+                                 const RunContext* run_context) {
+  GreedyWscOptions options;
+  options.run_context = run_context;
+  ScanStats tally;
+  return GreedyWscLoop(system, system.num_elements(), options, tally);
 }
 
 Result<Solution> RunGreedyMaxCoverage(

@@ -49,6 +49,14 @@ Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
                                            const GreedyWscOptions& options,
                                            ScanStats* stats = nullptr);
 
+/// A greedy weighted cover of every element some set contains, in
+/// RunGreedyWeightedSetCover's gain order (zero-cost sets first): the
+/// selection order whose dual-fitting prices the accuracy certificate
+/// scales (core/accuracy.h). Never infeasible; a RunContext trip returns the
+/// interruption status with the partial Solution payload.
+Result<Solution> GreedyFullCover(const SetSystem& system,
+                                 const RunContext* run_context);
+
 struct GreedyMaxCoverageOptions {
   /// Number of sets to select.
   std::size_t k = 10;

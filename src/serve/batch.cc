@@ -237,19 +237,7 @@ Result<JsonValue> RunBatch(std::vector<SolveJob> jobs,
       result = outcome.result.status().payload<api::SolveResult>();
       ++failed;
     }
-    if (result != nullptr) {
-      report["total_cost"] = result->total_cost;
-      report["covered"] = result->covered;
-      report["num_sets"] = result->labels.size();
-      if (result->accuracy_ratio > 0.0) {
-        report["accuracy_ratio"] = result->accuracy_ratio;
-      }
-      JsonArray labels;
-      for (const std::string& label : result->labels) {
-        labels.push_back(JsonValue(label));
-      }
-      report["selection"] = JsonValue(std::move(labels));
-    }
+    if (result != nullptr) AddResultFields(*result, report);
     job_reports.push_back(JsonValue(std::move(report)));
   }
   const double wall_seconds = wall.ElapsedSeconds();

@@ -14,6 +14,7 @@
 //       "deadline_ms": 0,            // default 0 = unlimited
 //       "priority": 0,               // default 0; larger = more urgent
 //       "label": "warmup",           // default "job-<index>"
+//       "certify": false,            // accuracy certificate (set systems)
 //       "repeat": 1}                 // duplicates this job N times
 //   ],
 //    "faults": {                     // optional: scripted chaos (fault.h)

@@ -114,9 +114,10 @@ std::size_t SnapshotCache::resident_bytes() const {
 // --- ResultCache -----------------------------------------------------------
 
 bool ResultKey::operator<(const ResultKey& other) const {
-  return std::tie(snapshot_hash, solver, k, coverage_fraction, options) <
+  return std::tie(snapshot_hash, solver, k, coverage_fraction, options,
+                  certify) <
          std::tie(other.snapshot_hash, other.solver, other.k,
-                  other.coverage_fraction, other.options);
+                  other.coverage_fraction, other.options, other.certify);
 }
 
 ResultKey MakeResultKey(std::uint64_t snapshot_hash, const std::string& solver,
@@ -127,6 +128,7 @@ ResultKey MakeResultKey(std::uint64_t snapshot_hash, const std::string& solver,
   key.k = request.k;
   key.coverage_fraction = request.coverage_fraction;
   key.options = request.options.CanonicalString();
+  key.certify = request.certify;
   return key;
 }
 
@@ -149,6 +151,11 @@ std::uint64_t ResultChecksum(const api::SolveResult& result) {
   HashU64(result.contract.max_sets, h);
   HashU64(result.contract.coverage_target, h);
   HashDouble(result.seconds, h);
+  HashU64(result.certificate.has_value() ? 1 : 0, h);
+  if (result.certificate.has_value()) {
+    HashDouble(result.certificate->lower_bound, h);
+    HashDouble(result.certificate->certified_ratio, h);
+  }
   return h;
 }
 

@@ -108,6 +108,7 @@ struct ResultKey {
   std::size_t k = 0;
   double coverage_fraction = 0.0;
   std::string options;  // OptionsBag::CanonicalString()
+  bool certify = false;  // SolveRequest::certify: certified answers differ
 
   bool operator<(const ResultKey& other) const;
 };
@@ -117,9 +118,9 @@ ResultKey MakeResultKey(std::uint64_t snapshot_hash,
                         const api::SolveRequest& request);
 
 /// Content checksum of the fields a cached SolveResult serves back
-/// (selection, labels, cost/coverage bookkeeping, audit). Computed at
-/// insert and re-verified on every hit so a corrupted entry is detected
-/// before anyone consumes it.
+/// (selection, labels, cost/coverage bookkeeping, audit, certificate).
+/// Computed at insert and re-verified on every hit so a corrupted entry is
+/// detected before anyone consumes it.
 std::uint64_t ResultChecksum(const api::SolveResult& result);
 
 class ResultCache {

@@ -237,8 +237,14 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
   if (tenant_scoped && trace_ != nullptr) run_span.Event("tenant/" + tenant);
 
   auto complete = [&](JobOutcome finished) {
+    // Completed means a result came back: a full one, or an interruption's
+    // best-so-far payload. A ResourceExhausted with nothing to show (a
+    // snapshot over max_patterns) failed, as the batch report counts it.
+    const Status& status = finished.result.status();
     const bool succeeded =
-        finished.result.ok() || finished.result.status().IsInterruption();
+        finished.result.ok() ||
+        (status.IsInterruption() &&
+         status.payload<api::SolveResult>() != nullptr);
     metrics_->counter(succeeded ? "serve.jobs.completed" : "serve.jobs.failed")
         .Increment();
     // Per-solver latency sketch member; the telemetry pump merges the

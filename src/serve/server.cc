@@ -119,19 +119,7 @@ std::string RenderSolveResponse(JsonObject envelope, const std::string& solver,
     // An interruption still surfaces its best-so-far partial.
     solve = outcome.result.status().payload<api::SolveResult>();
   }
-  if (solve != nullptr) {
-    result["total_cost"] = JsonValue(solve->total_cost);
-    result["covered"] = JsonValue(solve->covered);
-    result["num_sets"] = JsonValue(solve->labels.size());
-    if (solve->accuracy_ratio > 0.0) {
-      result["accuracy_ratio"] = JsonValue(solve->accuracy_ratio);
-    }
-    JsonArray labels;
-    for (const std::string& label : solve->labels) {
-      labels.push_back(JsonValue(label));
-    }
-    result["selection"] = JsonValue(std::move(labels));
-  }
+  if (solve != nullptr) AddResultFields(*solve, result);
   envelope["result"] = JsonValue(std::move(result));
   return JsonValue(std::move(envelope)).Dump() + "\n";
 }

@@ -171,6 +171,11 @@ Result<ParsedJob> ParseJobObject(const JsonValue& entry,
       SCWSC_ASSIGN_OR_RETURN(std::string tenant,
                              RequireName(value, at + ".tenant"));
       builder.WithTenant(std::move(tenant));
+    } else if (key == "certify") {
+      if (!value.is_bool()) {
+        return Status::InvalidArgument(at + ".certify must be a bool");
+      }
+      builder.WithCertificate(value.as_bool());
     } else if (key == "priority") {
       SCWSC_ASSIGN_OR_RETURN(
           parsed.job.priority,
@@ -304,6 +309,21 @@ JsonValue DeltaStatsToJson(const api::DeltaStats& stats,
   o["sets_added"] = JsonValue(stats.sets_added);
   o["sets_removed"] = JsonValue(stats.sets_removed);
   return JsonValue(std::move(o));
+}
+
+void AddResultFields(const api::SolveResult& result, JsonObject& out) {
+  out["total_cost"] = JsonValue(result.total_cost);
+  out["covered"] = JsonValue(result.covered);
+  out["num_sets"] = JsonValue(result.labels.size());
+  if (result.certificate.has_value()) {
+    out["lower_bound"] = JsonValue(result.certificate->lower_bound);
+    out["certified_ratio"] = JsonValue(result.certificate->certified_ratio);
+  }
+  JsonArray labels;
+  for (const std::string& label : result.labels) {
+    labels.push_back(JsonValue(label));
+  }
+  out["selection"] = JsonValue(std::move(labels));
 }
 
 JsonValue SolverListToJson() {

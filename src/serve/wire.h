@@ -116,13 +116,13 @@ struct ParsedJob {
 /// Parses one job-shaped JSON object (a batch "jobs" entry or a socket
 /// "solve" request) into a SolveJob over `instance`. Accepted keys: solver
 /// (required), k, coverage, options, deadline_ms, priority, label, tenant,
-/// repeat. Integer keys must be integral and in range: k and deadline_ms in
-/// [0, 2^53], repeat in [1, 2^53], priority within int; tenant and label
-/// are at most kMaxTenantLabelBytes long; anything else is InvalidArgument
-/// naming the field. Under version >= 2 unknown keys land in `forward`;
-/// under v1 they are ignored (the legacy behaviour). `at` prefixes error messages
-/// ("jobs[3]"). Envelope keys (version/id/type) are skipped, never
-/// forwarded.
+/// certify, repeat. Integer keys must be integral and in range: k and
+/// deadline_ms in [0, 2^53], repeat in [1, 2^53], priority within int;
+/// certify is a bool; tenant and label are at most kMaxTenantLabelBytes
+/// long; anything else is InvalidArgument naming the field. Under version
+/// >= 2 unknown keys land in `forward`; under v1 they are ignored (the
+/// legacy behaviour). `at` prefixes error messages ("jobs[3]"). Envelope
+/// keys (version/id/type) are skipped, never forwarded.
 Result<ParsedJob> ParseJobObject(const JsonValue& entry,
                                  const api::InstancePtr& instance,
                                  const std::string& at, int version);
@@ -142,6 +142,12 @@ Result<api::SnapshotDelta> ParseDeltaObject(const JsonValue& entry,
 /// because a 64-bit hash does not survive the trip through a JSON double.
 JsonValue DeltaStatsToJson(const api::DeltaStats& stats,
                            std::uint64_t content_hash);
+
+/// Writes the fields a solve result shows on both serve surfaces (a batch
+/// report entry and a socket response's "result"): total_cost, covered,
+/// num_sets, selection, and lower_bound plus certified_ratio when the
+/// result carries a certificate. An infinite ratio renders as null.
+void AddResultFields(const api::SolveResult& result, JsonObject& out);
 
 /// The registry's solver table as machine-readable JSON: {"solvers":
 /// [{"name", "summary", "capabilities", "options": [{"name", "type",

@@ -597,6 +597,9 @@ TEST(SolveSchedulerTest, DeadlineTripSurfacesPartialPayload) {
   ASSERT_NE(partial, nullptr);
   EXPECT_EQ(partial->labels, std::vector<std::string>{"partial-deadline"});
   EXPECT_FALSE(outcome.from_result_cache);
+  // A partial is a result: the job completed, it did not fail.
+  EXPECT_EQ(scheduler.metrics().CounterValue("serve.jobs.completed"), 1u);
+  EXPECT_EQ(scheduler.metrics().CounterValue("serve.jobs.failed"), 0u);
 
   // Deadline-bearing jobs must not poison the cache: a deadline-free rerun
   // actually runs (gate open) instead of replaying the partial.
@@ -660,6 +663,41 @@ TEST(SolveSchedulerTest, MaterializationFailureRepeatsWithoutRetries) {
   }
   EXPECT_EQ(outcomes[0].result.status().message(),
             outcomes[1].result.status().message());
+  // ResourceExhausted with no partial to show is a failure, not a
+  // completed interruption.
+  EXPECT_EQ(scheduler.metrics().CounterValue("serve.jobs.failed"), 2u);
+  EXPECT_EQ(scheduler.metrics().CounterValue("serve.jobs.completed"), 0u);
+}
+
+TEST(SolveSchedulerTest, CertifiedAndPlainSolvesNeverShareACacheEntry) {
+  InstancePtr instance = ToyInstance();
+  ThreadPool pool(2);
+  SolveScheduler scheduler(&pool);
+  const auto run = [&](bool certify) {
+    SolveJob job = MakeJob(instance, "cwsc");
+    job.request.certify = certify;
+    auto future = scheduler.Enqueue(std::move(job));
+    EXPECT_TRUE(future.ok()) << future.status().ToString();
+    JobOutcome outcome = future->get();
+    EXPECT_TRUE(outcome.result.ok()) << outcome.result.status().ToString();
+    return outcome;
+  };
+  JobOutcome plain = run(false);
+  JobOutcome certified = run(true);
+  EXPECT_FALSE(certified.from_result_cache);
+  ASSERT_TRUE(certified.result.ok());
+  EXPECT_TRUE(certified.result->certificate.has_value());
+  EXPECT_EQ(certified.result->labels, plain.result->labels);
+
+  // Each flavour now hits its own entry and keeps its own shape.
+  JobOutcome plain_again = run(false);
+  JobOutcome certified_again = run(true);
+  EXPECT_TRUE(plain_again.from_result_cache);
+  EXPECT_FALSE(plain_again.result->certificate.has_value());
+  EXPECT_TRUE(certified_again.from_result_cache);
+  ASSERT_TRUE(certified_again.result->certificate.has_value());
+  EXPECT_EQ(certified_again.result->certificate->lower_bound,
+            certified.result->certificate->lower_bound);
 }
 
 TEST(SolveSchedulerTest, BackpressureRejectsWithResourceExhausted) {
@@ -1059,6 +1097,40 @@ TEST(ServeBatchTest, ParsesRunsAndReportsCacheHits) {
   // All four jobs agree on the report being serializable and reparseable.
   auto reparsed = serve::ParseJson(report->Dump());
   ASSERT_TRUE(reparsed.ok());
+}
+
+TEST(ServeBatchTest, ReportEchoesUnknownRootAndJobKeys) {
+  const std::string path = ::testing::TempDir() + "/serve_batch_forward.json";
+  {
+    std::ofstream out(path);
+    out << R"({"version": 2, "note": "kept",
+      "jobs": [{"solver": "cwsc", "k": 3, "coverage": 0.5, "hint": 7},
+               {"solver": "cwsc", "k": 3, "coverage": 0.5, "certify": true}]})";
+  }
+  auto spec = serve::ParseBatchSpec(path, ToyInstance());
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  ThreadPool pool(2);
+  SolveScheduler scheduler(&pool);
+  auto report = serve::RunBatch(*std::move(spec), scheduler);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  const serve::JsonValue* forward = report->Find("forward");
+  ASSERT_NE(forward, nullptr);
+  ASSERT_NE(forward->Find("note"), nullptr);
+  EXPECT_EQ(forward->Find("note")->as_string(), "kept");
+  ASSERT_NE(forward->Find("jobs[0].hint"), nullptr);
+  EXPECT_EQ(forward->Find("jobs[0].hint")->as_number(), 7.0);
+  EXPECT_EQ(forward->as_object().size(), 2u);  // certify is no unknown key
+
+  // Only the certifying job reports the certificate fields.
+  const serve::JsonArray& jobs = report->Find("jobs")->as_array();
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].Find("lower_bound"), nullptr);
+  EXPECT_EQ(jobs[0].Find("certified_ratio"), nullptr);
+  ASSERT_NE(jobs[1].Find("lower_bound"), nullptr);
+  EXPECT_LE(jobs[1].Find("lower_bound")->as_number(),
+            jobs[1].Find("total_cost")->as_number());
+  EXPECT_GE(jobs[1].Find("certified_ratio")->as_number(), 1.0);
 }
 
 TEST(ServeBatchTest, MalformedBatchFilesAreTypedErrors) {

@@ -337,6 +337,25 @@ TEST(WireDecodeTest, TenantAndLabelAreLengthCapped) {
                  "label of kMaxTenantLabelBytes + 1");
 }
 
+TEST(WireDecodeTest, CertifyMustBeABool) {
+  const InstancePtr instance = BlockInstance();
+  const auto parse = [&](const std::string& value) {
+    return serve::ParseJobObject(
+        Json(R"({"solver": "cwsc", "certify": )" + value + "}"), instance,
+        "job", serve::kWireVersion);
+  };
+  auto on = parse("true");
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_TRUE(on->job.request.certify);
+  EXPECT_TRUE(on->forward.empty());
+  auto off = parse("false");
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_FALSE(off->job.request.certify);
+  for (const std::string value : {"1", R"("true")", "null", "{}"}) {
+    ExpectRejected(parse(value).status(), "job.certify", value);
+  }
+}
+
 TEST(WireDecodeTest, VersionMustBeAnInteger) {
   EXPECT_EQ(serve::CheckWireVersion(Json(R"({"version": 2})"), "t").value(),
             serve::kWireVersion);

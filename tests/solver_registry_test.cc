@@ -500,6 +500,67 @@ TEST(SolverRegistryTest, RequestDeadlineConflictsWithExplicitRunContext) {
   EXPECT_TRUE(conflict.status().IsInvalidArgument());
 }
 
+TEST(SolverRegistryTest, CertifyNeedsASetSystemSolver) {
+  auto flat = api::InstanceSnapshot::FromTable(
+      gen::MakeEntitiesTable(),
+      pattern::CostFunction(pattern::CostKind::kMax));
+  ASSERT_TRUE(flat.ok());
+  api::SolveRequest request = MakeRequest(*flat, 2, 0.5);
+  request.certify = true;
+  // The lattice solvers never build the SetSystem view the certificate
+  // prices, so asking one to certify is refused before it runs.
+  auto lattice = SolverRegistry::Global().Solve("opt-cwsc", request);
+  ASSERT_FALSE(lattice.ok());
+  EXPECT_TRUE(lattice.status().IsInvalidArgument());
+  EXPECT_NE(std::string(lattice.status().message()).find("certify"),
+            std::string::npos);
+
+  auto certified = SolverRegistry::Global().Solve("cwsc", request);
+  ASSERT_TRUE(certified.ok()) << certified.status().ToString();
+  ASSERT_TRUE(certified->certificate.has_value());
+  EXPECT_LE(certified->certificate->lower_bound, certified->total_cost);
+  EXPECT_GE(certified->certificate->certified_ratio, 1.0);
+  request.certify = false;
+  auto plain = SolverRegistry::Global().Solve("cwsc", request);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_FALSE(plain->certificate.has_value());
+  EXPECT_EQ(plain->labels, certified->labels);
+}
+
+/// A set-system solver that never looks at its RunContext, so a context
+/// that is already cancelled first trips in the certify step.
+class ContextBlindSolver : public api::Solver {
+ public:
+  Result<SolveResult> Solve(const SolveRequest&,
+                            const RunContext*) const override {
+    SolveResult result;
+    result.labels = {"blind"};
+    result.total_cost = 5.0;
+    return result;
+  }
+};
+SCWSC_REGISTER_SOLVER(ContextBlindSolver,
+                      api::SolverInfo{"test-context-blind",
+                                      "certify trip test stub",
+                                      api::kNeedsSetSystem,
+                                      {}});
+
+TEST(SolverRegistryTest, TripWhileCertifyingReturnsTheAnswerUncertified) {
+  SolveRequest request = MakeRequest(GoldenInstance(), 2, 0.5);
+  request.certify = true;
+  RunContext ctx;
+  ctx.RequestCancel();
+  auto result =
+      SolverRegistry::Global().Solve("test-context-blind", request, &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+  const auto* partial = result.status().payload<SolveResult>();
+  ASSERT_NE(partial, nullptr);
+  EXPECT_EQ(partial->labels, std::vector<std::string>{"blind"});
+  EXPECT_FALSE(partial->certificate.has_value());
+  EXPECT_EQ(partial->provenance.trip, TripKind::kCancel);
+}
+
 TEST(SolverRegistryTest, CapabilityMismatchIsATypedError) {
   // A lattice solver cannot run on an explicit set system...
   SetSystem system(4);
