@@ -70,7 +70,8 @@ int main() {
       for (const api::SolveResult* arm : {&cwsc, &cmc}) {
         SCWSC_CHECK(arm->certificate->lower_bound <=
                         opt_cost + 1e-9 * std::max(1.0, opt_cost),
-                    "a certified lower bound exceeds the optimum above");
+                    "certified lower bound %.17g exceeds the optimum %.17g",
+                    arm->certificate->lower_bound, opt_cost);
       }
       PrintCsvRow("exp_vi_d",
                   {std::to_string(sample_id), StrFormat("%.1f", s),

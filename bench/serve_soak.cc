@@ -16,7 +16,12 @@
 //      success per tenant, and no tenant's share of dispatches collapses
 //      (weighted-fair dequeue holds under the mixed stream);
 //   g3 p99 SLO: end-to-end p99 latency stays under the (scale-adjusted)
-//      bound, and the telemetry pump evaluated a tenant-scoped SLO rule.
+//      bound, and the telemetry pump evaluated a tenant-scoped SLO rule;
+//   g4 replaced versions released: once the scheduler has drained and its
+//      pool is joined, of every version the store published only the head
+//      is alive (neither the store nor the scheduler keeps a replaced
+//      version, so a long soak's memory is bounded by its head plus the
+//      versions in-flight jobs hold).
 
 #include <algorithm>
 #include <chrono>
@@ -26,6 +31,7 @@
 #include <cstdlib>
 #include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -195,10 +201,17 @@ int Run(const char* out_path) {
     scheduler_options.telemetry.interval_seconds = 0.1;
   }
 
-  ThreadPool pool(2);
-  serve::SolveScheduler scheduler(&pool, scheduler_options);
-  serve::SnapshotStore store(&scheduler.snapshot_cache());
-  if (!store.Put("live", Snapshot(shadow)).ok()) std::abort();
+  // Heap-held so that gate g4 can join its workers.
+  auto pool = std::make_unique<ThreadPool>(2);
+  serve::SolveScheduler scheduler(pool.get(), scheduler_options);
+  serve::SnapshotStore store;
+  // Every version the store publishes, watched without being kept alive.
+  std::vector<std::weak_ptr<const api::InstanceSnapshot>> published;
+  {
+    api::InstancePtr root = Snapshot(shadow);
+    published.push_back(root);
+    if (!store.Put("live", std::move(root)).ok()) std::abort();
+  }
 
   // The open-loop schedule: Poisson arrivals drawn up front.
   std::vector<double> arrival_at(arrivals);
@@ -238,6 +251,7 @@ int Run(const char* out_path) {
         bit_identity_ok = false;
         continue;
       }
+      published.push_back(applied->snapshot);
       const api::InstancePtr rebuilt = Snapshot(shadow);
       if (rebuilt->content_hash() != applied->snapshot->content_hash()) {
         std::fprintf(stderr, "delta %zu: hash mismatch vs rebuild\n",
@@ -295,6 +309,16 @@ int Run(const char* out_path) {
   scheduler.FlushTelemetry();
   scheduler.Drain();
 
+  // A worker releases its job, and with it the job's snapshot, only after
+  // the job's future is ready, so join the pool before counting the
+  // published versions still alive. The drained scheduler submits no more
+  // tasks and stays, so a version it kept would count.
+  pool.reset();
+  std::size_t versions_alive = 0;
+  for (const auto& version : published) {
+    if (!version.expired()) ++versions_alive;
+  }
+
   const double p99 = Percentile(latencies, 0.99);
   // Generous under CI noise; the gate is "bounded", not "fast".
   const double p99_bound_seconds = 5.0;
@@ -310,11 +334,13 @@ int Run(const char* out_path) {
   const bool g3 = p99 <= p99_bound_seconds &&
                   scheduler.telemetry() != nullptr &&
                   scheduler.telemetry()->ticks() > 0;
+  const bool g4 = versions_alive == 1 && !published.back().expired();
 
   serve::JsonObject gates;
   gates["g1_bit_identity_every_version"] = serve::JsonValue(g1);
   gates["g2_zero_tenant_starvation"] = serve::JsonValue(g2);
   gates["g3_p99_slo"] = serve::JsonValue(g3);
+  gates["g4_replaced_versions_released"] = serve::JsonValue(g4);
 
   serve::JsonObject tenants_obj;
   for (const auto& [name, weight] : tenants) {
@@ -332,6 +358,8 @@ int Run(const char* out_path) {
   root["universe"] = serve::JsonValue(universe);
   root["arrivals"] = serve::JsonValue(arrivals);
   root["deltas_applied"] = serve::JsonValue(deltas_applied);
+  root["versions_published"] = serve::JsonValue(published.size());
+  root["versions_alive"] = serve::JsonValue(versions_alive);
   root["wall_seconds"] = serve::JsonValue(wall_seconds);
   root["p50_latency_seconds"] = serve::JsonValue(Percentile(latencies, 0.5));
   root["p99_latency_seconds"] = serve::JsonValue(p99);
@@ -345,7 +373,7 @@ int Run(const char* out_path) {
     return 1;
   }
   std::printf("%s\n", report.Dump().c_str());
-  const bool all = g1 && g2 && g3;
+  const bool all = g1 && g2 && g3 && g4;
   std::printf("# serve_soak: %zu arrivals, %zu deltas, p99 %.3fs -> %s\n",
               arrivals, deltas_applied, p99, all ? "PASS" : "FAIL");
   return all ? 0 : 1;

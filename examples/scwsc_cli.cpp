@@ -499,7 +499,7 @@ int RunServeMode(const CliArgs& args, api::InstancePtr instance) {
     }
   }
   serve::SolveScheduler scheduler(&pool, scheduler_options);
-  serve::SnapshotStore store(&scheduler.snapshot_cache());
+  serve::SnapshotStore store;
   if (Status s = store.Put("live", std::move(instance)); !s.ok()) {
     return Fail(s.ToString());
   }

@@ -246,8 +246,10 @@ EOF
 
 # Serve soak: open-loop Poisson arrivals from three weighted tenants with
 # live snapshot deltas. The bench itself gates on bit-identity of every
-# delta-applied version vs a from-scratch rebuild, zero tenant starvation
-# and p99; re-validate the report JSON here.
+# delta-applied version vs a from-scratch rebuild, zero tenant starvation,
+# p99 and, once the jobs are done, no published version alive but the head;
+# re-validate the report JSON here. The release gate is named, so renaming
+# it cannot slip past all().
 SCWSC_BENCH_SCALE=${SCWSC_BENCH_SCALE:-0.02} \
   "$BUILD_DIR"/bench/serve_soak "$BUILD_DIR"/BENCH_serve_soak.json \
   || fail "serve soak smoke"
@@ -255,6 +257,7 @@ python3 - "$BUILD_DIR"/BENCH_serve_soak.json <<'EOF' || fail "serve soak smoke (
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert all(report["gates"].values()), report["gates"]
+assert report["gates"].get("g4_replaced_versions_released") is True, report["gates"]
 for tenant in report["tenants"].values():
     assert tenant["succeeded"] > 0, report["tenants"]
 EOF

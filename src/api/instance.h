@@ -92,7 +92,7 @@ class InstanceSnapshot {
   /// Whole-content hash over every byte a solver can read: schema,
   /// dictionaries, encoded columns, measures, cost function and hierarchy
   /// presence, or every set's elements, cost and label in id order.
-  /// Computed once at construction; serve::ContentHash returns this.
+  /// Computed once at construction; the serve layer keys results by it.
   std::uint64_t content_hash() const { return content_hash_; }
 
   /// How many deltas separate this snapshot from its from-scratch root:

@@ -82,6 +82,19 @@ void VLog(LogLevel level, const char* file, int line, const char* fmt,
   std::fputc('\n', stderr);
 }
 
+/// Writes one FATAL line: the prefix, "Check failed: <condition>" when
+/// `condition` is set, then the formatted message.
+void VLogFatal(const char* file, int line, const char* condition,
+               const char* fmt, va_list args) {
+  char stamp[32];
+  FormatTimestamp(stamp, sizeof(stamp));
+  std::fprintf(stderr, "[%s FATAL t%05lu %s:%d] ", stamp, ThreadTag(),
+               Basename(file), line);
+  if (condition != nullptr) std::fprintf(stderr, "Check failed: %s", condition);
+  std::vfprintf(stderr, fmt, args);
+  std::fputc('\n', stderr);
+}
+
 // --- Warn rate limiting ----------------------------------------------------
 // One token bucket per warn call site (file pointer + line; __FILE__
 // literals are stable addresses). The warn path is not hot — a global mutex
@@ -176,12 +189,16 @@ std::uint64_t LogSuppressedCount() {
 void LogFatal(const char* file, int line, const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
-  char stamp[32];
-  FormatTimestamp(stamp, sizeof(stamp));
-  std::fprintf(stderr, "[%s FATAL t%05lu %s:%d] ", stamp, ThreadTag(),
-               Basename(file), line);
-  std::vfprintf(stderr, fmt, args);
-  std::fputc('\n', stderr);
+  VLogFatal(file, line, nullptr, fmt, args);
+  va_end(args);
+  std::abort();
+}
+
+void LogCheckFailed(const char* file, int line, const char* condition,
+                    const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  VLogFatal(file, line, condition, fmt, args);
   va_end(args);
   std::abort();
 }

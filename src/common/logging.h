@@ -26,9 +26,18 @@ LogLevel GetLogLevel();
 void LogMessage(LogLevel level, const char* file, int line, const char* fmt,
                 ...) __attribute__((format(printf, 4, 5)));
 
-/// Logs and aborts. Used by SCWSC_LOG_FATAL / SCWSC_CHECK.
+/// Logs and aborts. Used by SCWSC_LOG_FATAL.
 [[noreturn]] void LogFatal(const char* file, int line, const char* fmt, ...)
     __attribute__((format(printf, 3, 4)));
+
+/// Logs "Check failed: <condition>" followed by the formatted message, and
+/// aborts. Used by SCWSC_CHECK, which passes the condition's source text as
+/// an argument, so a `%` in it is printed literally, and prefixes `fmt`
+/// with the separating space, so a check without a message has a non-empty
+/// format.
+[[noreturn]] void LogCheckFailed(const char* file, int line,
+                                 const char* condition, const char* fmt, ...)
+    __attribute__((format(printf, 4, 5)));
 
 /// Warn-level messages are rate limited per call site (a token bucket of 10
 /// with 5 tokens/second refill), so a chaos storm repeating one warning
@@ -51,13 +60,13 @@ std::uint64_t LogSuppressedCount();
 #define SCWSC_LOG_FATAL(...) \
   ::scwsc::LogFatal(__FILE__, __LINE__, __VA_ARGS__)
 
-/// Aborts with a message when an internal invariant does not hold.
-#define SCWSC_CHECK(cond, ...)                                   \
-  do {                                                           \
-    if (!(cond)) {                                               \
-      ::scwsc::LogFatal(__FILE__, __LINE__,                      \
-                        "Check failed: %s " __VA_ARGS__, #cond); \
-    }                                                            \
+/// Aborts with a message when an internal invariant does not hold:
+/// SCWSC_CHECK(cond) or SCWSC_CHECK(cond, "printf format", args...).
+#define SCWSC_CHECK(cond, ...)                                            \
+  do {                                                                    \
+    if (!(cond)) {                                                        \
+      ::scwsc::LogCheckFailed(__FILE__, __LINE__, #cond, " " __VA_ARGS__); \
+    }                                                                     \
   } while (false)
 
 #ifndef NDEBUG

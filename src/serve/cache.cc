@@ -10,109 +10,6 @@
 namespace scwsc {
 namespace serve {
 
-std::uint64_t ContentHash(const api::InstanceSnapshot& instance) {
-  // Snapshots stamp their content hash at construction; the serve layer
-  // just reads it.
-  return instance.content_hash();
-}
-
-std::size_t ApproxSnapshotBytes(const api::InstanceSnapshot& instance) {
-  std::size_t bytes = sizeof(api::InstanceSnapshot);
-  if (instance.has_table()) {
-    const Table& table = instance.table();
-    bytes += table.num_rows() * table.num_attributes() * sizeof(ValueId);
-    if (table.has_measure()) bytes += table.num_rows() * sizeof(double);
-    return bytes;
-  }
-  auto system = instance.set_system();
-  if (!system.ok()) return bytes;
-  for (SetId id = 0; id < (*system)->num_sets(); ++id) {
-    bytes += sizeof(WeightedSet) +
-             (*system)->set(id).elements.size() * sizeof(ElementId);
-  }
-  return bytes;
-}
-
-// --- SnapshotCache ---------------------------------------------------------
-
-SnapshotCache::SnapshotCache(std::size_t capacity_bytes,
-                             obs::MetricRegistry* metrics)
-    : capacity_bytes_(capacity_bytes), metrics_(metrics) {}
-
-api::InstancePtr SnapshotCache::Lookup(std::uint64_t hash) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(hash);
-  if (it == index_.end()) {
-    if (metrics_ != nullptr) {
-      metrics_->counter("serve.snapshot_cache.misses").Increment();
-    }
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  if (metrics_ != nullptr) {
-    metrics_->counter("serve.snapshot_cache.hits").Increment();
-  }
-  return it->second->instance;
-}
-
-Status SnapshotCache::Insert(std::uint64_t hash, api::InstancePtr instance) {
-  if (instance == nullptr) {
-    return Status::InvalidArgument("snapshot cache: null instance");
-  }
-  const std::size_t bytes = ApproxSnapshotBytes(*instance);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_bytes_ > 0 && bytes > capacity_bytes_) {
-    // Admitting this entry could only end with every other resident entry
-    // evicted and the cache still over budget — reject it instead; the
-    // caller's InstancePtr keeps working uncached.
-    if (metrics_ != nullptr) {
-      metrics_->counter("serve.snapshot_cache.oversized").Increment();
-    }
-    return Status::ResourceExhausted(
-        "snapshot cache: entry of " + std::to_string(bytes) +
-        " bytes exceeds the whole cache budget of " +
-        std::to_string(capacity_bytes_) + " bytes; not cached");
-  }
-  auto it = index_.find(hash);
-  if (it != index_.end()) {
-    resident_bytes_ -= it->second->bytes;
-    lru_.erase(it->second);
-    index_.erase(it);
-  }
-  lru_.push_front(Entry{hash, std::move(instance), bytes});
-  index_[hash] = lru_.begin();
-  resident_bytes_ += bytes;
-  EvictOverBudgetLocked();
-  return Status::OK();
-}
-
-void SnapshotCache::EvictOverBudgetLocked() {
-  // Never evict the entry just inserted, even when it alone exceeds the
-  // budget: a cache that cannot hold its newest snapshot degrades to a
-  // rebuild-per-job serve loop.
-  while (resident_bytes_ > capacity_bytes_ && lru_.size() > 1) {
-    const Entry& victim = lru_.back();
-    resident_bytes_ -= victim.bytes;
-    index_.erase(victim.hash);
-    lru_.pop_back();
-    if (metrics_ != nullptr) {
-      metrics_->counter("serve.snapshot_cache.evictions").Increment();
-    }
-  }
-}
-
-std::size_t SnapshotCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
-std::size_t SnapshotCache::resident_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resident_bytes_;
-}
-
-// --- ResultCache -----------------------------------------------------------
-
 bool ResultKey::operator<(const ResultKey& other) const {
   return std::tie(snapshot_hash, solver, k, coverage_fraction, options,
                   certify) <

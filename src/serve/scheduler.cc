@@ -38,8 +38,6 @@ SolveScheduler::SolveScheduler(ThreadPool* pool, SchedulerOptions options)
     owned_metrics_ = std::make_unique<obs::MetricRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  snapshot_cache_ =
-      std::make_unique<SnapshotCache>(options_.snapshot_cache_bytes, metrics_);
   result_cache_ = std::make_unique<ResultCache>(
       options_.result_cache_entries == 0 ? 1 : options_.result_cache_entries,
       metrics_);
@@ -283,7 +281,7 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
   if (cacheable) {
     // Keyed by content, never by address: a snapshot allocated where a
     // freed one lived must not inherit its results.
-    key = MakeResultKey(ContentHash(*request.instance), info->name, request);
+    key = MakeResultKey(request.instance->content_hash(), info->name, request);
     // A cache hit bypasses the solver's fault points entirely.
     if (std::optional<api::SolveResult> cached = result_cache_->Lookup(key)) {
       run_span.Event("cache.hit");

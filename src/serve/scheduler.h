@@ -28,9 +28,8 @@
 // given its options (LP rounding is seeded) — so they are served from cache
 // when the (snapshot, solver, k, ŝ, canonical options) key matches;
 // deadline-bearing jobs bypass the cache both ways since their partials
-// depend on timing. A SnapshotCache is owned alongside; a SnapshotStore
-// (serve/server.h) built over it publishes every snapshot version into it
-// by content hash.
+// depend on timing. Snapshots themselves are not cached: a job holds its
+// InstancePtr until it completes, and nothing else here does.
 //
 // One attempt per job: every served solver is a deterministic function of
 // (snapshot, request), so re-running a failed solve would recompute the
@@ -50,9 +49,9 @@
 // serve.reject/{tenant_quota,draining,queue_full} event, and a serve.run
 // span (value: queue wait) carrying tenant/, cache.hit|cache.miss and
 // fault/* events. Counters serve.jobs.{accepted,rejected,completed,failed},
-// serve.result_cache.*, serve.snapshot_cache.* and serve.faults.* go to the
-// session's MetricRegistry, or to the scheduler's own when the caller gave
-// no session.
+// serve.result_cache.* and serve.faults.* go to the session's
+// MetricRegistry, or to the scheduler's own when the caller gave no
+// session.
 
 #ifndef SCWSC_SERVE_SCHEDULER_H_
 #define SCWSC_SERVE_SCHEDULER_H_
@@ -106,8 +105,6 @@ struct SchedulerOptions {
   double aging_interval_seconds = 0.25;
   /// Result-cache entries (deterministic solves memoized). 0 disables.
   std::size_t result_cache_entries = 512;
-  /// Snapshot-cache byte budget for the cache owned by the scheduler.
-  std::size_t snapshot_cache_bytes = 256ull << 20;
   /// Optional trace session: serve.enqueue/serve.run spans, their events,
   /// all serve.* counters and the jobs' solver spans go here. The scheduler
   /// keeps its own MetricRegistry when null, so counters are always
@@ -124,10 +121,16 @@ struct SchedulerOptions {
   TenantPolicy tenant;
 };
 
+/// Empty, and kept only so that perfbench's
+/// `SnapshotStore(&scheduler->snapshot_cache())` still compiles; a change to
+/// the benchmark drops those calls and then this type.
+struct SnapshotCache {};
+
 class SolveScheduler {
  public:
-  /// `pool` must outlive the scheduler. Jobs run as pool tasks; solvers
-  /// that parallelize internally create their own pools, so scheduler
+  /// `pool` must outlive the scheduler, or at least its Drain(): a drained
+  /// scheduler submits no more tasks. Jobs run as pool tasks; solvers that
+  /// parallelize internally create their own pools, so scheduler
   /// concurrency and solver concurrency never deadlock each other.
   SolveScheduler(ThreadPool* pool, SchedulerOptions options = {});
 
@@ -146,7 +149,7 @@ class SolveScheduler {
   /// Idempotent.
   void Drain();
 
-  /// Counters: serve.jobs.*, serve.result_cache.*, serve.snapshot_cache.*.
+  /// Counters: serve.jobs.*, serve.result_cache.*, serve.faults.*.
   /// The session's registry when options.trace was set, else internal.
   obs::MetricRegistry& metrics() { return *metrics_; }
 
@@ -154,7 +157,8 @@ class SolveScheduler {
   /// options.trace, the owned SLO history, or nullptr.
   const obs::TraceSession* history() const { return trace_; }
 
-  SnapshotCache& snapshot_cache() { return *snapshot_cache_; }
+  /// The empty SnapshotCache stub, for perfbench only.
+  SnapshotCache& snapshot_cache() { return snapshot_cache_; }
   ResultCache& result_cache() { return *result_cache_; }
 
   /// Jobs admitted but not yet completed (queued + running).
@@ -192,7 +196,7 @@ class SolveScheduler {
   obs::TraceSession* trace_;  // options_.trace, owned_trace_ or nullptr
   obs::MetricRegistry* metrics_;  // session registry or owned_metrics_
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
-  std::unique_ptr<SnapshotCache> snapshot_cache_;
+  SnapshotCache snapshot_cache_;  // empty stub, see snapshot_cache()
   std::unique_ptr<ResultCache> result_cache_;
   std::unique_ptr<TenantAdmission> tenants_;
 

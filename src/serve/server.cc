@@ -31,9 +31,6 @@ Status SnapshotStore::Put(const std::string& name, api::InstancePtr snapshot) {
     return Status::InvalidArgument("snapshot must not be null");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (cache_ != nullptr) {
-    (void)cache_->Insert(snapshot->content_hash(), snapshot);
-  }
   heads_[name] = std::move(snapshot);
   return Status::OK();
 }
@@ -56,11 +53,8 @@ Result<api::AppliedDelta> SnapshotStore::Apply(const std::string& name,
   }
   SCWSC_ASSIGN_OR_RETURN(api::AppliedDelta applied,
                          api::ApplyDelta(it->second, delta));
-  // Publish the child into the snapshot cache like any Put. Cache capacity
-  // rejections are non-fatal — the head still advances.
-  if (cache_ != nullptr) {
-    (void)cache_->Insert(applied.snapshot->content_hash(), applied.snapshot);
-  }
+  // The swap drops the store's reference to the parent; the parent is
+  // freed here unless a job or caller still holds it.
   it->second = applied.snapshot;
   return applied;
 }

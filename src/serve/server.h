@@ -18,8 +18,8 @@
 // job through the shared ParseJobObject (so CLI batch files and socket
 // requests cannot drift), enqueues it, and answers when the future
 // resolves — the loop keeps serving other connections meanwhile. "delta"
-// applies a SnapshotDelta to the named head, publishes the child version,
-// and inserts it into the scheduler's SnapshotCache under its content hash.
+// applies a SnapshotDelta to the named head and publishes the child as the
+// new head.
 //
 // Concurrency model: one epoll thread owns every connection; solves run on
 // the scheduler's pool and come back as futures the loop polls between
@@ -42,7 +42,6 @@
 #include "src/api/delta.h"
 #include "src/api/instance.h"
 #include "src/common/result.h"
-#include "src/serve/cache.h"
 #include "src/serve/scheduler.h"
 
 namespace scwsc {
@@ -52,12 +51,14 @@ namespace serve {
 /// Put() registers (or replaces) a head; Apply() advances one by a delta,
 /// atomically swapping the head to the child version. Readers always get
 /// a consistent InstancePtr — in-flight solves keep the version they
-/// resolved, exactly like the scheduler's caches.
+/// resolved. The store holds only its heads: a replaced version lives
+/// exactly as long as some job or caller still holds its InstancePtr.
 class SnapshotStore {
  public:
-  /// `cache` (optional) receives every published version keyed by content
-  /// hash.
-  explicit SnapshotStore(SnapshotCache* cache = nullptr) : cache_(cache) {}
+  /// The parameter is ignored. It is kept only so that perfbench's
+  /// `SnapshotStore(&scheduler->snapshot_cache())` compiles until a change
+  /// to the benchmark drops the argument.
+  explicit SnapshotStore(SnapshotCache* = nullptr) {}
 
   /// Registers or replaces the head for `name`. InvalidArgument on a null
   /// snapshot or empty name.
@@ -76,7 +77,6 @@ class SnapshotStore {
   std::vector<std::string> Names() const;
 
  private:
-  SnapshotCache* const cache_;
   mutable std::mutex mu_;
   std::map<std::string, api::InstancePtr> heads_;
 };

@@ -1,7 +1,7 @@
 // SnapshotDelta edge cases: bit-identity of delta-applied snapshots against
 // from-scratch rebuilds (the serve_soak gate in miniature), version
-// chaining, content-keyed caching of every version, and the typed
-// rejections (mixed op families, out-of-range indices, hierarchies).
+// chaining, and the typed rejections (mixed op families, out-of-range
+// indices, hierarchies).
 
 #include "src/api/delta.h"
 
@@ -13,8 +13,6 @@
 #include "src/api/instance.h"
 #include "src/api/registry.h"
 #include "src/core/set_system.h"
-#include "src/obs/metrics.h"
-#include "src/serve/cache.h"
 #include "src/table/builder.h"
 
 namespace scwsc {
@@ -274,33 +272,6 @@ TEST(DeltaTest, VersionsChainAcrossApplications) {
     EXPECT_EQ(applied->snapshot->delta_version(), version);
     head = applied->snapshot;
   }
-}
-
-TEST(DeltaTest, CacheKeepsEveryVersionUnderItsContentHash) {
-  obs::MetricRegistry metrics;
-  serve::SnapshotCache cache(64ull << 20, &metrics);
-  InstancePtr parent = BlockInstance();
-  ASSERT_TRUE(cache.Insert(parent->content_hash(), parent).ok());
-
-  SnapshotDelta delta;
-  SnapshotDelta::SetAdd add;
-  add.elements = {500};
-  add.cost = 0.25;
-  add.label = "probe";
-  delta.add_sets.push_back(std::move(add));
-  auto applied = ApplyDelta(parent, delta);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-
-  ASSERT_NE(applied->snapshot->content_hash(), parent->content_hash());
-  ASSERT_TRUE(cache.Insert(applied->snapshot->content_hash(),
-                           applied->snapshot)
-                  .ok());
-  // Both versions stay resident, each found only under its own hash.
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.Lookup(parent->content_hash()), parent);
-  EXPECT_EQ(cache.Lookup(applied->snapshot->content_hash()),
-            applied->snapshot);
-  EXPECT_EQ(metrics.CounterValue("serve.snapshot_cache.hits"), 2u);
 }
 
 TEST(DeltaTest, MixedAndInvalidOpsAreTyped) {

@@ -1,6 +1,6 @@
-// Tests for the warn-storm rate limiter in common/logging: repeated warns
+// Tests for common/logging: the warn-storm rate limiter (repeated warns
 // from one call site are suppressed past the burst and counted in
-// LogSuppressedCount().
+// LogSuppressedCount()), and the message a failed SCWSC_CHECK prints.
 
 #include "src/common/logging.h"
 
@@ -43,6 +43,24 @@ TEST(LoggingRateLimitTest, OtherLevelsAreNeverRateLimited) {
   }
   SetLogLevel(saved);
   EXPECT_EQ(LogSuppressedCount(), before);
+}
+
+TEST(LoggingTest, CheckPrintsItsConditionBeforeTheMessage) {
+  int n = 1;
+  EXPECT_DEATH(SCWSC_CHECK(n + 1 == 3, "left %s right %s", "a", "b"),
+               "Check failed: n \\+ 1 == 3 left a right b");
+}
+
+TEST(LoggingTest, CheckFormatsNumbersAndKeepsAPercentInItsCondition) {
+  int n = 7;
+  double ratio = 0.25;
+  EXPECT_DEATH(SCWSC_CHECK(n % 2 == 0, "n=%d ratio=%g", n, ratio),
+               "Check failed: n % 2 == 0 n=7 ratio=0.25");
+}
+
+TEST(LoggingTest, CheckWithoutAMessagePrintsItsCondition) {
+  int n = 1;
+  EXPECT_DEATH(SCWSC_CHECK(n > 1), "Check failed: n > 1");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "gtest/gtest.h"
 #include "src/api/delta.h"
 #include "src/api/instance.h"
+#include "src/api/registry.h"
 #include "src/common/thread_pool.h"
 #include "src/core/set_system.h"
 #include "src/serve/json.h"
@@ -106,10 +108,7 @@ class Client {
 
 struct ServerFixture {
   ServerFixture()
-      : pool(2),
-        scheduler(&pool),
-        store(&scheduler.snapshot_cache()),
-        server(&scheduler, &store) {
+      : pool(2), scheduler(&pool), server(&scheduler, &store) {
     EXPECT_TRUE(store.Put("live", BlockInstance()).ok());
     EXPECT_TRUE(server.Start().ok());
     EXPECT_GT(server.port(), 0);
@@ -153,6 +152,39 @@ TEST(SnapshotStoreTest, HeadsAdvanceAndOldVersionsStayUsable) {
   EXPECT_EQ(store.Apply("absent", delta).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(store.Names(), std::vector<std::string>{"live"});
+}
+
+TEST(SnapshotStoreTest, ReplacedHeadIsReleased) {
+  // The store as the server holds it, next to a live scheduler.
+  ServerFixture fx;
+  auto head = fx.store.Get("live");
+  ASSERT_TRUE(head.ok());
+  InstancePtr v0 = std::move(*head);
+  const std::weak_ptr<const api::InstanceSnapshot> watch = v0;
+
+  api::SnapshotDelta delta;
+  api::SnapshotDelta::SetAdd add;
+  add.elements = {500};
+  add.cost = 0.5;
+  add.label = "extra";
+  delta.add_sets.push_back(std::move(add));
+  ASSERT_TRUE(fx.store.Apply("live", delta).ok());
+
+  // A holder of the replaced version can still solve on it...
+  {
+    auto request =
+        api::SolveRequest::Builder(v0).WithK(2).WithCoverage(0.25).Build();
+    ASSERT_TRUE(request.ok()) << request.status().ToString();
+    auto solved =
+        api::SolverRegistry::Global().Solve("greedy-wsc", *request, nullptr);
+    EXPECT_TRUE(solved.ok()) << solved.status().ToString();
+  }
+  EXPECT_EQ(v0->delta_version(), 0u);
+  EXPECT_FALSE(watch.expired());
+
+  // ...and once the last holder drops it, nothing else keeps it alive.
+  v0.reset();
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(ServerTest, PingAndListSolvers) {
