@@ -54,9 +54,6 @@
 //                       tables (the same schema the socket server's
 //                       list_solvers request returns)
 //
-// Legacy aliases kept for scripts: --algorithm cwsc|cmc|exact maps to
-// opt-cwsc/opt-cmc/exact, and --b/--epsilon/--strict feed the CMC options.
-//
 // Ctrl-C requests cooperative cancellation: the solver stops at its next
 // check point and the best-so-far solution is printed.
 //
@@ -159,9 +156,6 @@ int ListSolvers(bool as_json) {
       } else {
         meta += ", default " + opt.default_value;
       }
-      if (!opt.deprecated_alias.empty()) {
-        meta += ", alias " + opt.deprecated_alias;
-      }
       std::printf("%-22s   --opt %s=<%s>  %s\n", "", opt.name.c_str(),
                   meta.c_str(), opt.help.c_str());
     }
@@ -169,10 +163,74 @@ int ListSolvers(bool as_json) {
   return 0;
 }
 
+/// Applies one flag that takes a value. NotFound when `flag` is not one.
+Status ApplyValueFlag(const std::string& flag, const std::string& value,
+                      CliArgs& args) {
+  if (flag == "--input") {
+    args.input = value;
+  } else if (flag == "--measure") {
+    args.measure = value;
+  } else if (flag == "--solver") {
+    args.solver = value;
+  } else if (flag == "--k") {
+    SCWSC_ASSIGN_OR_RETURN(auto k, ParseU64(value));
+    args.k = static_cast<std::size_t>(k);
+  } else if (flag == "--coverage") {
+    SCWSC_ASSIGN_OR_RETURN(args.coverage, ParseDouble(value));
+  } else if (flag == "--cost") {
+    args.cost = value;
+  } else if (flag == "--lp") {
+    SCWSC_ASSIGN_OR_RETURN(args.lp, ParseDouble(value));
+  } else if (flag == "--opt") {
+    args.opts.push_back(value);
+  } else if (flag == "--hierarchy") {
+    if (value != "flat") {
+      return Status::InvalidArgument("--hierarchy only supports 'flat'");
+    }
+    args.flat_hierarchy = true;
+  } else if (flag == "--deadline-ms") {
+    SCWSC_ASSIGN_OR_RETURN(args.deadline_ms, ParseU64(value));
+  } else if (flag == "--trace-out") {
+    args.trace_out = value;
+  } else if (flag == "--metrics-out") {
+    args.metrics_out = value;
+  } else if (flag == "--batch") {
+    args.batch = value;
+  } else if (flag == "--batch-out") {
+    args.batch_out = value;
+  } else if (flag == "--telemetry-out") {
+    args.telemetry_out = value;
+  } else if (flag == "--slo") {
+    // Parse eagerly so a typo fails at the command line, not mid-batch.
+    SCWSC_ASSIGN_OR_RETURN(serve::SloRule parsed, serve::ParseSloRule(value));
+    (void)parsed;
+    args.slo_rules.push_back(value);
+  } else if (flag == "--threads") {
+    SCWSC_ASSIGN_OR_RETURN(auto threads, ParseU64(value));
+    args.threads = static_cast<unsigned>(threads);
+  } else if (flag == "--tenant") {
+    args.tenant = value;
+  } else if (flag == "--tenant-quota") {
+    args.tenant_quotas.push_back(value);
+  } else if (flag == "--serve") {
+    SCWSC_ASSIGN_OR_RETURN(auto port, ParseU64(value));
+    if (port > 65535) {
+      return Status::InvalidArgument("--serve port must be <= 65535");
+    }
+    args.serve_port = static_cast<int>(port);
+  } else if (flag == "--delimiter") {
+    if (value.size() != 1) {
+      return Status::InvalidArgument("--delimiter takes one character");
+    }
+    args.delimiter = value[0];
+  } else {
+    return Status::NotFound("unknown flag " + flag);
+  }
+  return Status::OK();
+}
+
 Result<CliArgs> ParseArgs(int argc, char** argv) {
   CliArgs args;
-  std::string legacy_algorithm;
-  std::vector<std::string> legacy_cmc;  // from --b/--epsilon/--strict
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") {
@@ -187,103 +245,17 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
       args.json = true;
       continue;
     }
-    if (flag == "--strict") {
-      legacy_cmc.push_back("strict=true");
-      continue;
+    // An unknown flag is reported as such even when it comes last.
+    const bool has_value = i + 1 < argc;
+    const Status applied =
+        ApplyValueFlag(flag, has_value ? argv[++i] : "", args);
+    if (applied.IsNotFound()) {
+      return Status::InvalidArgument(std::string(applied.message()));
     }
-    if (i + 1 >= argc) {
+    if (!has_value) {
       return Status::InvalidArgument("missing value for " + flag);
     }
-    const std::string value = argv[++i];
-    if (flag == "--input") {
-      args.input = value;
-    } else if (flag == "--measure") {
-      args.measure = value;
-    } else if (flag == "--solver") {
-      args.solver = value;
-    } else if (flag == "--k") {
-      SCWSC_ASSIGN_OR_RETURN(auto k, ParseU64(value));
-      args.k = static_cast<std::size_t>(k);
-    } else if (flag == "--coverage") {
-      SCWSC_ASSIGN_OR_RETURN(args.coverage, ParseDouble(value));
-    } else if (flag == "--cost") {
-      args.cost = value;
-    } else if (flag == "--lp") {
-      SCWSC_ASSIGN_OR_RETURN(args.lp, ParseDouble(value));
-    } else if (flag == "--opt") {
-      args.opts.push_back(value);
-    } else if (flag == "--hierarchy") {
-      if (value != "flat") {
-        return Status::InvalidArgument("--hierarchy only supports 'flat'");
-      }
-      args.flat_hierarchy = true;
-    } else if (flag == "--algorithm") {
-      legacy_algorithm = value;
-    } else if (flag == "--b") {
-      legacy_cmc.push_back("b=" + value);
-    } else if (flag == "--epsilon") {
-      legacy_cmc.push_back("epsilon=" + value);
-    } else if (flag == "--deadline-ms") {
-      SCWSC_ASSIGN_OR_RETURN(args.deadline_ms, ParseU64(value));
-    } else if (flag == "--trace-out") {
-      args.trace_out = value;
-    } else if (flag == "--metrics-out") {
-      args.metrics_out = value;
-    } else if (flag == "--batch") {
-      args.batch = value;
-    } else if (flag == "--batch-out") {
-      args.batch_out = value;
-    } else if (flag == "--telemetry-out") {
-      args.telemetry_out = value;
-    } else if (flag == "--slo") {
-      // Parse eagerly so a typo fails at the command line, not mid-batch.
-      SCWSC_ASSIGN_OR_RETURN(serve::SloRule parsed, serve::ParseSloRule(value));
-      (void)parsed;
-      args.slo_rules.push_back(value);
-    } else if (flag == "--threads") {
-      SCWSC_ASSIGN_OR_RETURN(auto threads, ParseU64(value));
-      args.threads = static_cast<unsigned>(threads);
-    } else if (flag == "--tenant") {
-      args.tenant = value;
-    } else if (flag == "--tenant-quota") {
-      args.tenant_quotas.push_back(value);
-    } else if (flag == "--serve") {
-      SCWSC_ASSIGN_OR_RETURN(auto port, ParseU64(value));
-      if (port > 65535) {
-        return Status::InvalidArgument("--serve port must be <= 65535");
-      }
-      args.serve_port = static_cast<int>(port);
-    } else if (flag == "--delimiter") {
-      if (value.size() != 1) {
-        return Status::InvalidArgument("--delimiter takes one character");
-      }
-      args.delimiter = value[0];
-    } else {
-      return Status::InvalidArgument("unknown flag " + flag);
-    }
-  }
-  if (!legacy_algorithm.empty()) {
-    if (legacy_algorithm == "cwsc") {
-      args.solver = "opt-cwsc";
-    } else if (legacy_algorithm == "cmc") {
-      args.solver = "opt-cmc";
-    } else if (legacy_algorithm == "exact") {
-      args.solver = "exact";
-    } else {
-      return Status::InvalidArgument("unknown algorithm '" + legacy_algorithm +
-                                     "'");
-    }
-  }
-  // The legacy CMC flags are forwarded only to solvers that understand
-  // them, matching the old CLI (which silently ignored --b under cwsc).
-  if (const api::SolverInfo* info =
-          api::SolverRegistry::Global().Find(args.solver)) {
-    for (const std::string& item : legacy_cmc) {
-      const std::string key = item.substr(0, item.find('='));
-      if (api::FindOption(info->options, key) != nullptr) {
-        args.opts.push_back(item);
-      }
-    }
+    SCWSC_RETURN_NOT_OK(applied);
   }
   if (args.list_solvers) return args;  // no input needed
   if (args.input.empty()) return Status::InvalidArgument("--input required");

@@ -83,7 +83,7 @@ python3 -m json.tool "$BUILD_DIR"/metrics.json > /dev/null \
 # Serve smoke: a 21-job v2 batch through the SolveScheduler must produce a
 # well-formed report with zero failures and visible result-cache hits (the
 # repeats are deterministic duplicates, so misses-only means the cache or
-# the canonical option keys broke). The unknown root and job keys must come
+# its keys broke). The unknown root and job keys must come
 # back under the report's "forward"; the one certifying job, and no other,
 # must carry a lower bound at most its cost (its cwsc twin without certify
 # is a separate cache entry).
@@ -137,13 +137,26 @@ fi
 grep -q "cannot open" "$BUILD_DIR"/batch_err.txt \
   || fail "batch negative smoke (expected a typed NotFound message)"
 
+# Wire version smoke: a batch file without "version": 2 is refused with a
+# message naming version 2 and a non-zero exit; no v1 fallback exists.
+printf '{"jobs": [{"solver": "cwsc", "k": 3, "coverage": 0.5}]}\n' \
+  > "$BUILD_DIR"/versionless_jobs.json
+if "$BUILD_DIR"/examples/scwsc_cli --input "$BUILD_DIR"/obs_smoke.csv \
+     --measure Cost --batch "$BUILD_DIR"/versionless_jobs.json \
+     --batch-out "$BUILD_DIR"/unused.json 2> "$BUILD_DIR"/batch_err.txt; then
+  fail "wire version smoke (versionless batch file exited 0)"
+fi
+grep -q "version 2" "$BUILD_DIR"/batch_err.txt \
+  || fail "wire version smoke (expected an error naming version 2)"
+
 # Chaos smoke: the same batch under a seeded fault storm. Each job runs
 # once, so injected failures surface in the report. The CLI must exit 0 or
 # 1 (never crash), the report must account for every job, and every failed
 # job must be an Internal error naming an injected fault, so a genuine
 # failure cannot hide in the storm.
 cat > "$BUILD_DIR"/serve_chaos_jobs.json <<'EOF'
-{"faults": {"seed": 7, "solver_delay_ms": 1,
+{"version": 2,
+ "faults": {"seed": 7, "solver_delay_ms": 1,
             "points": {"solver_error": 0.3, "solver_throw": 0.1,
                        "solver_delay": 0.2, "result_cache_corrupt": 0.5}},
  "jobs": [
@@ -180,7 +193,8 @@ EOF
 # history as a trace that chrome://tracing would load and that holds at
 # least one serve.run span, and the aggregate must count the violations.
 cat > "$BUILD_DIR"/serve_slo_jobs.json <<'EOF'
-{"slo": {"rules": ["p99_latency_ms<=0.001"], "interval_ms": 25},
+{"version": 2,
+ "slo": {"rules": ["p99_latency_ms<=0.001"], "interval_ms": 25},
  "jobs": [
   {"solver": "cwsc", "k": 3, "coverage": 0.5, "label": "slo", "repeat": 8},
   {"solver": "opt-cwsc", "k": 3, "coverage": 0.5, "repeat": 6},

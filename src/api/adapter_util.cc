@@ -167,18 +167,15 @@ Result<CmcOptions> CmcOptionsFromRequest(const SolveRequest& request,
 
 OptionsSpec CmcOptionsSpec() {
   return {
-      {"b", OptionType::kDouble, "1", "initial budget multiplier", "", false},
+      {"b", OptionType::kDouble, "1", "initial budget multiplier", false},
       {"epsilon", OptionType::kDouble, "0",
-       "budget relaxation epsilon (>=0 widens the selectable-set bound)", "",
+       "budget relaxation epsilon (>=0 widens the selectable-set bound)",
        false},
-      {"l", OptionType::kU64, "1", "budget doubling exponent base", "",
-       false},
+      {"l", OptionType::kU64, "1", "budget doubling exponent base", false},
       {"strict", OptionType::kBool, "false",
-       "require the unrelaxed coverage target (no (1-1/e) relaxation)", "",
-       false},
+       "require the unrelaxed coverage target (no (1-1/e) relaxation)", false},
       {"max_budget_rounds", OptionType::kU64, "256",
-       "cap on budget-doubling rounds before giving up",
-       "max-budget-rounds", false},
+       "cap on budget-doubling rounds before giving up", false},
   };
 }
 

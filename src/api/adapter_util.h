@@ -46,8 +46,8 @@ Status Rewrap(const Status& status, Result<SolveResult> finished);
 Result<CmcOptions> CmcOptionsFromRequest(const SolveRequest& request,
                                          const RunContext* run_context);
 
-/// The shared CMC options table (b, epsilon, l, strict, max_budget_rounds
-/// with the old hyphenated spelling as a deprecated alias), for SolverInfo.
+/// The shared CMC options table (b, epsilon, l, strict, max_budget_rounds),
+/// for SolverInfo.
 OptionsSpec CmcOptionsSpec();
 
 /// The CMC contract: at most CmcMaxSelectable sets covering at least the

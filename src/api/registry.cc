@@ -210,14 +210,9 @@ Result<SolveResult> SolverRegistry::Solve(const std::string& name,
         "view, which this solver does not run over; drop certify or use a "
         "set-system solver such as 'cwsc'");
   }
-  // Rewrite the bag onto canonical snake_case keys (deprecated aliases warn
-  // once, unknown keys are InvalidArgument naming the accepted spellings),
-  // so adapters only ever read canonical keys.
-  SCWSC_ASSIGN_OR_RETURN(
-      auto canonical_options,
-      request.options.Canonicalize(info->options, info->name));
-  SolveRequest canonical = request;  // shares the snapshot, copies the bag
-  canonical.options = std::move(canonical_options);
+  // Option keys are exact: a key the spec does not name is InvalidArgument
+  // listing the accepted ones, so adapters read the bag as sent.
+  SCWSC_RETURN_NOT_OK(request.options.Validate(info->options, info->name));
 
   // A request-carried deadline becomes an internal RunContext. Both a
   // deadline and an explicit context would mean two racing deadline
@@ -232,25 +227,23 @@ Result<SolveResult> SolverRegistry::Solve(const std::string& name,
     deadline_context.SetDeadline(request.deadline);
     run_context = &deadline_context;
   }
-  canonical.deadline = std::chrono::milliseconds{0};
 
   SCWSC_ASSIGN_OR_RETURN(auto solver, Create(info->name));
-  if (canonical.trace == nullptr) {
-    return Certify(canonical, run_context,
-                   solver->Solve(canonical, run_context));
+  if (request.trace == nullptr) {
+    return Certify(request, run_context, solver->Solve(request, run_context));
   }
 
   // Tracing on: one root span per dispatch; enumeration (lazy set-system
   // materialization) gets its own phase span so "enumerate vs. solve" in
   // the figures comes from a single clock source.
-  obs::Span root(canonical.trace, "solve/" + info->name);
+  obs::Span root(request.trace, "solve/" + info->name);
   if ((info->capabilities & kNeedsSetSystem) != 0 &&
-      !canonical.instance->set_system_materialized()) {
-    obs::Span materialize(canonical.trace, "materialize");
-    (void)canonical.instance->set_system();  // errors resurface in the solver
+      !request.instance->set_system_materialized()) {
+    obs::Span materialize(request.trace, "materialize");
+    (void)request.instance->set_system();  // errors resurface in the solver
   }
   Result<SolveResult> result =
-      Certify(canonical, run_context, solver->Solve(canonical, run_context));
+      Certify(request, run_context, solver->Solve(request, run_context));
   const SolveResult* outcome = nullptr;
   if (result.ok()) {
     outcome = &*result;
@@ -262,7 +255,7 @@ Result<SolveResult> SolverRegistry::Solve(const std::string& name,
                TripKindToString(partial->provenance.trip));
   }
   if (outcome != nullptr) {
-    RecordSolveMetrics(canonical.trace->metrics(), info->name, *outcome);
+    RecordSolveMetrics(request.trace->metrics(), info->name, *outcome);
   }
   return result;
 }

@@ -35,10 +35,10 @@ struct SolverInfo {
   std::string name;       // registry key, canonical lowercase, e.g. "opt-cwsc"
   std::string summary;    // one line for --list-solvers
   unsigned capabilities = 0;  // SolverCapability bits
-  /// Accepted options: canonical snake_case key, type, default, help and
-  /// (optionally) a deprecated alias per entry. Registry::Solve
-  /// canonicalizes every request's bag against this table, --list-solvers
-  /// renders it, and the round-trip property test re-parses its defaults.
+  /// Accepted options: snake_case key, type, default and help per entry.
+  /// Registry::Solve validates every request's bag against this table,
+  /// --list-solvers renders it, and the round-trip property test re-parses
+  /// its defaults.
   OptionsSpec options;
 };
 
@@ -69,8 +69,8 @@ class SolverRegistry {
   static Status CheckCapabilities(const SolverInfo& info,
                                   const InstanceSnapshot& instance);
 
-  /// Lookup (case-insensitive) + capability check + options
-  /// canonicalization + Solve, in one call. This is the seam the CLI, the
+  /// Lookup (case-insensitive) + capability check + options validation
+  /// (exact keys) + Solve, in one call. This is the seam the CLI, the
   /// bench harness, the serve scheduler and the tests all go through. A
   /// non-zero request.deadline is applied through an internal RunContext;
   /// combining it with an explicit `run_context` is an InvalidArgument

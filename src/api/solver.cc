@@ -1,11 +1,8 @@
 #include "src/api/solver.h"
 
-#include <cctype>
-#include <mutex>
-#include <set>
+#include <algorithm>
 #include <utility>
 
-#include "src/common/logging.h"
 #include "src/common/strings.h"
 
 namespace scwsc {
@@ -43,81 +40,30 @@ std::string_view OptionTypeToString(OptionType type) {
   return "string";
 }
 
-namespace {
-
-std::string AsciiLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-/// Once-per-process guard for deprecated-alias warnings, keyed by
-/// "<solver>/<alias>" so each old spelling warns exactly once no matter how
-/// many requests use it.
-bool ShouldWarnDeprecated(const std::string& key) {
-  static std::mutex mu;
-  static std::set<std::string>* warned = new std::set<std::string>();
-  std::lock_guard<std::mutex> lock(mu);
-  return warned->insert(key).second;
-}
-
-std::string AcceptedKeysList(const OptionsSpec& spec) {
-  std::string accepted;
-  for (const OptionSpec& opt : spec) {
-    if (!accepted.empty()) accepted += ", ";
-    accepted += opt.name;
-  }
-  return accepted;
-}
-
-}  // namespace
-
-const OptionSpec* FindOption(const OptionsSpec& spec, const std::string& key) {
-  const std::string lower = AsciiLower(key);
-  for (const OptionSpec& opt : spec) {
-    if (lower == opt.name) return &opt;
-    if (!opt.deprecated_alias.empty() && lower == opt.deprecated_alias) {
-      return &opt;
-    }
-  }
-  return nullptr;
-}
-
-Result<OptionsBag> OptionsBag::Canonicalize(
-    const OptionsSpec& spec, const std::string& solver_name) const {
-  OptionsBag canonical;
+Status OptionsBag::Validate(const OptionsSpec& spec,
+                            const std::string& solver_name) const {
   for (const auto& [key, value] : kv_) {
-    const OptionSpec* opt = FindOption(spec, key);
-    if (opt == nullptr) {
-      const std::string accepted = AcceptedKeysList(spec);
-      return Status::InvalidArgument(
-          "unknown option '" + key + "' for solver '" + solver_name + "'" +
-          (accepted.empty() ? " (this solver takes no options)"
-                            : "; accepted options: " + accepted));
+    if (std::any_of(spec.begin(), spec.end(),
+                    [&](const OptionSpec& opt) { return opt.name == key; })) {
+      continue;
     }
-    const std::string lower = AsciiLower(key);
-    if (lower != opt->name &&
-        ShouldWarnDeprecated(solver_name + "/" + lower)) {
-      SCWSC_LOG_WARN("option key '%s' of solver '%s' is deprecated; use '%s'",
-                     lower.c_str(), solver_name.c_str(), opt->name.c_str());
+    std::string accepted;
+    for (const OptionSpec& opt : spec) {
+      if (!accepted.empty()) accepted += ", ";
+      accepted += opt.name;
     }
-    if (canonical.Has(opt->name)) {
-      return Status::InvalidArgument(
-          "option '" + opt->name + "' of solver '" + solver_name +
-          "' given more than once (canonical key and alias together)");
-    }
-    canonical.Set(opt->name, value);
+    return Status::InvalidArgument(
+        "unknown option '" + key + "' for solver '" + solver_name + "'" +
+        (accepted.empty() ? " (this solver takes no options)"
+                          : "; accepted options: " + accepted));
   }
   for (const OptionSpec& opt : spec) {
-    if (opt.required && !canonical.Has(opt.name)) {
+    if (opt.required && !Has(opt.name)) {
       return Status::InvalidArgument("solver '" + solver_name +
                                      "' requires option '" + opt.name + "'");
     }
   }
-  return canonical;
+  return Status::OK();
 }
 
 std::string OptionsBag::CanonicalString() const {
@@ -187,30 +133,6 @@ Result<std::string> OptionsBag::GetString(const std::string& key,
                                           std::string fallback) const {
   auto it = kv_.find(key);
   return it == kv_.end() ? std::move(fallback) : it->second;
-}
-
-Status OptionsBag::ExpectKnown(const std::vector<std::string>& known) const {
-  for (const auto& [key, value] : kv_) {
-    bool found = false;
-    for (const std::string& k : known) {
-      if (key == k) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::string accepted;
-      for (const std::string& k : known) {
-        if (!accepted.empty()) accepted += ", ";
-        accepted += k;
-      }
-      return Status::InvalidArgument(
-          "unknown option '" + key + "'" +
-          (known.empty() ? " (this solver takes no options)"
-                         : "; accepted options: " + accepted));
-    }
-  }
-  return Status::OK();
 }
 
 SolveRequest::Builder& SolveRequest::Builder::WithOptions(

@@ -65,21 +65,18 @@ enum class OptionType { kDouble, kU64, kBool, kString };
 /// "double" / "u64" / "bool" / "string".
 std::string_view OptionTypeToString(OptionType type);
 
-/// One accepted option of a solver: the canonical snake_case key, its type,
-/// the rendered default, a one-line help string, and (optionally) the old
-/// spelling kept as a deprecated alias. Every solver registers exactly one
-/// OptionsSpec; the registry canonicalizes incoming bags against it, the CLI
-/// prints it, and the round-trip property test re-parses its defaults.
+/// One accepted option of a solver: its snake_case key, its type, the
+/// rendered default and a one-line help string. Every solver registers
+/// exactly one OptionsSpec; the registry validates incoming bags against
+/// it, the CLI prints it, and the round-trip property test re-parses its
+/// defaults.
 struct OptionSpec {
-  std::string name;  // canonical snake_case key, e.g. "max_budget_rounds"
+  std::string name;  // the one accepted spelling, e.g. "max_budget_rounds"
   OptionType type = OptionType::kString;
   /// Rendered default, bit-identical under the matching OptionsBag getter
   /// ("256", "false", "gain"). Empty for required options.
   std::string default_value;
   std::string help;  // one line for --list-solvers
-  /// Old spelling ("max-budget-rounds") accepted with a once-per-process
-  /// deprecation warning; empty = no alias.
-  std::string deprecated_alias;
   /// True when the option must be supplied (no usable default); the
   /// registry rejects a request missing it before instantiating the solver.
   bool required = false;
@@ -87,16 +84,12 @@ struct OptionSpec {
 
 using OptionsSpec = std::vector<OptionSpec>;
 
-/// The spec entry whose canonical name or deprecated alias matches `key`,
-/// ASCII-case-insensitively; nullptr when none does.
-const OptionSpec* FindOption(const OptionsSpec& spec, const std::string& key);
-
 // --- options bag ----------------------------------------------------------
 
 /// Per-algorithm options as string key/value pairs, so one CLI flag
 /// (--opt key=value) and one RPC field can parameterize any solver. Typed
-/// getters parse on access; the registry canonicalizes every bag against
-/// the solver's OptionsSpec first, so a typo ("espilon=2") is an
+/// getters parse on access; the registry validates every bag against the
+/// solver's OptionsSpec first, so a typo ("espilon=2") is an
 /// InvalidArgument naming the accepted keys, not a silent default.
 class OptionsBag {
  public:
@@ -119,22 +112,16 @@ class OptionsBag {
   Result<std::string> GetString(const std::string& key,
                                 std::string fallback) const;
 
-  /// InvalidArgument when the bag contains a key not in `known` (listing
-  /// the accepted keys). Kept for direct adapter use; registry dispatch
-  /// goes through Canonicalize instead.
-  Status ExpectKnown(const std::vector<std::string>& known) const;
+  /// InvalidArgument when a key is not, byte for byte, the name of a `spec`
+  /// entry (the message lists the accepted keys), or when a `required`
+  /// option is missing. `solver_name` is the solver spelling echoed in
+  /// errors. Keys are never rewritten, so the bag a caller sends is the bag
+  /// the solver reads and the result cache keys on.
+  Status Validate(const OptionsSpec& spec,
+                  const std::string& solver_name) const;
 
-  /// Maps every key onto its canonical spelling per `spec`: exact names
-  /// pass through, case variants and deprecated aliases are rewritten (with
-  /// a once-per-process deprecation warning naming old and new key), and a
-  /// key matching no spec entry is an InvalidArgument listing the accepted
-  /// canonical keys. Also rejects a missing `required` option.
-  /// `solver_name` is the canonical solver spelling echoed in errors.
-  Result<OptionsBag> Canonicalize(const OptionsSpec& spec,
-                                  const std::string& solver_name) const;
-
-  /// "k1=v1,k2=v2" over the (sorted) items — the canonical serialization
-  /// the serve layer's ResultCache keys memoized solves by.
+  /// "k1=v1,k2=v2" over the (sorted) items — the serialization the serve
+  /// layer's ResultCache keys memoized solves by.
   std::string CanonicalString() const;
 
   const std::map<std::string, std::string>& items() const { return kv_; }

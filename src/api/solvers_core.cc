@@ -219,8 +219,7 @@ SCWSC_REGISTER_SOLVER(
                "Greedy partial weighted set cover baseline (unbounded size)",
                kNeedsSetSystem | kSupportsAnytime,
                {{"max_sets", OptionType::kU64, "18446744073709551615",
-                 "opt-in cap on selected sets (default: unbounded)",
-                 "max-sets", false}}});
+                 "opt-in cap on selected sets (default: unbounded)", false}}});
 
 class GreedyMaxCoverageSolver : public Solver {
  public:
@@ -250,8 +249,7 @@ SCWSC_REGISTER_SOLVER(
                "Greedy partial maximum coverage baseline (cost-blind)",
                kNeedsSetSystem | kSupportsAnytime,
                {{"stop_coverage", OptionType::kDouble, "1",
-                 "coverage fraction at which to stop early",
-                 "stop-coverage", false}}});
+                 "coverage fraction at which to stop early", false}}});
 
 class BudgetedMaxCoverageSolver : public Solver {
  public:
@@ -288,10 +286,9 @@ SCWSC_REGISTER_SOLVER(
                "Greedy budgeted maximum coverage baseline (needs budget=W)",
                kNeedsSetSystem | kSupportsAnytime,
                {{"budget", OptionType::kDouble, "",
-                 "total cost budget W (required)", "", true},
+                 "total cost budget W (required)", true},
                 {"max_sets", OptionType::kU64, "18446744073709551615",
-                 "opt-in cap on selected sets (default: unbounded)",
-                 "max-sets", false}}});
+                 "opt-in cap on selected sets (default: unbounded)", false}}});
 
 // --- exact branch-and-bound (§VI-D) ---------------------------------------
 
@@ -341,8 +338,7 @@ SCWSC_REGISTER_SOLVER(
                "Exact branch-and-bound (optimal; small instances only)",
                kNeedsSetSystem | kSupportsAnytime | kExact,
                {{"max_nodes", OptionType::kU64, "200000000",
-                 "node budget for the branch-and-bound search",
-                 "max-nodes", false}}});
+                 "node budget for the branch-and-bound search", false}}});
 
 // --- non-overlapping greedy (§III, AlphaSum constraint) -------------------
 
@@ -397,9 +393,9 @@ SCWSC_REGISTER_SOLVER(
                kNeedsSetSystem,
                {{"best_effort", OptionType::kBool, "false",
                  "return the best disjoint cover found even if infeasible",
-                 "best-effort", false},
+                 false},
                 {"rule", OptionType::kString, "gain",
-                 "selection rule: 'gain' or 'benefit'", "", false}}});
+                 "selection rule: 'gain' or 'benefit'", false}}});
 
 }  // namespace
 }  // namespace api

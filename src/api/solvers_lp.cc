@@ -78,11 +78,11 @@ SCWSC_REGISTER_SOLVER(
                "LP relaxation + randomized rounding with certified bound",
                kNeedsSetSystem | kSupportsAnytime,
                {{"alpha", OptionType::kDouble, "0",
-                 "overlap penalty weight in the LP objective", "", false},
+                 "overlap penalty weight in the LP objective", false},
                 {"trials", OptionType::kU64, "64",
-                 "independent randomized rounding trials", "", false},
+                 "independent randomized rounding trials", false},
                 {"seed", OptionType::kU64, "2015",
-                 "PRNG seed for the rounding trials", "", false}}});
+                 "PRNG seed for the rounding trials", false}}});
 
 }  // namespace
 }  // namespace api

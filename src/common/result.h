@@ -55,6 +55,8 @@ class Result {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  /// Moves the value out: `*std::move(r)` leaves `r` holding a moved-from T.
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

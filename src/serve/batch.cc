@@ -117,8 +117,7 @@ Result<BatchSpec> ParseBatchSpec(const std::string& path,
                                  api::InstancePtr instance) {
   BatchSpec spec;
   SCWSC_ASSIGN_OR_RETURN(JsonValue root, ReadJsonFile(path));
-  SCWSC_ASSIGN_OR_RETURN(spec.version,
-                         CheckWireVersion(root, "batch-file " + path));
+  SCWSC_RETURN_NOT_OK(CheckWireVersion(root, "batch-file " + path));
   if (const JsonValue* faults = root.Find("faults")) {
     SCWSC_ASSIGN_OR_RETURN(spec.faults, ParseFaultSpec(*faults));
   }
@@ -130,21 +129,17 @@ Result<BatchSpec> ParseBatchSpec(const std::string& path,
     return Status::InvalidArgument(
         "batch file '" + path + "' must be an object with a \"jobs\" array");
   }
-  if (spec.version >= kWireVersion && root.is_object()) {
-    for (const auto& [key, value] : root.as_object()) {
-      if (key != "version" && key != "jobs" && key != "faults" &&
-          key != "slo") {
-        spec.forward[key] = value;
-      }
+  for (const auto& [key, value] : root.as_object()) {
+    if (key != "version" && key != "jobs" && key != "faults" &&
+        key != "slo") {
+      spec.forward[key] = value;
     }
   }
-  std::vector<SolveJob> jobs;
   std::size_t index = 0;
   for (const JsonValue& entry : jobs_value->as_array()) {
     const std::string at = "jobs[" + std::to_string(index) + "]";
-    SCWSC_ASSIGN_OR_RETURN(
-        ParsedJob parsed,
-        ParseJobObject(entry, instance, at, spec.version));
+    SCWSC_ASSIGN_OR_RETURN(ParsedJob parsed,
+                           ParseJobObject(entry, instance, at));
     if (parsed.job.request.label.empty()) {
       parsed.job.request.label = "job-" + std::to_string(index);
     }
@@ -152,34 +147,14 @@ Result<BatchSpec> ParseBatchSpec(const std::string& path,
       spec.forward[at + "." + key] = value;
     }
     for (std::size_t i = 0; i < parsed.repeat; ++i) {
-      jobs.push_back(parsed.job);
+      spec.jobs.push_back(parsed.job);
     }
     ++index;
   }
-  spec.jobs = std::move(jobs);
   return spec;
 }
 
-Result<std::vector<SolveJob>> ParseBatchFile(const std::string& path,
-                                             api::InstancePtr instance) {
-  SCWSC_ASSIGN_OR_RETURN(BatchSpec spec, ParseBatchSpec(path, instance));
-  if (spec.faults.configured) {
-    return Status::InvalidArgument(
-        "batch file '" + path +
-        "' carries a \"faults\" object, but this caller does not support "
-        "fault injection; use ParseBatchSpec");
-  }
-  if (spec.slo.configured) {
-    return Status::InvalidArgument(
-        "batch file '" + path +
-        "' carries an \"slo\" object, but this caller does not support "
-        "telemetry; use ParseBatchSpec");
-  }
-  return std::move(spec.jobs);
-}
-
-Result<JsonValue> RunBatch(std::vector<SolveJob> jobs,
-                           SolveScheduler& scheduler) {
+Result<JsonValue> RunBatch(BatchSpec spec, SolveScheduler& scheduler) {
   struct Slot {
     std::string label;
     std::string solver;
@@ -187,10 +162,10 @@ Result<JsonValue> RunBatch(std::vector<SolveJob> jobs,
     Status rejected = Status::OK();  // admission failure, if any
   };
   std::vector<Slot> slots;
-  slots.reserve(jobs.size());
+  slots.reserve(spec.jobs.size());
 
   Stopwatch wall;
-  for (SolveJob& job : jobs) {
+  for (SolveJob& job : spec.jobs) {
     Slot slot;
     slot.label = job.request.label;
     slot.solver = job.solver;
@@ -271,18 +246,10 @@ Result<JsonValue> RunBatch(std::vector<SolveJob> jobs,
   root["version"] = JsonValue(static_cast<std::size_t>(kWireVersion));
   root["jobs"] = JsonValue(std::move(job_reports));
   root["aggregate"] = JsonValue(std::move(aggregate));
-  return JsonValue(std::move(root));
-}
-
-Result<JsonValue> RunBatch(BatchSpec spec, SolveScheduler& scheduler) {
-  SCWSC_ASSIGN_OR_RETURN(JsonValue report,
-                         RunBatch(std::move(spec.jobs), scheduler));
   if (!spec.forward.empty()) {
-    JsonObject root = report.as_object();
     root["forward"] = JsonValue(std::move(spec.forward));
-    return JsonValue(std::move(root));
   }
-  return report;
+  return JsonValue(std::move(root));
 }
 
 }  // namespace serve

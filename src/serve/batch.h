@@ -6,7 +6,8 @@
 //
 // Batch file format (docs/serving.md documents it in full):
 //
-//   {"jobs": [
+//   {"version": 2,                   // required (serve/wire.h)
+//    "jobs": [
 //      {"solver": "cwsc",            // required; case-insensitive
 //       "k": 3,                      // default 10
 //       "coverage": 0.5,             // default 0.3
@@ -84,37 +85,25 @@ struct BatchSpec {
   std::vector<SolveJob> jobs;
   FaultSpec faults;
   SloSpec slo;
-  /// Wire version of the file: absent/1 = legacy (accepted with a
-  /// once-per-process deprecation warning), 2 = current. See serve/wire.h.
-  int version = 1;
-  /// Unknown keys collected under version >= 2 ("jobs[3].hint", "notes"),
-  /// echoed under "forward" in the report so newer clients' fields
-  /// round-trip instead of vanishing. Always empty for v1 files, whose
-  /// unknown keys keep the legacy ignore/reject behaviour.
+  /// Unknown keys ("jobs[3].hint", "notes"), echoed under "forward" in the
+  /// report so newer clients' fields round-trip instead of vanishing.
   JsonObject forward;
 };
 
 /// Parses a batch file into jobs over `instance` (every job in one batch
-/// shares the snapshot the frontend loaded) plus the optional fault spec.
+/// shares the snapshot the frontend loaded) plus the optional fault and
+/// telemetry specs. A file without "version": 2 is InvalidArgument.
 /// "repeat" expands here, so the scheduler sees plain jobs.
 Result<BatchSpec> ParseBatchSpec(const std::string& path,
                                  api::InstancePtr instance);
 
-/// Jobs-only convenience over ParseBatchSpec for callers that ignore (and
-/// reject) fault scripting.
-Result<std::vector<SolveJob>> ParseBatchFile(const std::string& path,
-                                             api::InstancePtr instance);
-
-/// Enqueues every job, waits for all futures, and renders the report
-/// (root "version" = 2; failed jobs carry the typed "error" envelope of
-/// serve/wire.h, never a free-text status). Jobs rejected by admission
-/// control (queue full, tenant quota) are reported as failed with their
-/// typed error rather than aborting the batch.
-Result<JsonValue> RunBatch(std::vector<SolveJob> jobs,
-                           SolveScheduler& scheduler);
-
-/// Same, from a parsed spec: additionally echoes the spec's forwarded
-/// unknown keys under "forward" (the v2 round-trip contract).
+/// Enqueues every job of `spec`, waits for all futures, and renders the
+/// report (root "version" = 2; failed jobs carry the typed "error"
+/// envelope of serve/wire.h, never a free-text status; the spec's unknown
+/// keys come back under "forward"). Jobs rejected by admission control
+/// (queue full, tenant quota) are reported as failed with their typed
+/// error rather than aborting the batch. The caller installs the spec's
+/// fault plan and telemetry, if any.
 Result<JsonValue> RunBatch(BatchSpec spec, SolveScheduler& scheduler);
 
 }  // namespace serve

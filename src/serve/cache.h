@@ -1,7 +1,7 @@
 // The serve layer's result cache, and the key it is addressed by.
 //
 // ResultCache: (snapshot content hash, canonical solver name, k, coverage,
-// canonicalized options, certify) -> SolveResult. Memoizes deterministic
+// options, certify) -> SolveResult. Memoizes deterministic
 // solves: every registered algorithm is deterministic given its inputs (the
 // LP rounding trials are seeded), so the only jobs the scheduler refuses to
 // memoize are deadline-bearing ones, whose partial results depend on
@@ -34,8 +34,9 @@
 namespace scwsc {
 namespace serve {
 
-/// The identity of one deterministic solve. Built via MakeResultKey so the
-/// options string is always the canonicalized spelling.
+/// The identity of one deterministic solve, built via MakeResultKey. The
+/// registry accepts one spelling per option key, so two requests for the
+/// same solve carry the same options string.
 struct ResultKey {
   std::uint64_t snapshot_hash = 0;
   std::string solver;   // canonical registry name

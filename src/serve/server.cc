@@ -344,12 +344,11 @@ void SolveServer::HandleLine(Connection& conn, const std::string& line) {
     return;
   }
   if (const JsonValue* id = root.Find("id")) envelope["id"] = *id;
-  const Result<int> version = CheckWireVersion(root, "socket");
-  if (!version.ok()) {
-    respond_error(version.status());
+  if (const Status version = CheckWireVersion(root, "socket"); !version.ok()) {
+    respond_error(version);
     return;
   }
-  std::string type = "solve";  // v1 payloads are bare solve objects
+  std::string type = "solve";
   if (const JsonValue* t = root.Find("type")) {
     if (!t->is_string()) {
       respond_error(Status::InvalidArgument("\"type\" must be a string"));
@@ -403,7 +402,7 @@ void SolveServer::HandleLine(Connection& conn, const std::string& line) {
     respond_error(instance.status());
     return;
   }
-  Result<ParsedJob> job = ParseJobObject(root, *instance, "request", *version);
+  Result<ParsedJob> job = ParseJobObject(root, *instance, "request");
   if (!job.ok()) {
     respond_error(job.status());
     return;

@@ -5,12 +5,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
-#include <mutex>
-#include <set>
 #include <utility>
 
 #include "src/api/registry.h"
-#include "src/common/logging.h"
 
 namespace scwsc {
 namespace serve {
@@ -84,48 +81,27 @@ JsonValue ErrorToJson(const ErrorInfo& error) {
   return JsonValue(std::move(o));
 }
 
-bool WarnDeprecatedWireV1(const std::string& where) {
-  static std::mutex mu;
-  static std::set<std::string>* warned = new std::set<std::string>();
-  bool first;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    first = warned->insert(where).second;
-  }
-  if (first) {
-    SCWSC_LOG_WARN(
-        "wire protocol v1 payload (%s): versionless requests are "
-        "deprecated; add \"version\": %d (see docs/serving.md for the "
-        "migration table)",
-        where.c_str(), kWireVersion);
-  }
-  return first;
-}
-
-Result<int> CheckWireVersion(const JsonValue& root, const std::string& where) {
+Status CheckWireVersion(const JsonValue& root, const std::string& where) {
   const JsonValue* version = root.is_object() ? root.Find("version") : nullptr;
   if (version == nullptr) {
-    WarnDeprecatedWireV1(where);
-    return 1;
+    return Status::InvalidArgument("missing \"version\" (" + where +
+                                   "); this build speaks version " +
+                                   std::to_string(kWireVersion) + " only");
   }
   SCWSC_ASSIGN_OR_RETURN(
       const int v, RequireInteger<int>(*version, "version (" + where + ")",
                                        std::numeric_limits<int>::min(),
                                        std::numeric_limits<int>::max()));
-  if (v == 1) {
-    WarnDeprecatedWireV1(where);
-    return 1;
-  }
-  if (v == kWireVersion) return v;
+  if (v == kWireVersion) return Status::OK();
   return Status::InvalidArgument(
       "unsupported wire version " + std::to_string(v) + " (" + where +
-      "); this build speaks versions 1 (deprecated) and " +
-      std::to_string(kWireVersion));
+      "); this build speaks version " + std::to_string(kWireVersion) +
+      " only");
 }
 
 Result<ParsedJob> ParseJobObject(const JsonValue& entry,
                                  const api::InstancePtr& instance,
-                                 const std::string& at, int version) {
+                                 const std::string& at, int) {
   if (!entry.is_object()) {
     return Status::InvalidArgument(at + " is not an object");
   }
@@ -189,12 +165,11 @@ Result<ParsedJob> ParseJobObject(const JsonValue& entry,
     } else if (key == "version" || key == "id" || key == "type" ||
                key == "snapshot") {
       // Envelope keys on the socket path; never job data, never forwarded.
-    } else if (version >= kWireVersion) {
+    } else {
       // Forward compatibility: a newer client's keys round-trip through the
       // report/response instead of failing or silently vanishing.
       parsed.forward[key] = value;
     }
-    // v1: unknown keys are ignored, the legacy behaviour.
   }
   if (have_label) builder.WithLabel(std::move(label));
   SCWSC_ASSIGN_OR_RETURN(parsed.job.request, builder.Build());
@@ -342,9 +317,6 @@ JsonValue SolverListToJson() {
       spec["default"] = JsonValue(opt.default_value);
       spec["required"] = JsonValue(opt.required);
       spec["help"] = JsonValue(opt.help);
-      if (!opt.deprecated_alias.empty()) {
-        spec["deprecated_alias"] = JsonValue(opt.deprecated_alias);
-      }
       options.push_back(JsonValue(std::move(spec)));
     }
     entry["options"] = JsonValue(std::move(options));

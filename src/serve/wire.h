@@ -1,9 +1,9 @@
 // Versioned wire protocol shared by the serve frontends (the batch file
 // reader and the socket server, src/serve/server.h).
 //
-// Version 2 is the current protocol. A request envelope is one JSON object:
+// Version 2 is the only protocol. A request envelope is one JSON object:
 //
-//   {"version": 2,                // required on v2; absent/1 = legacy v1
+//   {"version": 2,                // required
 //    "id": "req-17",              // echoed verbatim in the response
 //    "type": "solve",             // solve | delta | ping | list_solvers
 //    "tenant": "acme",            // optional; admission + fair share
@@ -13,15 +13,12 @@
 // {...}} or {"version": 2, "id": ..., "ok": false, "error": {...}} where
 // the error object is the typed envelope below — never free text.
 //
-// v1 payloads (a versionless solve-shaped object, or a batch file without
-// a "version" key) are still accepted; the first one per process logs a
-// deprecation warning (warn-once, same discipline as deprecated solver
-// option aliases). Unknown keys under v2 are not errors: they are
-// collected and echoed back under "forward", so a newer client's fields
-// round-trip through an older server (forward compatibility).
+// A request or batch file without "version": 2 is refused with
+// InvalidArgument. Unknown keys are not errors: they are collected and
+// echoed back under "forward", so a newer client's fields round-trip
+// through an older server (forward compatibility).
 //
-// docs/serving.md carries the full reference and the v1 -> v2 migration
-// table.
+// docs/serving.md carries the full reference.
 
 #ifndef SCWSC_SERVE_WIRE_H_
 #define SCWSC_SERVE_WIRE_H_
@@ -94,19 +91,14 @@ ErrorInfo ErrorInfoFromStatus(const Status& status);
 /// when the hint is positive.
 JsonValue ErrorToJson(const ErrorInfo& error);
 
-/// Logs the v1 deprecation warning once per process per call site tag
-/// ("batch-file", "socket"). Returns true when this call did the warning
-/// (tests reset nothing; the warn-once set is process state).
-bool WarnDeprecatedWireV1(const std::string& where);
+/// OK when the payload carries "version": kWireVersion; InvalidArgument
+/// naming version 2 otherwise (absent, 1, or any other value). `where`
+/// names the surface in the message ("socket", "batch-file <path>").
+Status CheckWireVersion(const JsonValue& root, const std::string& where);
 
-/// Validates a payload's "version" key: absent or 1 is legacy v1 (accepted,
-/// warn-once), kWireVersion is current, anything else is InvalidArgument.
-/// Returns the effective version.
-Result<int> CheckWireVersion(const JsonValue& root, const std::string& where);
-
-/// One parsed job object plus its v2 extras. `forward` holds the unknown
-/// keys (v2 only) for the round-trip echo; `repeat` is the batch-file
-/// expansion count (always 1 on the socket path).
+/// One parsed job object plus its extras. `forward` holds the unknown keys
+/// for the round-trip echo; `repeat` is the batch-file expansion count
+/// (always 1 on the socket path).
 struct ParsedJob {
   SolveJob job;
   std::size_t repeat = 1;
@@ -119,13 +111,16 @@ struct ParsedJob {
 /// certify, repeat. Integer keys must be integral and in range: k and
 /// deadline_ms in [0, 2^53], repeat in [1, 2^53], priority within int;
 /// certify is a bool; tenant and label are at most kMaxTenantLabelBytes
-/// long; anything else is InvalidArgument naming the field. Under version
-/// >= 2 unknown keys land in `forward`; under v1 they are ignored (the
-/// legacy behaviour). `at` prefixes error messages ("jobs[3]"). Envelope
-/// keys (version/id/type) are skipped, never forwarded.
+/// long; anything else is InvalidArgument naming the field. Unknown keys
+/// land in `forward`. `at` prefixes error messages ("jobs[3]"). Envelope
+/// keys (version/id/type/snapshot) are skipped, never forwarded. The
+/// trailing int is ignored; it is kept only so that perfbench's
+/// `ParseJobObject(..., serve::kWireVersion)` compiles until a change to
+/// the benchmark drops the argument.
 Result<ParsedJob> ParseJobObject(const JsonValue& entry,
                                  const api::InstancePtr& instance,
-                                 const std::string& at, int version);
+                                 const std::string& at,
+                                 int = kWireVersion);
 
 /// Parses the mutation fields of a "delta" request into a SnapshotDelta.
 /// Accepted keys: append_rows ([{"values": [...], "measure": n}]),
@@ -151,7 +146,7 @@ void AddResultFields(const api::SolveResult& result, JsonObject& out);
 
 /// The registry's solver table as machine-readable JSON: {"solvers":
 /// [{"name", "summary", "capabilities", "options": [{"name", "type",
-/// "default", "required", "help", "deprecated_alias"}]}]}. Shared by the
+/// "default", "required", "help"}]}]}. Shared by the
 /// CLI's --list-solvers --json and the socket server's list_solvers so the
 /// two surfaces cannot drift.
 JsonValue SolverListToJson();

@@ -1,5 +1,7 @@
 #include "src/common/status.h"
 
+#include <memory>
+
 #include "gtest/gtest.h"
 #include "src/common/result.h"
 
@@ -124,6 +126,22 @@ TEST(ResultTest, MoveOnlyValues) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> v = std::move(r).value();
   EXPECT_EQ(*v, 5);
+}
+
+TEST(ResultTest, DereferencingAnRvalueMovesAMoveOnlyValueOut) {
+  // Compiles only if *std::move(r) yields T&&: a unique_ptr cannot copy.
+  Result<std::unique_ptr<int>> r = std::make_unique<int>(7);
+  std::unique_ptr<int> taken = *std::move(r);
+  ASSERT_NE(taken, nullptr);
+  EXPECT_EQ(*taken, 7);
+}
+
+TEST(ResultTest, DereferencingAnRvalueLeavesNoCopyBehind) {
+  // A copy would leave the Result holding a second reference.
+  Result<std::shared_ptr<int>> r = std::make_shared<int>(9);
+  std::shared_ptr<int> moved = *std::move(r);
+  EXPECT_EQ(moved.use_count(), 1);
+  EXPECT_EQ(*moved, 9);
 }
 
 }  // namespace

@@ -344,24 +344,42 @@ TEST(ServeCacheTest, OneRewrittenElementMovesTheContentHash) {
   EXPECT_NE(v1->content_hash(), v2->content_hash());
 }
 
-TEST(ServeCacheTest, ResultCacheKeySeparatesOptionSpellingsByCanonicalForm) {
+TEST(ServeCacheTest, OptionKeysOtherThanTheRegisteredSpellingAreNeverCached) {
+  ThreadPool pool(2);
+  SolveScheduler scheduler(&pool);
   InstancePtr instance = ToyInstance();
-  SolveJob canonical =
-      MakeJob(instance, "cmc", 3, 0.5, {"max_budget_rounds=64"});
-  SolveJob alias = MakeJob(instance, "cmc", 3, 0.5, {"max-budget-rounds=64"});
-  // The registry canonicalizes before the scheduler builds keys; here the
-  // raw bags differ, so the keys differ — MakeResultKey is spelling-exact.
-  auto key_canonical = serve::MakeResultKey(7, "cmc", canonical.request);
-  auto key_alias = serve::MakeResultKey(7, "cmc", alias.request);
-  EXPECT_TRUE(key_canonical < key_alias || key_alias < key_canonical);
+  const auto run = [&](const char* solver, const char* option) {
+    auto future =
+        scheduler.Enqueue(MakeJob(instance, solver, 3, 0.5, {option}));
+    EXPECT_TRUE(future.ok()) << future.status().ToString();
+    return future->get();
+  };
 
-  serve::ResultCache cache(2);
-  SolveResult result;
-  result.total_cost = 5.0;
-  cache.Insert(key_canonical, result);
-  ASSERT_TRUE(cache.Lookup(key_canonical).has_value());
-  EXPECT_EQ(cache.Lookup(key_canonical)->total_cost, 5.0);
-  EXPECT_FALSE(cache.Lookup(key_alias).has_value());
+  JobOutcome cold = run("cmc", "max_budget_rounds=64");
+  ASSERT_TRUE(cold.result.ok()) << cold.result.status().ToString();
+  EXPECT_FALSE(cold.from_result_cache);
+  // The solver name folds case, so this is the same solve.
+  JobOutcome warm = run("CMC", "max_budget_rounds=64");
+  ASSERT_TRUE(warm.result.ok());
+  EXPECT_TRUE(warm.from_result_cache);
+
+  // Option keys match byte for byte: the old hyphenated alias and an
+  // upper-case spelling are refused with the accepted keys, every time,
+  // and never fill an entry of their own.
+  for (int round = 0; round < 2; ++round) {
+    for (const char* option :
+         {"max-budget-rounds=64", "MAX_BUDGET_ROUNDS=64"}) {
+      JobOutcome outcome = run("cmc", option);
+      EXPECT_FALSE(outcome.from_result_cache) << option;
+      ASSERT_TRUE(outcome.result.status().IsInvalidArgument()) << option;
+      const std::string message(outcome.result.status().message());
+      EXPECT_NE(message.find("unknown option"), std::string::npos) << message;
+      EXPECT_NE(message.find("max_budget_rounds"), std::string::npos)
+          << message;
+    }
+  }
+  EXPECT_EQ(scheduler.result_cache().size(), 1u);
+  EXPECT_EQ(scheduler.metrics().CounterValue("serve.result_cache.hits"), 1u);
 }
 
 TEST(ServeCacheTest, ResultCacheLruHoldsExactlyCapacityEntries) {
@@ -1006,23 +1024,25 @@ TEST(ServeBatchTest, ParsesRunsAndReportsCacheHits) {
   const std::string path = ::testing::TempDir() + "/serve_batch_jobs.json";
   {
     std::ofstream out(path);
-    out << R"({"jobs": [
+    out << R"({"version": 2, "jobs": [
       {"solver": "cwsc", "k": 3, "coverage": 0.5, "label": "a", "repeat": 3},
       {"solver": "cmc", "k": 3, "coverage": 0.5,
        "options": {"b": 2, "strict": false}, "priority": 1}
     ]})";
   }
   InstancePtr instance = ToyInstance();
-  auto jobs = serve::ParseBatchFile(path, instance);
-  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
-  ASSERT_EQ(jobs->size(), 4u);  // 3 repeats + 1
-  EXPECT_EQ((*jobs)[0].request.label, "a");
-  EXPECT_EQ((*jobs)[3].priority, 1);
-  EXPECT_EQ((*jobs)[3].request.options.items().at("b"), "2");
+  auto spec = serve::ParseBatchSpec(path, instance);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const std::vector<SolveJob>& jobs = spec->jobs;
+  ASSERT_EQ(jobs.size(), 4u);  // 3 repeats + 1
+  EXPECT_EQ(jobs[0].request.label, "a");
+  EXPECT_EQ(jobs[3].priority, 1);
+  EXPECT_EQ(jobs[3].request.options.items().at("b"), "2");
+  EXPECT_TRUE(spec->forward.empty());
 
   ThreadPool pool(2);
   SolveScheduler scheduler(&pool);
-  auto report = serve::RunBatch(*std::move(jobs), scheduler);
+  auto report = serve::RunBatch(*std::move(spec), scheduler);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   const serve::JsonValue* aggregate = report->Find("aggregate");
@@ -1079,18 +1099,39 @@ TEST(ServeBatchTest, MalformedBatchFilesAreTypedErrors) {
   InstancePtr instance = ToyInstance();
   {
     std::ofstream out(path);
-    out << R"({"jobs": [{"k": 3}]})";  // no solver
+    out << R"({"version": 2, "jobs": [{"k": 3}]})";  // no solver
   }
-  auto missing_solver = serve::ParseBatchFile(path, instance);
-  EXPECT_TRUE(missing_solver.status().IsInvalidArgument());
+  const Status missing_solver = serve::ParseBatchSpec(path, instance).status();
+  EXPECT_TRUE(missing_solver.IsInvalidArgument());
+  EXPECT_NE(missing_solver.message().find("jobs[0] needs a string \"solver\""),
+            std::string::npos)
+      << missing_solver.ToString();
   {
     std::ofstream out(path);
-    out << R"({"work": []})";  // wrong top-level key
+    out << R"({"version": 2, "work": []})";  // wrong top-level key
   }
-  EXPECT_TRUE(serve::ParseBatchFile(path, instance)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_FALSE(serve::ParseBatchFile("/nonexistent.json", instance).ok());
+  const Status no_jobs = serve::ParseBatchSpec(path, instance).status();
+  EXPECT_TRUE(no_jobs.IsInvalidArgument());
+  EXPECT_NE(no_jobs.message().find("\"jobs\" array"), std::string::npos)
+      << no_jobs.ToString();
+  EXPECT_FALSE(serve::ParseBatchSpec("/nonexistent.json", instance).ok());
+  std::remove(path.c_str());
+}
+
+TEST(ServeBatchTest, VersionlessAndV1BatchFilesAreRejected) {
+  const std::string path = ::testing::TempDir() + "/serve_batch_v1.json";
+  InstancePtr instance = ToyInstance();
+  for (const char* head : {"", R"("version": 1, )"}) {
+    {
+      std::ofstream out(path);
+      out << "{" << head << R"("jobs": [{"solver": "cwsc", "k": 3}]})";
+    }
+    const Status status = serve::ParseBatchSpec(path, instance).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << head << status.ToString();
+    EXPECT_NE(status.message().find("version 2"), std::string::npos)
+        << status.ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ServeBatchTest, MissingBatchFileIsATypedNotFound) {
@@ -1106,7 +1147,8 @@ TEST(ServeBatchTest, FaultSpecParsesAndArmsAPlan) {
   const std::string path = ::testing::TempDir() + "/serve_batch_faults.json";
   {
     std::ofstream out(path);
-    out << R"({"faults": {"seed": 42, "solver_delay_ms": 2,
+    out << R"({"version": 2,
+               "faults": {"seed": 42, "solver_delay_ms": 2,
                 "points": {"solver_error": 0.25, "solver_delay": 0.5}},
                "jobs": [{"solver": "cwsc"}]})";
   }
@@ -1125,24 +1167,23 @@ TEST(ServeBatchTest, FaultSpecParsesAndArmsAPlan) {
   EXPECT_DOUBLE_EQ(plan.probability(FaultPoint::kSolverThrow), 0.0);
   EXPECT_EQ(plan.solver_delay_ms(), 2u);
 
-  // The jobs-only wrapper refuses fault scripting rather than ignoring it.
-  auto jobs_only = serve::ParseBatchFile(path, instance);
-  EXPECT_TRUE(jobs_only.status().IsInvalidArgument());
-
   // Unknown fault points and out-of-range probabilities are typed errors.
   {
     std::ofstream out(path);
-    out << R"({"faults": {"points": {"bogus_point": 0.5}}, "jobs": []})";
+    out << R"({"version": 2, "faults": {"points": {"bogus_point": 0.5}},)"
+        << R"( "jobs": []})";
   }
-  EXPECT_TRUE(
-      serve::ParseBatchSpec(path, instance).status().IsInvalidArgument());
+  const Status bogus = serve::ParseBatchSpec(path, instance).status();
+  EXPECT_TRUE(bogus.IsInvalidArgument());
+  EXPECT_NE(bogus.message().find("bogus_point"), std::string::npos)
+      << bogus.ToString();
   // A batch file naming a removed point fails loudly and lists the
   // accepted points.
   for (const char* removed :
        {"pool_task_loss", "snapshot_materialize", "snapshot_alloc"}) {
     {
       std::ofstream out(path);
-      out << R"({"faults": {"points": {")" << removed
+      out << R"({"version": 2, "faults": {"points": {")" << removed
           << R"(": 0.5}}, "jobs": []})";
     }
     const Status status = serve::ParseBatchSpec(path, instance).status();
@@ -1155,10 +1196,14 @@ TEST(ServeBatchTest, FaultSpecParsesAndArmsAPlan) {
   }
   {
     std::ofstream out(path);
-    out << R"({"faults": {"points": {"solver_error": 1.5}}, "jobs": []})";
+    out << R"({"version": 2, "faults": {"points": {"solver_error": 1.5}},)"
+        << R"( "jobs": []})";
   }
-  EXPECT_TRUE(
-      serve::ParseBatchSpec(path, instance).status().IsInvalidArgument());
+  const Status too_likely = serve::ParseBatchSpec(path, instance).status();
+  EXPECT_TRUE(too_likely.IsInvalidArgument());
+  EXPECT_NE(too_likely.message().find("faults.points.solver_error"),
+            std::string::npos)
+      << too_likely.ToString();
 }
 
 TEST(ServeBatchTest, FaultIntegersAreRangeChecked) {
@@ -1170,8 +1215,8 @@ TEST(ServeBatchTest, FaultIntegersAreRangeChecked) {
     for (const char* value : {"-1", "2.5", "1e300"}) {
       {
         std::ofstream out(path);
-        out << R"({"faults": {")" << field << R"(": )" << value
-            << R"(}, "jobs": []})";
+        out << R"({"version": 2, "faults": {")" << field << R"(": )"
+            << value << R"(}, "jobs": []})";
       }
       const Status status = serve::ParseBatchSpec(path, instance).status();
       EXPECT_TRUE(status.IsInvalidArgument())
@@ -1188,7 +1233,8 @@ TEST(ServeBatchTest, ChaosBatchReportsEachInjectedFailureOnce) {
   const std::string path = ::testing::TempDir() + "/serve_batch_chaos.json";
   {
     std::ofstream out(path);
-    out << R"({"faults": {"seed": 7, "points": {"solver_error": 1.0}},
+    out << R"({"version": 2,
+               "faults": {"seed": 7, "points": {"solver_error": 1.0}},
                "jobs": [{"solver": "cwsc", "label": "doomed"}]})";
   }
   InstancePtr instance = ToyInstance();
@@ -1200,7 +1246,7 @@ TEST(ServeBatchTest, ChaosBatchReportsEachInjectedFailureOnce) {
 
   ScopedFaultPlan chaos(spec->faults.seed);
   spec->faults.ApplyTo(chaos.plan());
-  auto report = serve::RunBatch(std::move(spec->jobs), scheduler);
+  auto report = serve::RunBatch(*std::move(spec), scheduler);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(chaos.plan().fires(FaultPoint::kSolverError), 1u);
 

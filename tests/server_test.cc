@@ -278,9 +278,14 @@ TEST(ServerTest, TypedErrorsForBadRequests) {
   EXPECT_FALSE(missing.Find("error")->Find("retryable")->as_bool());
   EXPECT_EQ(missing.Find("id")->as_string(), "e1");
 
-  // Unsupported version: typed InvalidArgument naming the supported ones.
+  // Unsupported version: typed InvalidArgument naming the supported one.
   JsonValue future = client.Call(R"({"version": 9, "type": "ping"})");
   EXPECT_FALSE(future.Find("ok")->as_bool());
+  EXPECT_EQ(future.Find("error")->Find("code")->as_string(), "InvalidArgument");
+  EXPECT_NE(future.Find("error")->Find("message")->as_string().find(
+                "version 2"),
+            std::string::npos)
+      << future.Dump();
 
   // Unknown type.
   JsonValue unknown = client.Call(
@@ -312,8 +317,7 @@ void ExpectRejected(const Status& status, const std::string& field,
 TEST(WireDecodeTest, JobIntegersAreRangeChecked) {
   const InstancePtr instance = BlockInstance();
   const auto parse = [&](const std::string& body) {
-    return serve::ParseJobObject(Json(body), instance, "job",
-                                 serve::kWireVersion);
+    return serve::ParseJobObject(Json(body), instance, "job");
   };
   auto ok = parse(R"({"solver": "cwsc", "k": 9007199254740992,)"
                   R"( "deadline_ms": 1500, "priority": -2147483648,)"
@@ -352,8 +356,7 @@ TEST(WireDecodeTest, TenantAndLabelAreLengthCapped) {
   const auto parse = [&](const std::string& field, std::size_t bytes) {
     const std::string body = R"({"solver": "cwsc", ")" + field + R"(": ")" +
                              std::string(bytes, 'x') + R"("})";
-    return serve::ParseJobObject(Json(body), instance, "job",
-                                 serve::kWireVersion);
+    return serve::ParseJobObject(Json(body), instance, "job");
   };
   constexpr std::size_t kCap = serve::kMaxTenantLabelBytes;
   auto at_cap = parse("tenant", kCap);
@@ -374,7 +377,7 @@ TEST(WireDecodeTest, CertifyMustBeABool) {
   const auto parse = [&](const std::string& value) {
     return serve::ParseJobObject(
         Json(R"({"solver": "cwsc", "certify": )" + value + "}"), instance,
-        "job", serve::kWireVersion);
+        "job");
   };
   auto on = parse("true");
   ASSERT_TRUE(on.ok()) << on.status().ToString();
@@ -389,13 +392,12 @@ TEST(WireDecodeTest, CertifyMustBeABool) {
 }
 
 TEST(WireDecodeTest, VersionMustBeAnInteger) {
-  EXPECT_EQ(serve::CheckWireVersion(Json(R"({"version": 2})"), "t").value(),
-            serve::kWireVersion);
+  EXPECT_TRUE(serve::CheckWireVersion(Json(R"({"version": 2})"), "t").ok());
   for (const std::string body :
        {R"({"version": 2.5})", R"({"version": 1e300})",
         R"({"version": "2"})"}) {
-    ExpectRejected(serve::CheckWireVersion(Json(body), "t").status(),
-                   "version (t)", body);
+    ExpectRejected(serve::CheckWireVersion(Json(body), "t"), "version (t)",
+                   body);
   }
 }
 
@@ -432,18 +434,29 @@ TEST(WireDecodeTest, DeltaIntegersAreRangeChecked) {
   }
 }
 
-TEST(ServerTest, V1PayloadIsAcceptedAsLegacySolve) {
+TEST(ServerTest, VersionlessAndV1RequestsAreRejected) {
   ServerFixture fx;
   Client client(fx.server.port());
-  // A bare versionless solve-shaped object: the v1 form (warn-once fires
-  // at most once per process; not asserted here).
-  JsonValue response = client.Call(
-      R"({"snapshot": "live", "solver": "greedy-wsc", "k": 4,)"
-      R"( "coverage": 0.5, "mystery": true})");
-  ASSERT_NE(response.Find("ok"), nullptr);
-  EXPECT_TRUE(response.Find("ok")->as_bool()) << response.Dump();
-  // v1 ignores unknown keys instead of forwarding them.
-  EXPECT_EQ(response.Find("forward"), nullptr);
+  for (const std::string version : {"", R"("version": 1, )"}) {
+    JsonValue response = client.Call(
+        "{" + version + R"("id": "old", "snapshot": "live",)" +
+        R"( "solver": "greedy-wsc", "k": 4, "coverage": 0.5})");
+    ASSERT_NE(response.Find("ok"), nullptr) << response.Dump();
+    EXPECT_FALSE(response.Find("ok")->as_bool()) << response.Dump();
+    ASSERT_NE(response.Find("id"), nullptr) << response.Dump();
+    EXPECT_EQ(response.Find("id")->as_string(), "old");
+    const JsonValue* error = response.Find("error");
+    ASSERT_NE(error, nullptr) << response.Dump();
+    EXPECT_EQ(error->Find("code")->as_string(), "InvalidArgument");
+    EXPECT_NE(error->Find("message")->as_string().find("version 2"),
+              std::string::npos)
+        << response.Dump();
+  }
+  // Nothing was enqueued, and the connection still serves.
+  EXPECT_EQ(fx.scheduler.metrics().CounterValue("serve.jobs.accepted"), 0u);
+  EXPECT_TRUE(client.Call(R"({"version": 2, "type": "ping"})")
+                  .Find("ok")
+                  ->as_bool());
 }
 
 TEST(ServerTest, PipelinedRequestsAllComplete) {

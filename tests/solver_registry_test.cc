@@ -336,7 +336,7 @@ SCWSC_REGISTER_SOLVER(
     api::SolverInfo{"test-fixed-answer",
                     "registration test stub",
                     0,
-                    {{"knob", api::OptionType::kU64, "0", "test knob", "",
+                    {{"knob", api::OptionType::kU64, "0", "test knob",
                       false}}});
 
 TEST(SolverRegistryTest, CustomSolverRegistersThroughMacro) {
@@ -407,29 +407,45 @@ TEST(SolverRegistryTest, LookupIsCaseInsensitive) {
   EXPECT_EQ(mixed->total_cost, lower->total_cost);
 }
 
-TEST(SolverRegistryTest, DeprecatedAliasMapsToCanonicalKey) {
+TEST(SolverRegistryTest, OptionKeysMatchTheRegisteredSpellingExactly) {
   const InstancePtr instance = GoldenInstance();
-  auto via_alias = SolverRegistry::Global().Solve(
-      "cmc", MakeRequest(instance, 3, 0.5, {"max-budget-rounds=64"}));
-  auto via_canonical = SolverRegistry::Global().Solve(
+  auto exact = SolverRegistry::Global().Solve(
       "cmc", MakeRequest(instance, 3, 0.5, {"max_budget_rounds=64"}));
-  ASSERT_TRUE(via_alias.ok()) << via_alias.status().ToString();
-  ASSERT_TRUE(via_canonical.ok());
-  EXPECT_EQ(via_alias->labels, via_canonical->labels);
-  EXPECT_EQ(via_alias->total_cost, via_canonical->total_cost);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
 
-  // Spelling both the alias and the canonical key is ambiguous, not merged.
-  auto both = SolverRegistry::Global().Solve(
-      "cmc", MakeRequest(instance, 3, 0.5,
-                         {"max-budget-rounds=64", "max_budget_rounds=32"}));
-  ASSERT_FALSE(both.ok());
-  EXPECT_TRUE(both.status().IsInvalidArgument());
+  // The old hyphenated aliases and case variants are unknown keys, for
+  // every solver that registered one; the error lists the one spelling.
+  struct Refused {
+    const char* solver;
+    const char* key;
+    const char* registered;
+  };
+  for (const Refused& r : std::vector<Refused>{
+           {"cmc", "max-budget-rounds", "max_budget_rounds"},
+           {"cmc", "MAX_BUDGET_ROUNDS", "max_budget_rounds"},
+           {"cmc", "Epsilon", "epsilon"},
+           {"greedy-wsc", "max-sets", "max_sets"},
+           {"greedy-max-coverage", "stop-coverage", "stop_coverage"},
+           {"exact", "max-nodes", "max_nodes"},
+           {"nonoverlap", "best-effort", "best_effort"},
+       }) {
+    auto result = SolverRegistry::Global().Solve(
+        r.solver,
+        MakeRequest(instance, 3, 0.5, {std::string(r.key) + "=1"}));
+    ASSERT_FALSE(result.ok()) << r.solver << " " << r.key;
+    EXPECT_TRUE(result.status().IsInvalidArgument());
+    const std::string message(result.status().message());
+    EXPECT_NE(message.find("unknown option '" + std::string(r.key) + "'"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(r.registered), std::string::npos) << message;
+  }
 }
 
 // The options round-trip property: for every registered solver, spelling
 // out each option's spec default as an "--opt key=value" string must yield
 // a SolveResult bit-identical to the request that says nothing at all —
-// i.e. the parse path (CLI strings -> OptionsBag -> Canonicalize -> typed
+// i.e. the parse path (CLI strings -> OptionsBag -> Validate -> typed
 // reads) agrees with the defaults compiled into the adapters.
 TEST(SolverRegistryTest, SpecDefaultsRoundTripBitIdentically) {
   const InstancePtr instance = GoldenInstance();
