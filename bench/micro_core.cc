@@ -29,6 +29,7 @@
 #include "src/core/greedy_state.h"
 #include "src/core/instances.h"
 #include "src/core/literal.h"
+#include "src/core/solve_index.h"
 #include "src/obs/trace.h"
 
 namespace scwsc {
@@ -48,9 +49,10 @@ SetSystem MakeRandom(std::size_t elements, std::size_t sets,
 void BM_EngineSelect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   SetSystem system = MakeRandom(n, n / 2, 16);
+  const SolveIndex index(system);
   for (auto _ : state) {
     state.PauseTiming();
-    BenefitEngine engine(system);
+    BenefitEngine engine(index);
     state.ResumeTiming();
     for (SetId id = 0; id < system.num_sets(); id += 7) {
       benchmark::DoNotOptimize(engine.Select(id));
@@ -61,20 +63,20 @@ void BM_EngineSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSelect)->Arg(1000)->Arg(10'000)->Arg(100'000);
 
+// Drains every set of a shared seed heap through the frontier walk, the
+// per-solve half of a greedy selection.
 void BM_LazySelectorDrain(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
-  Rng rng(11);
-  std::vector<std::size_t> counts(m);
-  for (auto& c : counts) c = 1 + rng.NextBounded(1000);
+  SetSystem system = MakeRandom(1000, m, 64);
+  const SeedHeap seeds(system, SelectionKey::Kind::kBenefit);
   for (auto _ : state) {
-    LazySelector selector;
-    for (SetId id = 0; id < m; ++id) {
-      selector.Push(MakeBenefitKey(counts[id], 1.0, id));
-    }
+    std::size_t considered = 0;
+    LazySelector selector(seeds, considered);
     std::size_t drained = 0;
     while (selector
                .Pop([&](SetId id) -> std::optional<SelectionKey> {
-                 return MakeBenefitKey(counts[id], 1.0, id);
+                 return MakeBenefitKey(system.set(id).elements.size(),
+                                       system.set(id).cost, id);
                })
                .has_value()) {
       ++drained;

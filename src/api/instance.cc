@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/common/hash.h"
+#include "src/obs/trace.h"
 
 namespace scwsc {
 namespace api {
@@ -109,6 +110,16 @@ Result<const SetSystem*> InstanceSnapshot::set_system() const {
   MaterializePatterns();
   if (!lazy_->ok()) return lazy_->status();
   return &lazy_->value().set_system();
+}
+
+Result<const SolveIndex*> InstanceSnapshot::solve_index(
+    obs::TraceSession* trace) const {
+  SCWSC_ASSIGN_OR_RETURN(const SetSystem* system, set_system());
+  std::call_once(index_once_, [&] {
+    obs::Span span(trace, "solve_index");
+    index_.emplace(*system);
+  });
+  return &*index_;
 }
 
 Result<const pattern::PatternSystem*> InstanceSnapshot::pattern_system()

@@ -8,12 +8,22 @@
 // solves: it owns the Table (for patterned instances), the cost function,
 // the optional attribute hierarchies, and the generic SetSystem view.
 //
-// For patterned instances the SetSystem view requires enumerating every
-// pattern, which the optimized solvers exist to avoid; it is therefore
-// materialized lazily, on the first solver that asks for it, under a
-// std::call_once, and cached for every later solve. A SetSystem has no lazy
-// state of its own, so once that block returns every access through the
-// snapshot is a pure read and concurrent solves are race-free.
+// A snapshot has two pieces of lazy state, each built on the first solve
+// that asks for it under a std::call_once of its own and then shared by
+// every later solve:
+//
+//  - for patterned instances, the SetSystem view, which requires
+//    enumerating every pattern (the optimized solvers exist to avoid it);
+//  - the SolveIndex (core/solve_index.h) over that view: the greedy seed
+//    heap and the packed rows of dense sets, which cwsc, greedy-wsc, cmc
+//    and the certificate would otherwise rebuild per solve. Snapshot
+//    factories and ApplyDelta never build it, so a version nobody solves
+//    on a SetSystem never pays for one.
+//
+// Neither build observes a RunContext: a deadline or cancellation reaches
+// the solve only after the build returns. Both are immutable once built,
+// so every access through the snapshot after its call_once is a pure read
+// and concurrent solves are race-free.
 
 #ifndef SCWSC_API_INSTANCE_H_
 #define SCWSC_API_INSTANCE_H_
@@ -26,6 +36,7 @@
 
 #include "src/common/result.h"
 #include "src/core/set_system.h"
+#include "src/core/solve_index.h"
 #include "src/hierarchy/hierarchy.h"
 #include "src/pattern/cost.h"
 #include "src/pattern/enumerate.h"
@@ -33,6 +44,11 @@
 #include "src/table/table.h"
 
 namespace scwsc {
+
+namespace obs {
+class TraceSession;
+}  // namespace obs
+
 namespace api {
 
 class InstanceSnapshot;
@@ -79,6 +95,14 @@ class InstanceSnapshot {
   /// cached); pattern/hierarchy solvers never trigger it. The pointer stays
   /// valid and stable for the snapshot's lifetime.
   Result<const SetSystem*> set_system() const;
+
+  /// The SolveIndex over set_system(), built on the first call (after the
+  /// view, if that is not materialized yet) and shared by every later one;
+  /// the building call records a "solve_index" span into `trace` (nullptr
+  /// = off). The pointer stays valid and stable for the snapshot's
+  /// lifetime.
+  Result<const SolveIndex*> solve_index(
+      obs::TraceSession* trace = nullptr) const;
 
   /// The pattern metadata parallel to set_system()'s SetIds. Table
   /// instances only (NotSupported otherwise); same lazy materialization.
@@ -134,6 +158,11 @@ class InstanceSnapshot {
   mutable std::once_flag once_;
   mutable std::optional<Result<pattern::PatternSystem>> lazy_;
   mutable std::atomic<bool> materialized_{false};
+
+  // Lazily built solve index over the set-system view. Guarded by
+  // index_once_: after the call_once returns, index_ is immutable.
+  mutable std::once_flag index_once_;
+  mutable std::optional<SolveIndex> index_;
 };
 
 }  // namespace api

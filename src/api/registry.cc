@@ -64,10 +64,10 @@ Result<SolveResult> Certify(const SolveRequest& request,
                             Result<SolveResult> result) {
   if (!request.certify || !result.ok()) return result;
   obs::Span span(request.trace, "certify");
-  SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
-                         request.instance->set_system());
+  SCWSC_ASSIGN_OR_RETURN(const SolveIndex* index,
+                         request.instance->solve_index(request.trace));
   Result<double> bound =
-      CoverageLowerBound(*system, request.coverage_fraction, run_context);
+      CoverageLowerBound(*index, request.coverage_fraction, run_context);
   if (!bound.ok()) {
     const Solution* greedy = bound.status().payload<Solution>();
     if (greedy == nullptr) return bound.status();

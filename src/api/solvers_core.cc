@@ -14,6 +14,7 @@
 #include "src/core/exact.h"
 #include "src/core/literal.h"
 #include "src/core/nonoverlap.h"
+#include "src/core/solve_index.h"
 
 namespace scwsc {
 namespace api {
@@ -39,21 +40,22 @@ SolveContract CwscContract(const SolveRequest& request, std::size_t n) {
 
 // --- CWSC (Fig. 2), tuned and literal -------------------------------------
 
+/// Times `runner(options, &stats)` — a CWSC variant over the instance's
+/// set-system view or solve index, which the caller fetched first so that
+/// neither lazy build counts as solve time — and finishes its outcome.
 template <typename Runner>
 Result<SolveResult> SolveCwscLike(const SolveRequest& request,
                                   const RunContext* run_context,
                                   Runner runner) {
-  SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
-                         request.instance->set_system());
   CwscOptions options(request.k, request.coverage_fraction);
   options.run_context = run_context;
   options.trace = request.trace;
   const SolveContract contract =
-      CwscContract(request, system->num_elements());
+      CwscContract(request, request.instance->num_elements());
 
   Stopwatch timer;
   ScanStats stats;
-  Result<Solution> solution = runner(*system, options, &stats);
+  Result<Solution> solution = runner(options, &stats);
   const double seconds = timer.ElapsedSeconds();
   SolveCounters counters;
   counters.sets_considered = stats.sets_considered;
@@ -73,7 +75,13 @@ class CwscSolver : public Solver {
  public:
   Result<SolveResult> Solve(const SolveRequest& request,
                             const RunContext* run_context) const override {
-    return SolveCwscLike(request, run_context, RunCwsc);
+    SCWSC_ASSIGN_OR_RETURN(const SolveIndex* index,
+                           request.instance->solve_index(request.trace));
+    return SolveCwscLike(
+        request, run_context,
+        [index](const CwscOptions& options, ScanStats* stats) {
+          return RunCwsc(*index, options, stats);
+        });
   }
 };
 SCWSC_REGISTER_SOLVER(
@@ -87,7 +95,13 @@ class CwscLiteralSolver : public Solver {
  public:
   Result<SolveResult> Solve(const SolveRequest& request,
                             const RunContext* run_context) const override {
-    return SolveCwscLike(request, run_context, RunCwscLiteral);
+    SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
+                           request.instance->set_system());
+    return SolveCwscLike(
+        request, run_context,
+        [system](const CwscOptions& options, ScanStats* stats) {
+          return RunCwscLiteral(*system, options, stats);
+        });
   }
 };
 SCWSC_REGISTER_SOLVER(
@@ -99,20 +113,21 @@ SCWSC_REGISTER_SOLVER(
 
 // --- CMC (Fig. 1), tuned and literal --------------------------------------
 
+/// Times `runner(options)` — a CMC variant over the instance's set-system
+/// view or solve index, fetched first by the caller — and finishes its
+/// outcome.
 template <typename Runner>
 Result<SolveResult> SolveCmcLike(const SolveRequest& request,
                                  const RunContext* run_context,
                                  Runner runner) {
-  SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
-                         request.instance->set_system());
   SCWSC_ASSIGN_OR_RETURN(CmcOptions options,
                          CmcOptionsFromRequest(request, run_context));
   options.trace = request.trace;
   const SolveContract contract =
-      CmcContract(options, system->num_elements());
+      CmcContract(options, request.instance->num_elements());
 
   Stopwatch timer;
-  Result<CmcResult> result = runner(*system, options);
+  Result<CmcResult> result = runner(options);
   const double seconds = timer.ElapsedSeconds();
   if (!result.ok()) {
     const Status& status = result.status();
@@ -138,7 +153,12 @@ class CmcSolver : public Solver {
  public:
   Result<SolveResult> Solve(const SolveRequest& request,
                             const RunContext* run_context) const override {
-    return SolveCmcLike(request, run_context, RunCmc);
+    SCWSC_ASSIGN_OR_RETURN(const SolveIndex* index,
+                           request.instance->solve_index(request.trace));
+    return SolveCmcLike(request, run_context,
+                        [index](const CmcOptions& options) {
+                          return RunCmc(*index, options);
+                        });
   }
 };
 SCWSC_REGISTER_SOLVER(CmcSolver,
@@ -151,7 +171,12 @@ class CmcLiteralSolver : public Solver {
  public:
   Result<SolveResult> Solve(const SolveRequest& request,
                             const RunContext* run_context) const override {
-    return SolveCmcLike(request, run_context, RunCmcLiteral);
+    SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
+                           request.instance->set_system());
+    return SolveCmcLike(request, run_context,
+                        [system](const CmcOptions& options) {
+                          return RunCmcLiteral(*system, options);
+                        });
   }
 };
 SCWSC_REGISTER_SOLVER(
@@ -190,8 +215,8 @@ class GreedyWscSolver : public Solver {
  public:
   Result<SolveResult> Solve(const SolveRequest& request,
                             const RunContext* run_context) const override {
-    SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
-                           request.instance->set_system());
+    SCWSC_ASSIGN_OR_RETURN(const SolveIndex* index,
+                           request.instance->solve_index(request.trace));
     GreedyWscOptions options;
     options.coverage_fraction = request.coverage_fraction;
     // Deliberately ignores request.k: the baseline's point is that it does
@@ -207,9 +232,9 @@ class GreedyWscSolver : public Solver {
             ? 0  // unbounded: no size promise
             : options.max_sets;
     contract.coverage_target = SetSystem::CoverageTarget(
-        request.coverage_fraction, system->num_elements());
+        request.coverage_fraction, request.instance->num_elements());
     return SolveBaseline(request, contract, [&](ScanStats* stats) {
-      return RunGreedyWeightedSetCover(*system, options, stats);
+      return RunGreedyWeightedSetCover(*index, options, stats);
     });
   }
 };
@@ -225,8 +250,8 @@ class GreedyMaxCoverageSolver : public Solver {
  public:
   Result<SolveResult> Solve(const SolveRequest& request,
                             const RunContext* run_context) const override {
-    SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
-                           request.instance->set_system());
+    SCWSC_ASSIGN_OR_RETURN(const SolveIndex* index,
+                           request.instance->solve_index(request.trace));
     GreedyMaxCoverageOptions options;
     options.k = request.k;
     SCWSC_ASSIGN_OR_RETURN(
@@ -239,7 +264,7 @@ class GreedyMaxCoverageSolver : public Solver {
     // §VI-C comparison.
     SolveContract contract{request.k, 0};
     return SolveBaseline(request, contract, [&](ScanStats* stats) {
-      return RunGreedyMaxCoverage(*system, options, stats);
+      return RunGreedyMaxCoverage(*index, options, stats);
     });
   }
 };
@@ -255,8 +280,8 @@ class BudgetedMaxCoverageSolver : public Solver {
  public:
   Result<SolveResult> Solve(const SolveRequest& request,
                             const RunContext* run_context) const override {
-    SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
-                           request.instance->set_system());
+    SCWSC_ASSIGN_OR_RETURN(const SolveIndex* index,
+                           request.instance->solve_index(request.trace));
     if (!request.options.Has("budget")) {
       return Status::InvalidArgument(
           "solver 'budgeted-max-coverage' requires the option budget=<W> "
@@ -276,7 +301,7 @@ class BudgetedMaxCoverageSolver : public Solver {
             ? 0
             : options.max_sets;
     return SolveBaseline(request, contract, [&](ScanStats* stats) {
-      return RunBudgetedMaxCoverage(*system, options, stats);
+      return RunBudgetedMaxCoverage(*index, options, stats);
     });
   }
 };

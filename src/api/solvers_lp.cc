@@ -35,8 +35,8 @@ class LpRoundingSolver : public Solver {
  public:
   Result<SolveResult> Solve(const SolveRequest& request,
                             const RunContext* run_context) const override {
-    SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
-                           request.instance->set_system());
+    SCWSC_ASSIGN_OR_RETURN(const SolveIndex* index,
+                           request.instance->solve_index(request.trace));
     lp::LpScwscOptions options;
     options.k = request.k;
     options.coverage_fraction = request.coverage_fraction;
@@ -52,11 +52,11 @@ class LpRoundingSolver : public Solver {
     // §III caveat this solver exists to measure — so max_sets stays 0.
     SolveContract contract;
     contract.coverage_target = SetSystem::CoverageTarget(
-        request.coverage_fraction, system->num_elements());
+        request.coverage_fraction, request.instance->num_elements());
 
     Stopwatch timer;
     Result<lp::LpRoundingResult> result =
-        lp::SolveByLpRounding(*system, options);
+        lp::SolveByLpRounding(*index, options);
     const double seconds = timer.ElapsedSeconds();
     if (!result.ok()) {
       const Status& status = result.status();

@@ -6,12 +6,14 @@
 #include <vector>
 
 #include "src/core/baselines.h"
+#include "src/core/solve_index.h"
 
 namespace scwsc {
 
-Result<double> CoverageLowerBound(const SetSystem& system,
+Result<double> CoverageLowerBound(const SolveIndex& index,
                                   double coverage_fraction,
                                   const RunContext* run_context) {
+  const SetSystem& system = index.system();
   if (coverage_fraction < 0.0 || coverage_fraction > 1.0) {
     return Status::InvalidArgument("coverage_fraction must be in [0, 1]");
   }
@@ -19,7 +21,7 @@ Result<double> CoverageLowerBound(const SetSystem& system,
   const std::size_t target = SetSystem::CoverageTarget(coverage_fraction, n);
   if (target == 0) return 0.0;
   SCWSC_ASSIGN_OR_RETURN(const Solution cover,
-                         GreedyFullCover(system, run_context));
+                         GreedyFullCover(index, run_context));
 
   // Dual-fitting prices: each element is charged when first covered, at the
   // covering set's cost split across everything it newly covers. Every
@@ -58,6 +60,13 @@ Result<double> CoverageLowerBound(const SetSystem& system,
   const auto mth = price.begin() + static_cast<std::ptrdiff_t>(m);
   std::nth_element(price.begin(), mth, price.end());
   return std::accumulate(price.begin(), mth, 0.0) / gamma;
+}
+
+Result<double> CoverageLowerBound(const SetSystem& system,
+                                  double coverage_fraction,
+                                  const RunContext* run_context) {
+  return CoverageLowerBound(SolveIndex(system), coverage_fraction,
+                            run_context);
 }
 
 double CertifiedRatio(double total_cost, double lower_bound) {

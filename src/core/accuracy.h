@@ -36,12 +36,19 @@
 
 namespace scwsc {
 
+class SolveIndex;
+
 /// The certificate's lower bound on the cost of any selection covering at
 /// least CoverageTarget(coverage_fraction, n) elements: 0 when the target is
 /// 0 or zero-cost sets alone reach it; InvalidArgument for a fraction
 /// outside [0, 1]. Cost: one greedy full cover, one pass over the sets and a
 /// selection over n prices; O(n) extra memory. A RunContext trip during the
 /// greedy returns its interruption status.
+Result<double> CoverageLowerBound(const SolveIndex& index,
+                                  double coverage_fraction,
+                                  const RunContext* run_context = nullptr);
+
+/// CoverageLowerBound over a private SolveIndex of `system`.
 Result<double> CoverageLowerBound(const SetSystem& system,
                                   double coverage_fraction,
                                   const RunContext* run_context = nullptr);

@@ -2,6 +2,7 @@
 
 #include "src/core/benefit_engine.h"
 #include "src/core/greedy_state.h"
+#include "src/core/solve_index.h"
 #include "src/obs/trace.h"
 
 namespace scwsc {
@@ -11,17 +12,17 @@ namespace {
 /// marginal gain |MBen(s)|/Cost(s) until `target` elements are covered or no
 /// set adds coverage; the returned covered count tells which. Errors: a
 /// RunContext trip (partial Solution payload) and max_sets reached first.
-Result<Solution> GreedyWscLoop(const SetSystem& system, std::size_t target,
+Result<Solution> GreedyWscLoop(const SolveIndex& index, std::size_t target,
                                const GreedyWscOptions& options,
                                ScanStats& tally) {
   Solution solution;
   if (target == 0) return solution;
+  const SetSystem& system = index.system();
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
-  BenefitEngine state(system, &ctx, options.trace);
+  BenefitEngine state(index, &ctx, options.trace);
   obs::Span span(options.trace, "greedy_wsc");
-  LazySelector selector;
-  SeedBySize(system, selector, tally.sets_considered, MakeGainKey);
+  LazySelector selector(index.gain_heap(), tally.sets_considered);
 
   std::size_t rem = target;
   while (rem > 0) {
@@ -50,35 +51,42 @@ Result<Solution> GreedyWscLoop(const SetSystem& system, std::size_t target,
 
 }  // namespace
 
-Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
+Result<Solution> RunGreedyWeightedSetCover(const SolveIndex& index,
                                            const GreedyWscOptions& options,
                                            ScanStats* stats) {
   if (options.coverage_fraction < 0.0 || options.coverage_fraction > 1.0) {
     return Status::InvalidArgument("coverage_fraction must be in [0, 1]");
   }
   const std::size_t target = SetSystem::CoverageTarget(
-      options.coverage_fraction, system.num_elements());
+      options.coverage_fraction, index.system().num_elements());
   ScanStats local_stats;
   ScanStats& tally = stats != nullptr ? *stats : local_stats;
   SCWSC_ASSIGN_OR_RETURN(Solution solution,
-                         GreedyWscLoop(system, target, options, tally));
+                         GreedyWscLoop(index, target, options, tally));
   if (solution.covered < target) {
     return Status::Infeasible("greedy WSC: sets exhausted before target");
   }
   return solution;
 }
 
-Result<Solution> GreedyFullCover(const SetSystem& system,
+Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
+                                           const GreedyWscOptions& options,
+                                           ScanStats* stats) {
+  return RunGreedyWeightedSetCover(SolveIndex(system), options, stats);
+}
+
+Result<Solution> GreedyFullCover(const SolveIndex& index,
                                  const RunContext* run_context) {
   GreedyWscOptions options;
   options.run_context = run_context;
   ScanStats tally;
-  return GreedyWscLoop(system, system.num_elements(), options, tally);
+  return GreedyWscLoop(index, index.system().num_elements(), options, tally);
 }
 
 Result<Solution> RunGreedyMaxCoverage(
-    const SetSystem& system, const GreedyMaxCoverageOptions& options,
+    const SolveIndex& index, const GreedyMaxCoverageOptions& options,
     ScanStats* stats) {
+  const SetSystem& system = index.system();
   if (options.k == 0) return Status::InvalidArgument("k must be positive");
   if (options.stop_coverage_fraction < 0.0 ||
       options.stop_coverage_fraction > 1.0) {
@@ -92,10 +100,10 @@ Result<Solution> RunGreedyMaxCoverage(
   ScanStats& tally = stats != nullptr ? *stats : local_stats;
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
-  BenefitEngine state(system, &ctx, options.trace);
+  BenefitEngine state(index, &ctx, options.trace);
   obs::Span span(options.trace, "greedy_max_coverage");
-  LazySelector selector;
-  SeedBySize(system, selector, tally.sets_considered, MakeBenefitKey);
+  const SeedHeap seeds(system, SelectionKey::Kind::kBenefit);
+  LazySelector selector(seeds, tally.sets_considered);
 
   while (solution.sets.size() < options.k && state.covered_count() < stop_at) {
     if (const TripKind trip = ctx.Check(); trip != TripKind::kNone) {
@@ -118,18 +126,25 @@ Result<Solution> RunGreedyMaxCoverage(
   return solution;
 }
 
+Result<Solution> RunGreedyMaxCoverage(
+    const SetSystem& system, const GreedyMaxCoverageOptions& options,
+    ScanStats* stats) {
+  return RunGreedyMaxCoverage(SolveIndex(system), options, stats);
+}
+
 Result<Solution> RunBudgetedMaxCoverage(
-    const SetSystem& system, const BudgetedMaxCoverageOptions& options,
+    const SolveIndex& index, const BudgetedMaxCoverageOptions& options,
     ScanStats* stats) {
   if (options.budget < 0.0) {
     return Status::InvalidArgument("budget must be >= 0");
   }
+  const SetSystem& system = index.system();
   Solution solution;
   ScanStats local_stats;
   ScanStats& tally = stats != nullptr ? *stats : local_stats;
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
-  BenefitEngine state(system, &ctx, options.trace);
+  BenefitEngine state(index, &ctx, options.trace);
   obs::Span span(options.trace, "budgeted_max_coverage");
   double remaining = options.budget;
 
@@ -138,8 +153,7 @@ Result<Solution> RunBudgetedMaxCoverage(
   // with coverage and the remaining budget only decreases, so a set that no
   // longer fits can be discarded permanently — which keeps the lazy
   // selector sound.
-  LazySelector selector;
-  SeedBySize(system, selector, tally.sets_considered, MakeGainKey);
+  LazySelector selector(index.gain_heap(), tally.sets_considered);
 
   while (solution.sets.size() < options.max_sets) {
     if (const TripKind trip = ctx.Check(); trip != TripKind::kNone) {
@@ -163,6 +177,12 @@ Result<Solution> RunBudgetedMaxCoverage(
   }
   solution.covered = state.covered_count();
   return solution;
+}
+
+Result<Solution> RunBudgetedMaxCoverage(
+    const SetSystem& system, const BudgetedMaxCoverageOptions& options,
+    ScanStats* stats) {
+  return RunBudgetedMaxCoverage(SolveIndex(system), options, stats);
 }
 
 }  // namespace scwsc

@@ -9,8 +9,10 @@
 //    constructs an instance where its coverage is arbitrarily poor even when
 //    allowed c·k sets).
 //
-// Each runs on a BenefitEngine with one lazy (CELF) heap seeded from the
-// set sizes (SeedBySize).
+// Each runs on a BenefitEngine with one lazy (CELF) heap started from the
+// set sizes. Each takes a SolveIndex (solve_index.h), whose seed heap the
+// gain-ordered ones walk in place; the SetSystem overloads build a private
+// index per call.
 
 #ifndef SCWSC_CORE_BASELINES_H_
 #define SCWSC_CORE_BASELINES_H_
@@ -26,6 +28,8 @@ namespace scwsc {
 namespace obs {
 class TraceSession;
 }  // namespace obs
+
+class SolveIndex;
 
 struct GreedyWscOptions {
   /// Desired coverage fraction ŝ.
@@ -45,6 +49,9 @@ struct GreedyWscOptions {
 /// highest marginal gain |MBen(s)|/Cost(s) until the coverage target is met.
 /// Infeasible when the target cannot be met within max_sets (or at all).
 /// `stats` (optional) receives the candidate-evaluation tally.
+Result<Solution> RunGreedyWeightedSetCover(const SolveIndex& index,
+                                           const GreedyWscOptions& options,
+                                           ScanStats* stats = nullptr);
 Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
                                            const GreedyWscOptions& options,
                                            ScanStats* stats = nullptr);
@@ -54,7 +61,7 @@ Result<Solution> RunGreedyWeightedSetCover(const SetSystem& system,
 /// selection order whose dual-fitting prices the accuracy certificate
 /// scales (core/accuracy.h). Never infeasible; a RunContext trip returns the
 /// interruption status with the partial Solution payload.
-Result<Solution> GreedyFullCover(const SetSystem& system,
+Result<Solution> GreedyFullCover(const SolveIndex& index,
                                  const RunContext* run_context);
 
 struct GreedyMaxCoverageOptions {
@@ -70,8 +77,12 @@ struct GreedyMaxCoverageOptions {
 };
 
 /// Greedy partial maximum coverage: select up to k sets with the highest
-/// marginal benefit, ignoring cost entirely.
+/// marginal benefit, ignoring cost entirely. Its benefit-ordered seed heap
+/// is built per call (the index's heap is gain-ordered).
 /// `stats` (optional) receives the candidate-evaluation tally.
+Result<Solution> RunGreedyMaxCoverage(const SolveIndex& index,
+                                      const GreedyMaxCoverageOptions& options,
+                                      ScanStats* stats = nullptr);
 Result<Solution> RunGreedyMaxCoverage(const SetSystem& system,
                                       const GreedyMaxCoverageOptions& options,
                                       ScanStats* stats = nullptr);
@@ -92,6 +103,9 @@ struct BudgetedMaxCoverageOptions {
 /// whose cost still fits in the remaining budget. Never fails; returns the
 /// (possibly low-coverage) selection, which is exactly the §III critique.
 /// `stats` (optional) receives the candidate-evaluation tally.
+Result<Solution> RunBudgetedMaxCoverage(
+    const SolveIndex& index, const BudgetedMaxCoverageOptions& options,
+    ScanStats* stats = nullptr);
 Result<Solution> RunBudgetedMaxCoverage(
     const SetSystem& system, const BudgetedMaxCoverageOptions& options,
     ScanStats* stats = nullptr);

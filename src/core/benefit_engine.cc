@@ -5,67 +5,47 @@
 #include "src/obs/trace.h"
 
 namespace scwsc {
-namespace {
 
-/// The density rule: a packed row costs ~n/64 word ops per recount, the
-/// sorted list costs ~|elements| bit tests, so the row wins once the set
-/// holds at least one element per word of the universe.
-bool DenseEnoughForRow(std::size_t set_size, std::size_t num_elements) {
-  return set_size * 64 >= num_elements;
-}
-
-}  // namespace
-
-BenefitEngine::BenefitEngine(const SetSystem& system,
+BenefitEngine::BenefitEngine(const SolveIndex& index,
                              const RunContext* run_context,
                              obs::TraceSession* trace)
-    : system_(system),
+    : index_(index),
       ctx_(run_context != nullptr ? run_context : &RunContext::Unlimited()),
-      covered_(system.num_elements()),
-      words_per_row_(covered_.num_words()) {
+      covered_(index.system().num_elements()),
+      count_(index.sizes()),
+      stamp_(count_.size(), 0) {
   if (trace != nullptr) {
     obs::MetricRegistry& metrics = trace->metrics();
     celf_hits_ = &metrics.counter("engine.celf_hits");
     celf_misses_ = &metrics.counter("engine.celf_misses");
     batch_scans_ = &metrics.counter("engine.batch_scans");
   }
-  const std::size_t m = system.num_sets();
-  count_.reserve(m);
-  for (const auto& s : system.sets()) count_.push_back(s.elements.size());
-  stamp_.assign(m, 0);
+}
 
-  // Materialize packed rows for every set dense enough to want one.
-  row_of_.assign(m, kNoRow);
-  std::size_t num_rows = 0;
-  for (SetId id = 0; id < m; ++id) {
-    if (DenseEnoughForRow(count_[id], system.num_elements())) {
-      row_of_[id] = static_cast<std::uint32_t>(num_rows++);
-    }
-  }
-  rows_.assign(num_rows * words_per_row_, 0);
-  for (SetId id = 0; id < m; ++id) {
-    if (row_of_[id] == kNoRow) continue;
-    std::uint64_t* row = rows_.data() + row_of_[id] * words_per_row_;
-    for (ElementId e : system.set(id).elements) {
-      row[e >> 6] |= std::uint64_t{1} << (e & 63);
-    }
-  }
+BenefitEngine::BenefitEngine(const SetSystem& system,
+                             const RunContext* run_context,
+                             obs::TraceSession* trace)
+    : BenefitEngine(std::make_unique<const SolveIndex>(system), run_context,
+                    trace) {}
+
+BenefitEngine::BenefitEngine(std::unique_ptr<const SolveIndex> owned,
+                             const RunContext* run_context,
+                             obs::TraceSession* trace)
+    : BenefitEngine(*owned, run_context, trace) {
+  owned_ = std::move(owned);
 }
 
 void BenefitEngine::Reset() {
   covered_.clear();
-  for (SetId id = 0; id < count_.size(); ++id) {
-    count_[id] = system_.set(id).elements.size();
-  }
+  count_ = index_.sizes();
   std::fill(stamp_.begin(), stamp_.end(), 0);
 }
 
 std::size_t BenefitEngine::Recount(SetId id) const {
-  if (row_of_[id] == kNoRow) {
-    return covered_.CountClear(system_.set(id).elements);
+  if (const std::uint64_t* row = index_.row(id)) {
+    return covered_.AndNotCount(row, index_.words_per_row());
   }
-  return covered_.AndNotCount(rows_.data() + row_of_[id] * words_per_row_,
-                              words_per_row_);
+  return covered_.CountClear(index_.system().set(id).elements);
 }
 
 std::size_t BenefitEngine::MarginalCount(SetId id) {
@@ -77,27 +57,26 @@ std::size_t BenefitEngine::MarginalCount(SetId id) {
   if (celf_misses_ != nullptr) celf_misses_->Increment();
   // The recount itself stays exact; the charge only decrements the budget
   // and latches a trip for the caller's next Check().
-  ctx_->ChargeRecounts(system_.set(id).elements.size());
-  count_[id] = Recount(id);
-  stamp_[id] = epoch;
+  ctx_->ChargeRecounts(index_.sizes()[id]);
+  count_[id] = static_cast<std::uint32_t>(Recount(id));
+  stamp_[id] = static_cast<std::uint32_t>(epoch);
   return count_[id];
 }
 
 std::size_t BenefitEngine::Select(SetId id) {
   std::size_t newly;
-  if (row_of_[id] != kNoRow) {
-    newly = covered_.UnionWith(rows_.data() + row_of_[id] * words_per_row_,
-                               words_per_row_);
+  if (const std::uint64_t* row = index_.row(id)) {
+    newly = covered_.UnionWith(row, index_.words_per_row());
   } else {
     newly = 0;
-    for (ElementId e : system_.set(id).elements) {
+    for (ElementId e : index_.system().set(id).elements) {
       if (covered_.set(e)) ++newly;
     }
   }
   // The selected set itself is exhausted; pin its count so zero-count
   // short-circuits without a recount.
   count_[id] = 0;
-  stamp_[id] = covered_.count();
+  stamp_[id] = static_cast<std::uint32_t>(covered_.count());
   return newly;
 }
 
@@ -123,8 +102,7 @@ Status BenefitEngine::BatchMarginals(const std::vector<SetId>& ids,
       out[i] = count_[id];
       continue;
     }
-    if (ctx_->ChargeRecounts(system_.set(id).elements.size()) !=
-        TripKind::kNone) {
+    if (ctx_->ChargeRecounts(index_.sizes()[id]) != TripKind::kNone) {
       tripped = true;
       out[i] = count_[id];
       continue;
@@ -137,8 +115,8 @@ Status BenefitEngine::BatchMarginals(const std::vector<SetId>& ids,
     return TripStatus(ctx_->tripped(), "BatchMarginals");
   }
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    count_[ids[i]] = out[i];
-    stamp_[ids[i]] = epoch;
+    count_[ids[i]] = static_cast<std::uint32_t>(out[i]);
+    stamp_[ids[i]] = static_cast<std::uint32_t>(epoch);
   }
   return Status::OK();
 }

@@ -8,22 +8,24 @@
 // only shrink (submodularity), so a cached value is always an upper bound —
 // exactly the invariant CELF/lazy-greedy selection needs.
 //
-// Membership is stored per set by density: a set holding at least one
-// element per 64-bit word of the universe (|s| * 64 >= n) gets a packed
-// uint64 row, so a recount is a word-wise AND-NOT popcount against the
-// covered words and a selection ORs the row into them; sparser sets keep
-// the SetSystem's sorted element list and an element-by-element bit-test
-// walk, which is then the shorter of the two.
+// Everything derived from the set system alone — the set sizes the counts
+// start from and the packed rows of dense sets — lives in a SolveIndex
+// (solve_index.h) that the engine borrows, so per run it allocates only
+// the covered bitset and 4-byte counts and stamps. A recount of a set with
+// a row is a word-wise AND-NOT popcount against the covered words and its
+// selection ORs the row in; sparser sets walk their sorted element list.
 
 #ifndef SCWSC_CORE_BENEFIT_ENGINE_H_
 #define SCWSC_CORE_BENEFIT_ENGINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/bitset.h"
 #include "src/common/run_context.h"
 #include "src/core/set_system.h"
+#include "src/core/solve_index.h"
 
 namespace scwsc {
 
@@ -34,11 +36,17 @@ class TraceSession;
 
 class BenefitEngine {
  public:
-  /// `run_context` (nullptr = unlimited) meters recounts against the
-  /// element-recount budget and lets BatchMarginals observe deadlines and
-  /// cancellation. Counts returned while untripped are always exact, so an
-  /// unlimited context changes no behaviour. `trace` (nullptr = off)
-  /// receives the engine's CELF hit/miss and batch counters.
+  /// Borrows `index`, which must outlive the engine. `run_context`
+  /// (nullptr = unlimited) meters recounts against the element-recount
+  /// budget and lets BatchMarginals observe deadlines and cancellation.
+  /// Counts returned while untripped are always exact, so an unlimited
+  /// context changes no behaviour. `trace` (nullptr = off) receives the
+  /// engine's CELF hit/miss and batch counters.
+  explicit BenefitEngine(const SolveIndex& index,
+                         const RunContext* run_context = nullptr,
+                         obs::TraceSession* trace = nullptr);
+
+  /// An engine over a private SolveIndex of `system`, built here.
   explicit BenefitEngine(const SetSystem& system,
                          const RunContext* run_context = nullptr,
                          obs::TraceSession* trace = nullptr);
@@ -74,30 +82,24 @@ class BenefitEngine {
   bool IsCovered(ElementId e) const { return covered_.test(e); }
   const DynamicBitset& covered() const { return covered_; }
 
-  /// True when `id`'s membership is materialized as a packed bitset row
-  /// (introspection for tests of the density rule).
-  bool UsesBitsetRow(SetId id) const { return row_of_[id] != kNoRow; }
-
  private:
-  static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
+  BenefitEngine(std::unique_ptr<const SolveIndex> owned,
+                const RunContext* run_context, obs::TraceSession* trace);
 
   /// Recomputes |MBen(id)| against the covered words (no cache access).
   std::size_t Recount(SetId id) const;
 
-  const SetSystem& system_;
+  std::unique_ptr<const SolveIndex> owned_;  // set by the SetSystem ctor
+  const SolveIndex& index_;
   const RunContext* ctx_;  // never null; defaults to RunContext::Unlimited()
   DynamicBitset covered_;
 
   /// Cached counts, valid iff the set's stamp equals the current coverage
   /// epoch (covered_.count(); a selection that covers nothing new changes
-  /// no marginal, so the epoch is sound).
-  std::vector<std::size_t> count_;
-  std::vector<std::size_t> stamp_;
-
-  /// Packed membership rows for dense sets, kNoRow-indexed via row_of_.
-  std::size_t words_per_row_ = 0;
-  std::vector<std::uint32_t> row_of_;
-  std::vector<std::uint64_t> rows_;
+  /// no marginal, so the epoch is sound). Counts and epochs are at most
+  /// n < 2^32.
+  std::vector<std::uint32_t> count_;
+  std::vector<std::uint32_t> stamp_;
 
   /// Metric instruments resolved once at construction when a trace session
   /// is given; hot paths then update lock-free atomics behind one pointer

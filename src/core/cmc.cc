@@ -6,6 +6,7 @@
 #include "src/common/logging.h"
 #include "src/core/benefit_engine.h"
 #include "src/core/greedy_state.h"
+#include "src/core/solve_index.h"
 #include "src/obs/trace.h"
 
 namespace scwsc {
@@ -95,7 +96,8 @@ std::size_t CmcMaxSelectable(std::size_t k, double epsilon, unsigned l) {
   return total;
 }
 
-Result<CmcResult> RunCmc(const SetSystem& system, const CmcOptions& options) {
+Result<CmcResult> RunCmc(const SolveIndex& index, const CmcOptions& options) {
+  const SetSystem& system = index.system();
   if (options.k == 0) return Status::InvalidArgument("k must be positive");
   if (options.l == 0) return Status::InvalidArgument("l must be positive");
   if (options.coverage_fraction < 0.0 || options.coverage_fraction > 1.0) {
@@ -125,7 +127,7 @@ Result<CmcResult> RunCmc(const SetSystem& system, const CmcOptions& options) {
 
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
-  BenefitEngine engine(system, &ctx, options.trace);
+  BenefitEngine engine(index, &ctx, options.trace);
 
   obs::Span cmc_span(options.trace, "cmc");
   obs::MetricCounter* picks_metric = nullptr;
@@ -241,6 +243,10 @@ Result<CmcResult> RunCmc(const SetSystem& system, const CmcOptions& options) {
     }
   }
   return Status::ResourceExhausted("CMC: max_budget_rounds exceeded");
+}
+
+Result<CmcResult> RunCmc(const SetSystem& system, const CmcOptions& options) {
+  return RunCmc(SolveIndex(system), options);
 }
 
 }  // namespace scwsc

@@ -12,9 +12,9 @@
 // most (1+b)(2·log k + 1)·OPT, resp. O(((1+b)/ε)·log k·OPT).
 //
 // RunCmc evaluates marginals through one BenefitEngine, reset per budget
-// round: each level's members are recounted in one batch and drained from a
-// lazy (CELF) heap. RunCmcLiteral (literal.h) is the line-by-line reference
-// it must match.
+// round, over the SolveIndex's packed rows: each level's members are
+// recounted in one batch and drained from a lazy (CELF) heap of their own.
+// RunCmcLiteral (literal.h) is the line-by-line reference it must match.
 
 #ifndef SCWSC_CORE_CMC_H_
 #define SCWSC_CORE_CMC_H_
@@ -29,6 +29,8 @@ namespace scwsc {
 namespace obs {
 class TraceSession;
 }  // namespace obs
+
+class SolveIndex;
 
 struct CmcOptions {
   /// Maximum solution size the caller asked for (k in the paper). The
@@ -111,6 +113,9 @@ struct CmcResult {
 /// Runs CMC. Returns Infeasible when even the final budget round (B >= total
 /// cost of all sets) cannot meet the (possibly relaxed) coverage target —
 /// impossible when the system contains a universe set.
+Result<CmcResult> RunCmc(const SolveIndex& index, const CmcOptions& options);
+
+/// RunCmc over a private SolveIndex of `system`, built per call.
 Result<CmcResult> RunCmc(const SetSystem& system, const CmcOptions& options);
 
 }  // namespace scwsc

@@ -2,6 +2,7 @@
 
 #include "src/core/benefit_engine.h"
 #include "src/core/greedy_state.h"
+#include "src/core/solve_index.h"
 #include "src/obs/trace.h"
 
 namespace scwsc {
@@ -16,17 +17,13 @@ namespace {
 /// large pick can lower it), so a set rejected now may qualify later. A pop
 /// whose cached upper bound already fails the threshold is parked without a
 /// recount. Zero-marginal sets are dropped permanently (counts never grow).
-Result<Solution> RunCwscLazy(const SetSystem& system,
+Result<Solution> RunCwscLazy(const SolveIndex& index,
                              const CwscOptions& options, std::size_t rem,
                              const RunContext& ctx, ScanStats& stats) {
-  BenefitEngine engine(system, &ctx, options.trace);
+  const SetSystem& system = index.system();
+  BenefitEngine engine(index, &ctx, options.trace);
   Solution solution;
-
-  LazySelector selector;
-  {
-    obs::Span seed_span(options.trace, "cwsc.seed");
-    SeedBySize(system, selector, stats.sets_considered, MakeGainKey);
-  }
+  LazySelector selector(index.gain_heap(), stats.sets_considered);
 
   std::vector<SelectionKey> parked;
   obs::Span select_span(options.trace, "cwsc.select");
@@ -81,7 +78,7 @@ Result<Solution> RunCwscLazy(const SetSystem& system,
 
 }  // namespace
 
-Result<Solution> RunCwsc(const SetSystem& system, const CwscOptions& options,
+Result<Solution> RunCwsc(const SolveIndex& index, const CwscOptions& options,
                          ScanStats* stats) {
   if (options.k == 0) {
     return Status::InvalidArgument("k must be positive");
@@ -90,7 +87,7 @@ Result<Solution> RunCwsc(const SetSystem& system, const CwscOptions& options,
     return Status::InvalidArgument("coverage_fraction must be in [0, 1]");
   }
 
-  const std::size_t n = system.num_elements();
+  const std::size_t n = index.system().num_elements();
   const std::size_t rem = SetSystem::CoverageTarget(options.coverage_fraction, n);
   if (rem == 0) return Solution{};  // nothing to cover
 
@@ -99,13 +96,18 @@ Result<Solution> RunCwsc(const SetSystem& system, const CwscOptions& options,
   const RunContext& ctx =
       options.run_context ? *options.run_context : RunContext::Unlimited();
   obs::Span span(options.trace, "cwsc");
-  Result<Solution> solution = RunCwscLazy(system, options, rem, ctx, tally);
+  Result<Solution> solution = RunCwscLazy(index, options, rem, ctx, tally);
   if (options.trace != nullptr) {
     options.trace->metrics()
         .counter("cwsc.sets_considered")
         .Increment(tally.sets_considered);
   }
   return solution;
+}
+
+Result<Solution> RunCwsc(const SetSystem& system, const CwscOptions& options,
+                         ScanStats* stats) {
+  return RunCwsc(SolveIndex(system), options, stats);
 }
 
 }  // namespace scwsc

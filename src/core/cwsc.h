@@ -9,8 +9,9 @@
 // recommended solver in practice (paper §VI).
 //
 // RunCwsc evaluates marginals through a BenefitEngine and selects from one
-// gain-ordered lazy (CELF) heap across all iterations; RunCwscLiteral
-// (literal.h) is the line-by-line reference it must match.
+// gain-ordered lazy (CELF) heap across all iterations, started from the
+// SolveIndex's shared seed heap; RunCwscLiteral (literal.h) is the
+// line-by-line reference it must match.
 
 #ifndef SCWSC_CORE_CWSC_H_
 #define SCWSC_CORE_CWSC_H_
@@ -26,6 +27,8 @@ namespace scwsc {
 namespace obs {
 class TraceSession;
 }  // namespace obs
+
+class SolveIndex;
 
 /// Fig. 2 line 06's qualification test |MBen(s)| >= rem / i, in exact
 /// integers, shared by every CWSC variant (generic, literal, and the flat
@@ -62,6 +65,10 @@ struct CwscOptions {
 ///    (Fig. 2 line 07, "No solution"), or
 ///  - Status::InvalidArgument for out-of-domain options.
 /// `stats` (optional) receives the candidate-evaluation tally.
+Result<Solution> RunCwsc(const SolveIndex& index, const CwscOptions& options,
+                         ScanStats* stats = nullptr);
+
+/// RunCwsc over a private SolveIndex of `system`, built per call.
 Result<Solution> RunCwsc(const SetSystem& system, const CwscOptions& options,
                          ScanStats* stats = nullptr);
 

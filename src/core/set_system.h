@@ -96,9 +96,17 @@ class SetSystem {
 /// True when gain a (= count_a / cost_a) beats gain b, compared exactly by
 /// cross-multiplication so zero costs and ties are handled without
 /// divisions or infinities. Zero-cost sets have infinite gain; two zero-cost
-/// sets compare by count.
-bool BetterGain(std::size_t count_a, double cost_a, std::size_t count_b,
-                double cost_b);
+/// sets compare by count. Inline: it is the heap comparator's inner step.
+inline bool BetterGain(std::size_t count_a, double cost_a,
+                       std::size_t count_b, double cost_b) {
+  // gain = count / cost; compare count_a/cost_a > count_b/cost_b via
+  // count_a * cost_b > count_b * cost_a (costs are >= 0).
+  if (cost_a == 0.0 && cost_b == 0.0) return count_a > count_b;
+  if (cost_a == 0.0) return count_a > 0;  // infinite gain beats finite
+  if (cost_b == 0.0) return false;
+  return static_cast<double>(count_a) * cost_b >
+         static_cast<double>(count_b) * cost_a;
+}
 
 }  // namespace scwsc
 

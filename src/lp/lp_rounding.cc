@@ -7,6 +7,7 @@
 #include "src/common/rng.h"
 #include "src/core/benefit_engine.h"
 #include "src/core/greedy_state.h"
+#include "src/core/solve_index.h"
 #include "src/obs/trace.h"
 
 namespace scwsc {
@@ -78,8 +79,9 @@ Result<LpRelaxation> SolveScwscRelaxation(const SetSystem& system,
   return relaxation;
 }
 
-Result<LpRoundingResult> SolveByLpRounding(const SetSystem& system,
+Result<LpRoundingResult> SolveByLpRounding(const SolveIndex& index,
                                            const LpScwscOptions& options) {
+  const SetSystem& system = index.system();
   const std::size_t n = system.num_elements();
   const std::size_t target =
       SetSystem::CoverageTarget(options.coverage_fraction, n);
@@ -175,9 +177,8 @@ Result<LpRoundingResult> SolveByLpRounding(const SetSystem& system,
     // The engine gets no run context, so the repair's recounts are not
     // charged to a recount budget; deadlines and cancellation still reach
     // the loop through its Check().
-    BenefitEngine state(system);
-    LazySelector selector;
-    SeedBySize(system, selector, result.sets_considered, MakeGainKey);
+    BenefitEngine state(index);
+    LazySelector selector(index.gain_heap(), result.sets_considered);
     std::size_t rem = target;
     Solution repaired;
     while (rem > 0) {
@@ -210,6 +211,11 @@ Result<LpRoundingResult> SolveByLpRounding(const SetSystem& system,
           ? result.solution.sets.size() - options.k
           : 0;
   return result;
+}
+
+Result<LpRoundingResult> SolveByLpRounding(const SetSystem& system,
+                                           const LpScwscOptions& options) {
+  return SolveByLpRounding(SolveIndex(system), options);
 }
 
 }  // namespace lp

@@ -26,6 +26,9 @@
 #include "src/lp/simplex.h"
 
 namespace scwsc {
+
+class SolveIndex;
+
 namespace lp {
 
 struct LpScwscOptions {
@@ -76,7 +79,12 @@ struct LpRoundingResult {
 
 /// Rounds the relaxation. Always returns a coverage-feasible solution when
 /// the instance is coverable at all (greedy repair as a fallback); the
-/// cardinality constraint is soft, as §III warns.
+/// cardinality constraint is soft, as §III warns. The repair walks the
+/// index's seed heap.
+Result<LpRoundingResult> SolveByLpRounding(const SolveIndex& index,
+                                           const LpScwscOptions& options);
+
+/// SolveByLpRounding over a private SolveIndex of `system`.
 Result<LpRoundingResult> SolveByLpRounding(const SetSystem& system,
                                            const LpScwscOptions& options);
 

@@ -168,7 +168,7 @@ Result<JsonValue> RunBatch(BatchSpec spec, SolveScheduler& scheduler) {
   for (SolveJob& job : spec.jobs) {
     Slot slot;
     slot.label = job.request.label;
-    slot.solver = job.solver;
+    slot.solver = CanonicalSolverName(job.solver);
     auto future = scheduler.Enqueue(std::move(job));
     if (future.ok()) {
       slot.future = std::move(*future);

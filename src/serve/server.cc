@@ -415,7 +415,7 @@ void SolveServer::HandleLine(Connection& conn, const std::string& line) {
   if (!job->forward.empty()) {
     envelope["forward"] = JsonValue(std::move(job->forward));
   }
-  const std::string solver = job->job.solver;
+  const std::string solver = CanonicalSolverName(job->job.solver);
   Result<std::future<JobOutcome>> future =
       scheduler_->Enqueue(std::move(job->job));
   if (!future.ok()) {

@@ -301,6 +301,11 @@ void AddResultFields(const api::SolveResult& result, JsonObject& out) {
   out["selection"] = JsonValue(std::move(labels));
 }
 
+std::string CanonicalSolverName(const std::string& name) {
+  const api::SolverInfo* info = api::SolverRegistry::Global().Find(name);
+  return info != nullptr ? info->name : name;
+}
+
 JsonValue SolverListToJson() {
   JsonArray solvers;
   for (const api::SolverInfo& info : api::SolverRegistry::Global().List()) {

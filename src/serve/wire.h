@@ -144,6 +144,11 @@ JsonValue DeltaStatsToJson(const api::DeltaStats& stats,
 /// result carries a certificate. An infinite ratio renders as null.
 void AddResultFields(const api::SolveResult& result, JsonObject& out);
 
+/// The registry's canonical spelling of solver `name` (lookups fold case),
+/// or `name` as sent when the registry does not know it. Both serve
+/// surfaces echo it, so a response names its solver as the metrics do.
+std::string CanonicalSolverName(const std::string& name);
+
 /// The registry's solver table as machine-readable JSON: {"solvers":
 /// [{"name", "summary", "capabilities", "options": [{"name", "type",
 /// "default", "required", "help"}]}]}. Shared by the

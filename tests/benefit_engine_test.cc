@@ -171,6 +171,54 @@ TEST(BenefitEngineEquivalenceTest, GreedyWscIdenticalAcrossEngines) {
   }
 }
 
+// One SolveIndex shared by cwsc, cmc and greedy WSC, each run twice,
+// interleaved: every run matches its reference, and a solver's two runs
+// agree in picks and in sets_considered, so no run leaves a trace in the
+// shared index.
+TEST(BenefitEngineEquivalenceTest, SharedIndexRunsRepeatAndMatchReferences) {
+  const auto specs = InstanceSpecs();
+  std::uint64_t seed = 401;
+  for (const RandomSystemSpec& spec : specs) {
+    Result<SetSystem> system = BuildInstance(spec, seed++);
+    ASSERT_TRUE(system.ok());
+    const SolveIndex index(*system);
+    const CwscOptions cwsc_options(6, 0.9);
+    CmcOptions cmc_options;
+    cmc_options.k = 5;
+    cmc_options.coverage_fraction = 0.6;
+    GreedyWscOptions wsc_options;
+    wsc_options.coverage_fraction = 0.8;
+
+    std::vector<std::string> runs[3];
+    for (int rep = 0; rep < 2; ++rep) {
+      ScanStats cwsc_stats;
+      const Result<Solution> cwsc = RunCwsc(index, cwsc_options, &cwsc_stats);
+      EXPECT_EQ(Fingerprint(cwsc),
+                Fingerprint(RunCwscLiteral(*system, cwsc_options)))
+          << "seed=" << seed - 1;
+      runs[0].push_back(Fingerprint(cwsc) + " considered:" +
+                        std::to_string(cwsc_stats.sets_considered));
+
+      const Result<CmcResult> cmc = RunCmc(index, cmc_options);
+      EXPECT_EQ(Fingerprint(cmc),
+                Fingerprint(RunCmcLiteral(*system, cmc_options)))
+          << "seed=" << seed - 1;
+      runs[1].push_back(Fingerprint(cmc));
+
+      ScanStats wsc_stats;
+      const Result<Solution> wsc =
+          RunGreedyWeightedSetCover(index, wsc_options, &wsc_stats);
+      EXPECT_EQ(Fingerprint(wsc), Fingerprint(GreedyWscByScan(*system, 0.8)))
+          << "seed=" << seed - 1;
+      runs[2].push_back(Fingerprint(wsc) + " considered:" +
+                        std::to_string(wsc_stats.sets_considered));
+    }
+    for (const auto& pair : runs) {
+      EXPECT_EQ(pair[0], pair[1]) << "seed=" << seed - 1;
+    }
+  }
+}
+
 // Engine-level check: after an arbitrary selection sequence, UpperBound
 // never understates, and MarginalCount and BatchMarginals (including a
 // duplicate id) agree with brute-force counts against the covered set.
@@ -266,9 +314,12 @@ TEST(BenefitEngineTest, AutoModePicksRowsByDensity) {
   ASSERT_TRUE(system.AddSet(dense, 1.0).ok());
   ASSERT_TRUE(system.AddSet({1, 3, 5}, 1.0).ok());  // 3 < 10: stays a list
 
-  BenefitEngine engine(system);
-  EXPECT_TRUE(engine.UsesBitsetRow(0));
-  EXPECT_FALSE(engine.UsesBitsetRow(1));
+  const SolveIndex index(system);
+  EXPECT_NE(index.row(0), nullptr);
+  EXPECT_EQ(index.row(1), nullptr);
+  // The row holds exactly the set's elements.
+  DynamicBitset covered(640);
+  EXPECT_EQ(covered.AndNotCount(index.row(0), index.words_per_row()), 32u);
 }
 
 TEST(BenefitEngineTest, ResetRestoresAllMarginals) {

@@ -1094,6 +1094,35 @@ TEST(ServeBatchTest, ReportEchoesUnknownRootAndJobKeys) {
   EXPECT_GE(jobs[1].Find("certified_ratio")->as_number(), 1.0);
 }
 
+// A report entry names its solver as the registry spells it; a name the
+// registry does not know is echoed as sent, beside an error naming it.
+TEST(ServeBatchTest, ReportEchoesTheCanonicalSolverName) {
+  const std::string path = ::testing::TempDir() + "/serve_batch_names.json";
+  {
+    std::ofstream out(path);
+    out << R"({"version": 2, "jobs": [
+      {"solver": "CMC", "k": 3, "coverage": 0.5},
+      {"solver": "No-Such-Solver", "k": 3, "coverage": 0.5}]})";
+  }
+  auto spec = serve::ParseBatchSpec(path, ToyInstance());
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  ThreadPool pool(2);
+  SolveScheduler scheduler(&pool);
+  auto report = serve::RunBatch(*std::move(spec), scheduler);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  const serve::JsonArray& jobs = report->Find("jobs")->as_array();
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].Find("solver")->as_string(), "cmc");
+  EXPECT_TRUE(jobs[0].Find("ok")->as_bool()) << jobs[0].Dump();
+  EXPECT_EQ(jobs[1].Find("solver")->as_string(), "No-Such-Solver");
+  EXPECT_FALSE(jobs[1].Find("ok")->as_bool());
+  EXPECT_NE(jobs[1].Find("error")->Find("message")->as_string().find(
+                "No-Such-Solver"),
+            std::string::npos)
+      << jobs[1].Dump();
+}
+
 TEST(ServeBatchTest, MalformedBatchFilesAreTypedErrors) {
   const std::string path = ::testing::TempDir() + "/serve_batch_bad.json";
   InstancePtr instance = ToyInstance();

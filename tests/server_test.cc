@@ -236,6 +236,34 @@ TEST(ServerTest, SolveOverTheWireWithTenantAndForwardEcho) {
             1u);
 }
 
+// The response names the solver as the registry spells it (lookups fold
+// case), so it matches the per-solver metrics; an unknown name is echoed
+// as sent and its error names it.
+TEST(ServerTest, ResponseEchoesTheCanonicalSolverName) {
+  ServerFixture fx;
+  Client client(fx.server.port());
+
+  JsonValue response = client.Call(
+      R"({"version": 2, "id": "c1", "type": "solve", "snapshot": "live",)"
+      R"( "solver": "CMC", "k": 3, "coverage": 0.5})");
+  ASSERT_NE(response.Find("ok"), nullptr);
+  EXPECT_TRUE(response.Find("ok")->as_bool()) << response.Dump();
+  ASSERT_NE(response.Find("result"), nullptr);
+  EXPECT_EQ(response.Find("result")->Find("solver")->as_string(), "cmc");
+
+  JsonValue unknown = client.Call(
+      R"({"version": 2, "id": "c2", "type": "solve", "snapshot": "live",)"
+      R"( "solver": "No-Such-Solver", "k": 3, "coverage": 0.5})");
+  EXPECT_FALSE(unknown.Find("ok")->as_bool());
+  EXPECT_NE(unknown.Find("error")->Find("message")->as_string().find(
+                "No-Such-Solver"),
+            std::string::npos)
+      << unknown.Dump();
+  ASSERT_NE(unknown.Find("result"), nullptr) << unknown.Dump();
+  EXPECT_EQ(unknown.Find("result")->Find("solver")->as_string(),
+            "No-Such-Solver");
+}
+
 TEST(ServerTest, DeltaAdvancesTheLiveSnapshot) {
   ServerFixture fx;
   Client client(fx.server.port());

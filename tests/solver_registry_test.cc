@@ -17,6 +17,7 @@
 #include "src/core/cmc.h"
 #include "src/core/cwsc.h"
 #include "src/core/exact.h"
+#include "src/core/solve_index.h"
 #include "src/gen/lbl_synth.h"
 #include "src/gen/toy.h"
 #include "src/hierarchy/hierarchy.h"
@@ -315,6 +316,58 @@ TEST(SolverRegistryTest, ConcurrentSolvesShareOneSnapshotWithoutCopying) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, view);  // the shared view was never rebuilt or copied
   EXPECT_EQ(instance.use_count(), baseline_use_count);  // no handle leaked
+}
+
+// The first solves on a fresh table snapshot race to materialize its view
+// and build its solve index: each is built once, every solver family gets
+// one answer on every thread, and the index keeps one address.
+TEST(SolverRegistryTest, ConcurrentFirstSolvesBuildOneIndex) {
+  Table table = gen::MakeEntitiesTable();
+  auto made = api::InstanceSnapshot::FromTable(
+      std::move(table), pattern::CostFunction(pattern::CostKind::kMax));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const InstancePtr instance = *made;
+  ASSERT_FALSE(instance->set_system_materialized());
+
+  constexpr const char* kSolvers[] = {"cwsc", "greedy-wsc", "cmc"};
+  constexpr int kFamilies = 3;
+  constexpr int kThreads = 9;
+  obs::TraceSession trace;
+  std::vector<std::vector<std::string>> labels(kThreads);
+  std::vector<const SolveIndex*> indexes(kThreads, nullptr);
+  std::atomic<int> failures{0};
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        SolveRequest request = MakeRequest(instance, 3, 0.5);
+        request.trace = &trace;
+        auto result =
+            SolverRegistry::Global().Solve(kSolvers[t % kFamilies], request);
+        auto index = instance->solve_index();
+        if (!result.ok() || !index.ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        labels[static_cast<std::size_t>(t)] = result->labels;
+        indexes[static_cast<std::size_t>(t)] = *index;
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+  ASSERT_EQ(failures.load(), 0);
+  for (int t = 0; t < kThreads; ++t) {
+    const auto i = static_cast<std::size_t>(t);
+    EXPECT_FALSE(labels[i].empty());
+    EXPECT_EQ(labels[i], labels[i % kFamilies]) << kSolvers[t % kFamilies];
+    EXPECT_EQ(indexes[i], indexes[0]);
+  }
+  std::size_t builds = 0;
+  for (const obs::SpanRecord& span : trace.spans()) {
+    if (span.name == "solve_index") ++builds;
+  }
+  EXPECT_EQ(builds, 1u);
 }
 
 // A complete out-of-tree solver: one class + one macro line, as
