@@ -230,6 +230,24 @@ report = json.load(open(sys.argv[1]))
 assert report["aggregate"]["slo_violations"] >= 1, report["aggregate"]
 EOF
 
+# Incremental smoke: the trace example streams 6,000 records through
+# ext::IncrementalCwsc in six batches. After every batch the maintained
+# summary must keep within k = 10 patterns and the 30 % coverage target,
+# and the run must end with its maintenance tally.
+"$BUILD_DIR"/examples/trace_summarization 6000 \
+  > "$BUILD_DIR"/trace_summarization.txt || fail "incremental smoke (run)"
+python3 - "$BUILD_DIR"/trace_summarization.txt <<'EOF' || fail "incremental smoke (output)"
+import re, sys
+text = open(sys.argv[1]).read()
+batches = re.findall(
+    r"after +(\d+) rows: +(\d+) patterns, coverage +([\d.]+)%", text)
+assert len(batches) == 6, text
+for rows, patterns, coverage in batches:
+    assert int(patterns) <= 10, (rows, patterns)
+    assert float(coverage) >= 30.0, (rows, coverage)
+assert re.search(r"^maintenance: ", text, re.M), text
+EOF
+
 SCWSC_BENCH_SCALE=${SCWSC_BENCH_SCALE:-0.02} \
   "$BUILD_DIR"/bench/micro_core --engine-compare \
   --out="$BUILD_DIR"/BENCH_core.json || fail "engine smoke"
@@ -276,4 +294,4 @@ for tenant in report["tenants"].values():
     assert tenant["succeeded"] > 0, report["tenants"]
 EOF
 
-echo "check.sh: build, tests, observability, serve, chaos, telemetry, soak, engine and anytime smokes all green"
+echo "check.sh: build, tests, observability, serve, chaos, telemetry, incremental, soak, engine and anytime smokes all green"

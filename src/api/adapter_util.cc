@@ -179,6 +179,13 @@ OptionsSpec CmcOptionsSpec() {
   };
 }
 
+SolveContract CwscContract(const SolveRequest& request,
+                           std::size_t num_elements) {
+  return SolveContract{request.k,
+                       SetSystem::CoverageTarget(request.coverage_fraction,
+                                                 num_elements)};
+}
+
 SolveContract CmcContract(const CmcOptions& options,
                           std::size_t num_elements) {
   SolveContract contract;

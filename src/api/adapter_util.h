@@ -1,13 +1,17 @@
-// Shared plumbing of the built-in solver adapters (solvers_*.cc): turning
-// each algorithm's native output (Solution / PatternSolution / HSolution)
-// into the uniform SolveResult, and re-issuing interruption Statuses with a
-// SolveResult payload so every frontend handles best-so-far output through
-// one type.
+// Shared plumbing of the built-in solver adapters (solvers_*.cc): timing
+// each run, turning each algorithm's native output (Solution /
+// PatternSolution / HSolution) into the uniform SolveResult, and re-issuing
+// interruption Statuses with a SolveResult payload so every frontend handles
+// best-so-far output through one type.
 
 #ifndef SCWSC_API_ADAPTER_UTIL_H_
 #define SCWSC_API_ADAPTER_UTIL_H_
 
+#include <type_traits>
+#include <utility>
+
 #include "src/api/solver.h"
+#include "src/common/stopwatch.h"
 #include "src/core/cmc.h"
 #include "src/hierarchy/hcwsc.h"
 #include "src/pattern/stats.h"
@@ -41,6 +45,27 @@ Result<SolveResult> FinishLatticeBacked(const SolveRequest& request,
 /// the conversion itself failed.
 Status Rewrap(const Status& status, Result<SolveResult> finished);
 
+/// The shared tail of every adapter. Times `run()`, which returns a
+/// Result<Answer>, then passes `finish(Answer, seconds)` the answer, or an
+/// interruption's payload of type Answer, whose result is re-issued through
+/// Rewrap. Adapters fetch the set-system view or solve index before calling,
+/// so neither lazy build counts as solve time.
+template <typename Run, typename Finish>
+Result<SolveResult> TimeAndFinish(Run run, Finish finish) {
+  Stopwatch timer;
+  auto answer = run();
+  const double seconds = timer.ElapsedSeconds();
+  using Answer = std::decay_t<decltype(*answer)>;
+  if (!answer.ok()) {
+    const Status status = answer.status();
+    if (const Answer* partial = status.payload<Answer>()) {
+      return Rewrap(status, finish(*partial, seconds));
+    }
+    return status;
+  }
+  return finish(*std::move(answer), seconds);
+}
+
 /// CmcOptions from the request's universal fields plus the shared CMC
 /// option keys: b, epsilon, l, strict, max_budget_rounds.
 Result<CmcOptions> CmcOptionsFromRequest(const SolveRequest& request,
@@ -49,6 +74,11 @@ Result<CmcOptions> CmcOptionsFromRequest(const SolveRequest& request,
 /// The shared CMC options table (b, epsilon, l, strict, max_budget_rounds),
 /// for SolverInfo.
 OptionsSpec CmcOptionsSpec();
+
+/// The strict (unrelaxed) CWSC contract: at most k sets covering at least
+/// ŝ·`num_elements`.
+SolveContract CwscContract(const SolveRequest& request,
+                           std::size_t num_elements);
 
 /// The CMC contract: at most CmcMaxSelectable sets covering at least the
 /// (possibly relaxed) CmcCoverageTarget of `num_elements`.

@@ -7,7 +7,6 @@
 
 #include "src/api/adapter_util.h"
 #include "src/api/registry.h"
-#include "src/common/stopwatch.h"
 #include "src/core/baselines.h"
 #include "src/core/cmc.h"
 #include "src/core/cwsc.h"
@@ -29,46 +28,36 @@ namespace {
 using internal::CmcContract;
 using internal::CmcOptionsFromRequest;
 using internal::CmcOptionsSpec;
+using internal::CwscContract;
 using internal::FinishSetBacked;
-using internal::Rewrap;
+using internal::TimeAndFinish;
 
-/// The strict (unrelaxed) CWSC contract: at most k sets, at least ŝ·n.
-SolveContract CwscContract(const SolveRequest& request, std::size_t n) {
-  return SolveContract{
-      request.k, SetSystem::CoverageTarget(request.coverage_fraction, n)};
+/// Times `runner(&stats)` — a greedy scan over the instance's set-system
+/// view or solve index, which the caller fetched first — and finishes its
+/// Solution with the ScanStats tally as counters.sets_considered.
+template <typename Runner>
+Result<SolveResult> SolveScan(const SolveRequest& request,
+                              SolveContract contract, Runner runner) {
+  ScanStats stats;
+  return TimeAndFinish(
+      [&] { return runner(&stats); },
+      [&](Solution solution, double seconds) {
+        SolveCounters counters;
+        counters.sets_considered = stats.sets_considered;
+        return FinishSetBacked(request, std::move(solution), seconds,
+                               contract, counters);
+      });
 }
 
 // --- CWSC (Fig. 2), tuned and literal -------------------------------------
 
-/// Times `runner(options, &stats)` — a CWSC variant over the instance's
-/// set-system view or solve index, which the caller fetched first so that
-/// neither lazy build counts as solve time — and finishes its outcome.
-template <typename Runner>
-Result<SolveResult> SolveCwscLike(const SolveRequest& request,
-                                  const RunContext* run_context,
-                                  Runner runner) {
+/// CwscOptions from the request's universal fields.
+CwscOptions CwscOptionsFromRequest(const SolveRequest& request,
+                                   const RunContext* run_context) {
   CwscOptions options(request.k, request.coverage_fraction);
   options.run_context = run_context;
   options.trace = request.trace;
-  const SolveContract contract =
-      CwscContract(request, request.instance->num_elements());
-
-  Stopwatch timer;
-  ScanStats stats;
-  Result<Solution> solution = runner(options, &stats);
-  const double seconds = timer.ElapsedSeconds();
-  SolveCounters counters;
-  counters.sets_considered = stats.sets_considered;
-  if (!solution.ok()) {
-    const Status& status = solution.status();
-    if (const Solution* partial = status.payload<Solution>()) {
-      return Rewrap(status, FinishSetBacked(request, *partial, seconds,
-                                            contract, counters));
-    }
-    return status;
-  }
-  return FinishSetBacked(request, std::move(*solution), seconds, contract,
-                         counters);
+  return options;
 }
 
 class CwscSolver : public Solver {
@@ -77,11 +66,12 @@ class CwscSolver : public Solver {
                             const RunContext* run_context) const override {
     SCWSC_ASSIGN_OR_RETURN(const SolveIndex* index,
                            request.instance->solve_index(request.trace));
-    return SolveCwscLike(
-        request, run_context,
-        [index](const CwscOptions& options, ScanStats* stats) {
-          return RunCwsc(*index, options, stats);
-        });
+    const CwscOptions options = CwscOptionsFromRequest(request, run_context);
+    return SolveScan(request,
+                     CwscContract(request, request.instance->num_elements()),
+                     [&](ScanStats* stats) {
+                       return RunCwsc(*index, options, stats);
+                     });
   }
 };
 SCWSC_REGISTER_SOLVER(
@@ -97,11 +87,12 @@ class CwscLiteralSolver : public Solver {
                             const RunContext* run_context) const override {
     SCWSC_ASSIGN_OR_RETURN(const SetSystem* system,
                            request.instance->set_system());
-    return SolveCwscLike(
-        request, run_context,
-        [system](const CwscOptions& options, ScanStats* stats) {
-          return RunCwscLiteral(*system, options, stats);
-        });
+    const CwscOptions options = CwscOptionsFromRequest(request, run_context);
+    return SolveScan(request,
+                     CwscContract(request, request.instance->num_elements()),
+                     [&](ScanStats* stats) {
+                       return RunCwscLiteral(*system, options, stats);
+                     });
   }
 };
 SCWSC_REGISTER_SOLVER(
@@ -125,28 +116,16 @@ Result<SolveResult> SolveCmcLike(const SolveRequest& request,
   options.trace = request.trace;
   const SolveContract contract =
       CmcContract(options, request.instance->num_elements());
-
-  Stopwatch timer;
-  Result<CmcResult> result = runner(options);
-  const double seconds = timer.ElapsedSeconds();
-  if (!result.ok()) {
-    const Status& status = result.status();
-    if (const CmcResult* partial = status.payload<CmcResult>()) {
-      SolveCounters counters;
-      counters.budget_rounds = partial->budget_rounds;
-      counters.final_budget = partial->final_budget;
-      counters.sets_considered = partial->sets_considered;
-      return Rewrap(status, FinishSetBacked(request, partial->solution,
-                                            seconds, contract, counters));
-    }
-    return status;
-  }
-  SolveCounters counters;
-  counters.budget_rounds = result->budget_rounds;
-  counters.final_budget = result->final_budget;
-  counters.sets_considered = result->sets_considered;
-  return FinishSetBacked(request, std::move(result->solution), seconds,
-                         contract, counters);
+  return TimeAndFinish([&] { return runner(options); },
+                       [&](CmcResult result, double seconds) {
+                         SolveCounters counters;
+                         counters.budget_rounds = result.budget_rounds;
+                         counters.final_budget = result.final_budget;
+                         counters.sets_considered = result.sets_considered;
+                         return FinishSetBacked(request,
+                                                std::move(result.solution),
+                                                seconds, contract, counters);
+                       });
 }
 
 class CmcSolver : public Solver {
@@ -188,29 +167,6 @@ SCWSC_REGISTER_SOLVER(
 
 // --- prior-work baselines (§III, §VI-C) -----------------------------------
 
-/// Shared tail of the three baselines: time, rewrap, finish. The runner
-/// receives a ScanStats sink whose tally lands in counters.sets_considered.
-template <typename Runner>
-Result<SolveResult> SolveBaseline(const SolveRequest& request,
-                                  SolveContract contract, Runner runner) {
-  Stopwatch timer;
-  ScanStats stats;
-  Result<Solution> solution = runner(&stats);
-  const double seconds = timer.ElapsedSeconds();
-  SolveCounters counters;
-  counters.sets_considered = stats.sets_considered;
-  if (!solution.ok()) {
-    const Status& status = solution.status();
-    if (const Solution* partial = status.payload<Solution>()) {
-      return Rewrap(status, FinishSetBacked(request, *partial, seconds,
-                                            contract, counters));
-    }
-    return status;
-  }
-  return FinishSetBacked(request, std::move(*solution), seconds, contract,
-                         counters);
-}
-
 class GreedyWscSolver : public Solver {
  public:
   Result<SolveResult> Solve(const SolveRequest& request,
@@ -233,7 +189,7 @@ class GreedyWscSolver : public Solver {
             : options.max_sets;
     contract.coverage_target = SetSystem::CoverageTarget(
         request.coverage_fraction, request.instance->num_elements());
-    return SolveBaseline(request, contract, [&](ScanStats* stats) {
+    return SolveScan(request, contract, [&](ScanStats* stats) {
       return RunGreedyWeightedSetCover(*index, options, stats);
     });
   }
@@ -263,7 +219,7 @@ class GreedyMaxCoverageSolver : public Solver {
     // Bounded size, no coverage promise: that cost/coverage blow-up is the
     // §VI-C comparison.
     SolveContract contract{request.k, 0};
-    return SolveBaseline(request, contract, [&](ScanStats* stats) {
+    return SolveScan(request, contract, [&](ScanStats* stats) {
       return RunGreedyMaxCoverage(*index, options, stats);
     });
   }
@@ -300,7 +256,7 @@ class BudgetedMaxCoverageSolver : public Solver {
         options.max_sets == std::numeric_limits<std::size_t>::max()
             ? 0
             : options.max_sets;
-    return SolveBaseline(request, contract, [&](ScanStats* stats) {
+    return SolveScan(request, contract, [&](ScanStats* stats) {
       return RunBudgetedMaxCoverage(*index, options, stats);
     });
   }
@@ -333,28 +289,16 @@ class ExactSolver : public Solver {
     options.trace = request.trace;
     const SolveContract contract =
         CwscContract(request, system->num_elements());
-
-    Stopwatch timer;
-    Result<ExactResult> result = SolveExact(*system, options);
-    const double seconds = timer.ElapsedSeconds();
-    if (!result.ok()) {
-      const Status& status = result.status();
-      if (const ExactResult* partial = status.payload<ExactResult>()) {
-        SolveCounters counters;
-        counters.nodes = partial->nodes;
-        // Each expanded node weighs exactly one candidate set.
-        counters.sets_considered =
-            static_cast<std::size_t>(partial->nodes);
-        return Rewrap(status, FinishSetBacked(request, partial->solution,
-                                              seconds, contract, counters));
-      }
-      return status;
-    }
-    SolveCounters counters;
-    counters.nodes = result->nodes;
-    counters.sets_considered = static_cast<std::size_t>(result->nodes);
-    return FinishSetBacked(request, std::move(result->solution), seconds,
-                           contract, counters);
+    return TimeAndFinish(
+        [&] { return SolveExact(*system, options); },
+        [&](ExactResult result, double seconds) {
+          SolveCounters counters;
+          counters.nodes = result.nodes;
+          // Each expanded node weighs exactly one candidate set.
+          counters.sets_considered = static_cast<std::size_t>(result.nodes);
+          return FinishSetBacked(request, std::move(result.solution), seconds,
+                                 contract, counters);
+        });
   }
 };
 SCWSC_REGISTER_SOLVER(
@@ -398,17 +342,9 @@ class NonOverlapSolver : public Solver {
                             : SetSystem::CoverageTarget(
                                   request.coverage_fraction,
                                   system->num_elements());
-
-    Stopwatch timer;
-    ScanStats stats;
-    Result<Solution> solution =
-        RunNonOverlappingGreedy(*system, options, &stats);
-    const double seconds = timer.ElapsedSeconds();
-    if (!solution.ok()) return solution.status();
-    SolveCounters counters;
-    counters.sets_considered = stats.sets_considered;
-    return FinishSetBacked(request, std::move(*solution), seconds, contract,
-                           counters);
+    return SolveScan(request, contract, [&](ScanStats* stats) {
+      return RunNonOverlappingGreedy(*system, options, stats);
+    });
   }
 };
 SCWSC_REGISTER_SOLVER(

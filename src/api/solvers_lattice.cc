@@ -9,7 +9,6 @@
 
 #include "src/api/adapter_util.h"
 #include "src/api/registry.h"
-#include "src/common/stopwatch.h"
 #include "src/hierarchy/hcmc.h"
 #include "src/hierarchy/hcwsc.h"
 #include "src/pattern/opt_cmc.h"
@@ -27,8 +26,9 @@ namespace {
 
 using internal::CmcContract;
 using internal::CmcOptionsFromRequest;
+using internal::CwscContract;
 using internal::FinishLatticeBacked;
-using internal::Rewrap;
+using internal::TimeAndFinish;
 
 /// Builds the CWSC or CMC options and contract from the request, runs
 /// `kRun` and audits its solution or its best-so-far partial.
@@ -49,30 +49,21 @@ class LatticeSolver : public Solver {
     } else {
       options = CwscOptions(request.k, request.coverage_fraction);
       options.run_context = run_context;
-      contract = SolveContract{
-          request.k,
-          SetSystem::CoverageTarget(request.coverage_fraction, rows)};
+      contract = CwscContract(request, rows);
     }
     options.trace = request.trace;
 
     pattern::PatternStats stats;
-    Stopwatch timer;
-    Result<Solution> solution = kRun(*request.instance, options, &stats);
-    const double seconds = timer.ElapsedSeconds();
-    SolveCounters counters;
-    counters.sets_considered = stats.patterns_considered;
-    counters.budget_rounds = stats.budget_rounds;
-    counters.final_budget = stats.final_budget;
-    if (!solution.ok()) {
-      const Status& status = solution.status();
-      if (const auto* partial = status.payload<Solution>()) {
-        return Rewrap(status, FinishLatticeBacked(request, *partial, seconds,
-                                                  contract, counters));
-      }
-      return status;
-    }
-    return FinishLatticeBacked(request, std::move(*solution), seconds,
-                               contract, counters);
+    return TimeAndFinish(
+        [&] { return kRun(*request.instance, options, &stats); },
+        [&](Solution solution, double seconds) {
+          SolveCounters counters;
+          counters.sets_considered = stats.patterns_considered;
+          counters.budget_rounds = stats.budget_rounds;
+          counters.final_budget = stats.final_budget;
+          return FinishLatticeBacked(request, std::move(solution), seconds,
+                                     contract, counters);
+        });
   }
 };
 

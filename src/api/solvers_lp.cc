@@ -6,7 +6,6 @@
 
 #include "src/api/adapter_util.h"
 #include "src/api/registry.h"
-#include "src/common/stopwatch.h"
 #include "src/lp/lp_rounding.h"
 
 namespace scwsc {
@@ -20,7 +19,7 @@ void LinkLpSolvers() {}  // anchor referenced by SolverRegistry::Global()
 namespace {
 
 using internal::FinishSetBacked;
-using internal::Rewrap;
+using internal::TimeAndFinish;
 
 SolveCounters CountersFromLp(const lp::LpRoundingResult& result) {
   SolveCounters counters;
@@ -53,23 +52,13 @@ class LpRoundingSolver : public Solver {
     SolveContract contract;
     contract.coverage_target = SetSystem::CoverageTarget(
         request.coverage_fraction, request.instance->num_elements());
-
-    Stopwatch timer;
-    Result<lp::LpRoundingResult> result =
-        lp::SolveByLpRounding(*index, options);
-    const double seconds = timer.ElapsedSeconds();
-    if (!result.ok()) {
-      const Status& status = result.status();
-      if (const auto* partial = status.payload<lp::LpRoundingResult>()) {
-        return Rewrap(status,
-                      FinishSetBacked(request, partial->solution, seconds,
-                                      contract, CountersFromLp(*partial)));
-      }
-      return status;
-    }
-    const SolveCounters counters = CountersFromLp(*result);
-    return FinishSetBacked(request, std::move(result->solution), seconds,
-                           contract, counters);
+    return TimeAndFinish(
+        [&] { return lp::SolveByLpRounding(*index, options); },
+        [&](lp::LpRoundingResult result, double seconds) {
+          const SolveCounters counters = CountersFromLp(result);
+          return FinishSetBacked(request, std::move(result.solution), seconds,
+                                 contract, counters);
+        });
   }
 };
 SCWSC_REGISTER_SOLVER(

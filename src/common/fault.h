@@ -1,9 +1,9 @@
 // FaultPlan: seedable, process-wide fault injection for chaos testing.
 //
-// RunContext's test-only hooks (FailAfter / FailWithProbability) exercise
-// timeout paths deterministically inside one solver. A FaultPlan does the
-// same for the serve path: it names a set of *registered injection points*,
-// each armed with an independent probability, and every decision is a pure
+// RunContext's test-only hook (FailAfter) exercises timeout paths
+// deterministically inside one solver. A FaultPlan does the same for the
+// serve path: it names a set of *registered injection points*, each armed
+// with an independent probability, and every decision is a pure
 // function of (seed, point, per-point draw index). Replaying the same plan
 // against the same single-threaded call sequence reproduces the same fault
 // sequence bit-for-bit; under concurrency the per-point *set* of fired

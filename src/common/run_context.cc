@@ -3,18 +3,6 @@
 #include <string>
 
 namespace scwsc {
-namespace {
-
-// splitmix64 (Steele et al.): a cheap, well-mixed 64-bit hash used for the
-// probabilistic fault-injection decision. Deterministic in (seed, index).
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* TripKindToString(TripKind kind) {
   switch (kind) {
@@ -85,20 +73,6 @@ void RunContext::FailAfter(std::uint64_t n) {
   limited_.store(true, std::memory_order_release);
 }
 
-void RunContext::FailWithProbability(double p, std::uint64_t seed) {
-  // Store p as a threshold on a uniform 64-bit hash: trip iff hash < p*2^64.
-  std::uint64_t threshold = 0;
-  if (p >= 1.0) {
-    threshold = std::numeric_limits<std::uint64_t>::max();
-  } else if (p > 0.0) {
-    threshold = static_cast<std::uint64_t>(
-        p * 18446744073709551616.0 /* 2^64 */);
-  }
-  fail_seed_.store(seed, std::memory_order_relaxed);
-  fail_prob_bits_.store(threshold, std::memory_order_relaxed);
-  limited_.store(true, std::memory_order_release);
-}
-
 void RunContext::RequestCancel() {
   // Plain lock-free stores only: callable from a signal handler.
   cancel_.store(true, std::memory_order_relaxed);
@@ -117,20 +91,11 @@ TripKind RunContext::Trip(TripKind kind) const {
 
 TripKind RunContext::Evaluate() const {
   // Fault injection first so tests can deterministically pre-empt real
-  // sources. Both flavours count Check() calls through checks_.
+  // sources; it counts Check() calls through checks_.
   const std::int64_t fail_after = fail_after_.load(std::memory_order_relaxed);
-  const std::uint64_t prob = fail_prob_bits_.load(std::memory_order_relaxed);
-  if (fail_after != kNoFail || prob != 0) {
-    const std::int64_t idx = checks_.fetch_add(1, std::memory_order_relaxed);
-    if (fail_after != kNoFail && idx >= fail_after) {
-      return Trip(TripKind::kCancel);
-    }
-    if (prob != 0) {
-      const std::uint64_t seed = fail_seed_.load(std::memory_order_relaxed);
-      if (SplitMix64(seed ^ static_cast<std::uint64_t>(idx)) < prob) {
-        return Trip(TripKind::kCancel);
-      }
-    }
+  if (fail_after != kNoFail &&
+      checks_.fetch_add(1, std::memory_order_relaxed) >= fail_after) {
+    return Trip(TripKind::kCancel);
   }
   if (cancel_.load(std::memory_order_relaxed)) {
     return Trip(TripKind::kCancel);

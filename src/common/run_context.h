@@ -7,8 +7,8 @@
 //     handler or another thread),
 //   - work budgets: an element-recount budget charged by the benefit engine
 //     and a node-expansion budget charged by search/enumeration loops,
-//   - test-only fault injection (FailAfter / FailWithProbability) so timeout
-//     paths are deterministically exercisable without real clocks.
+//   - test-only fault injection (FailAfter) so timeout paths are
+//     deterministically exercisable without real clocks.
 //
 // Solvers call Check() at loop heads (and ChargeRecounts / ChargeNodes where
 // they do metered work) and, on a non-kNone result, stop and return their
@@ -88,11 +88,6 @@ class RunContext {
   /// trips the very first check, simulating cancellation before any work.
   void FailAfter(std::uint64_t n);
 
-  /// Test-only: each Check() trips with kCancel with probability `p`,
-  /// decided by a deterministic hash of (seed, check index) so runs are
-  /// reproducible for a fixed seed on a single thread.
-  void FailWithProbability(double p, std::uint64_t seed);
-
   // --- runtime (safe from any thread) ------------------------------------
 
   /// Requests cooperative cancellation. Async-signal-safe (plain atomic
@@ -144,8 +139,6 @@ class RunContext {
       std::numeric_limits<std::int64_t>::max();
   mutable std::atomic<std::int64_t> checks_{0};
   std::atomic<std::int64_t> fail_after_{kNoFail};
-  std::atomic<std::uint64_t> fail_prob_bits_{0};  // 0 = disabled
-  std::atomic<std::uint64_t> fail_seed_{0};
   // Sticky first trip (TripKind as raw byte); 0 = none.
   mutable std::atomic<unsigned char> tripped_{0};
 };

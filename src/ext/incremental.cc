@@ -2,6 +2,9 @@
 
 #include <string_view>
 
+#include "src/api/delta.h"
+#include "src/table/builder.h"
+
 namespace scwsc {
 namespace ext {
 namespace {
@@ -37,33 +40,31 @@ Status IncrementalCwsc::Append(
   if (rows.size() != measures.size()) {
     return Status::InvalidArgument("rows/measures length mismatch");
   }
-  for (const auto& row : rows) {
-    if (row.size() != attribute_names_.size()) {
-      return Status::InvalidArgument("row arity does not match schema");
+  // Either path rejects a wrong arity or a non-finite measure before
+  // snapshot_ changes.
+  if (snapshot_ == nullptr && !rows.empty()) {
+    TableBuilder builder(attribute_names_, measure_name_);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      std::vector<std::string_view> views(rows[i].begin(), rows[i].end());
+      SCWSC_RETURN_NOT_OK(builder.AddRow(views, measures[i]));
     }
+    SCWSC_ASSIGN_OR_RETURN(
+        snapshot_, api::InstanceSnapshot::FromTable(std::move(builder).Build(),
+                                                    cost_fn_));
+  } else if (!rows.empty()) {
+    api::SnapshotDelta delta;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      delta.append_rows.push_back({rows[i], measures[i]});
+    }
+    SCWSC_ASSIGN_OR_RETURN(api::AppliedDelta applied,
+                           api::ApplyDelta(snapshot_, delta));
+    snapshot_ = std::move(applied.snapshot);
   }
-  raw_rows_.insert(raw_rows_.end(), rows.begin(), rows.end());
-  raw_measures_.insert(raw_measures_.end(), measures.begin(), measures.end());
   ++stats_.batches;
-  return Refresh();
-}
-
-Status IncrementalCwsc::Refresh() {
-  // Rebuild the table in original row order: dictionary ids are assigned in
-  // first-seen order, so ids of previously seen values are stable across
-  // rebuilds and the retained solution patterns remain valid.
-  TableBuilder builder(attribute_names_, measure_name_);
-  for (std::size_t i = 0; i < raw_rows_.size(); ++i) {
-    std::vector<std::string_view> views(raw_rows_[i].begin(),
-                                        raw_rows_[i].end());
-    SCWSC_RETURN_NOT_OK(builder.AddRow(views, raw_measures_[i]));
-  }
-  table_ = std::move(builder).Build();
-
-  const std::size_t covered_now = ReevaluateSolution();
-  const std::size_t target = SetSystem::CoverageTarget(
-      options_.coverage_fraction, table_->num_rows());
-  if (covered_now >= target) {
+  const std::size_t target =
+      SetSystem::CoverageTarget(options_.coverage_fraction, num_rows());
+  // Nothing has arrived yet, or the solution still covers enough.
+  if (snapshot_ == nullptr || ReevaluateSolution() >= target) {
     ++stats_.no_op_batches;
     return Status::OK();
   }
@@ -72,7 +73,7 @@ Status IncrementalCwsc::Refresh() {
 }
 
 std::size_t IncrementalCwsc::ReevaluateSolution() {
-  const Table& table = *table_;
+  const Table& table = snapshot_->table();
   const std::size_t n = table.num_rows();
   covered_.assign(n, false);
   solution_.total_cost = 0.0;
@@ -100,8 +101,8 @@ Status IncrementalCwsc::FullRecompute() {
   opts.k = options_.k;
   opts.coverage_fraction = options_.coverage_fraction;
   opts.run_context = options_.run_context;
-  SCWSC_ASSIGN_OR_RETURN(solution_,
-                         pattern::RunOptimizedCwsc(*table_, cost_fn_, opts));
+  SCWSC_ASSIGN_OR_RETURN(
+      solution_, pattern::RunOptimizedCwsc(snapshot_->table(), cost_fn_, opts));
   ++stats_.full_recomputes;
   ReevaluateSolution();
   return Status::OK();
@@ -112,33 +113,28 @@ Status IncrementalCwsc::TryRepair() {
   if (used >= options_.k) return FullRecompute();
   const std::size_t budget = options_.k - used;
 
-  // Residual problem: the uncovered rows only.
-  const Table& table = *table_;
-  std::vector<std::size_t> uncovered;
-  for (std::size_t r = 0; r < covered_.size(); ++r) {
-    if (!covered_[r]) uncovered.push_back(r);
-  }
-  const std::size_t target = SetSystem::CoverageTarget(
-      options_.coverage_fraction, table.num_rows());
+  const std::size_t target =
+      SetSystem::CoverageTarget(options_.coverage_fraction, num_rows());
   const std::size_t needed = target - solution_.covered;  // > 0 here
-  if (needed > uncovered.size()) {
+  if (needed > num_rows() - solution_.covered) {
     return Status::Internal("coverage target exceeds uncovered rows");
   }
 
-  TableBuilder builder(attribute_names_, measure_name_);
-  for (std::size_t r : uncovered) {
-    std::vector<std::string_view> views(raw_rows_[r].begin(),
-                                        raw_rows_[r].end());
-    SCWSC_RETURN_NOT_OK(builder.AddRow(views, raw_measures_[r]));
+  // Residual problem: the uncovered rows only, in order.
+  api::SnapshotDelta residual_delta;
+  for (std::size_t r = 0; r < covered_.size(); ++r) {
+    if (covered_[r]) residual_delta.retract_rows.push_back(r);
   }
-  const Table residual = std::move(builder).Build();
+  SCWSC_ASSIGN_OR_RETURN(api::AppliedDelta residual,
+                         api::ApplyDelta(snapshot_, residual_delta));
+  const Table& residual_table = residual.snapshot->table();
 
   CwscOptions opts;
   opts.k = budget;
   opts.coverage_fraction = static_cast<double>(needed) /
-                           static_cast<double>(residual.num_rows());
+                           static_cast<double>(residual_table.num_rows());
   opts.run_context = options_.run_context;
-  auto patch = pattern::RunOptimizedCwsc(residual, cost_fn_, opts);
+  auto patch = pattern::RunOptimizedCwsc(residual_table, cost_fn_, opts);
   if (!patch.ok()) {
     // An interruption must surface, not trigger an (equally doomed and more
     // expensive) full recompute.
@@ -147,8 +143,9 @@ Status IncrementalCwsc::TryRepair() {
   }
 
   for (const pattern::Pattern& p : patch->patterns) {
-    SCWSC_ASSIGN_OR_RETURN(pattern::Pattern translated,
-                           TranslatePattern(p, residual, table));
+    SCWSC_ASSIGN_OR_RETURN(
+        pattern::Pattern translated,
+        TranslatePattern(p, residual_table, snapshot_->table()));
     solution_.patterns.push_back(std::move(translated));
   }
   const std::size_t covered_now = ReevaluateSolution();

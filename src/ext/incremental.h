@@ -19,22 +19,24 @@
 //    is exhausted or the residual run fails. Much cheaper on streams whose
 //    distribution drifts slowly; quality is re-auditable via solution().
 //
-// The table is rebuilt per batch (columnar storage is immutable here); the
-// incremental savings target the *solver* work, which dominates.
+// The table is an api::InstanceSnapshot: the first non-empty batch builds
+// it with FromTable, every later batch is an api::ApplyDelta append_rows
+// child (rows only append and dictionary ids are first-seen, so retained
+// patterns stay valid), and a repair's residual is the child that retracts
+// the covered rows.
 
 #ifndef SCWSC_EXT_INCREMENTAL_H_
 #define SCWSC_EXT_INCREMENTAL_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/api/instance.h"
 #include "src/common/result.h"
 #include "src/core/cwsc.h"
 #include "src/pattern/cost.h"
 #include "src/pattern/opt_cwsc.h"
 #include "src/pattern/stats.h"
-#include "src/table/builder.h"
 
 namespace scwsc {
 namespace ext {
@@ -63,14 +65,16 @@ struct IncrementalStats {
 
 class IncrementalCwsc {
  public:
-  /// Schema of the stream; `cost_fn` weights patterns over the measure.
+  /// Schema of the stream; `cost_fn` weights patterns over the measure,
+  /// so `measure_name` must be non-empty.
   IncrementalCwsc(std::vector<std::string> attribute_names,
                   std::string measure_name, pattern::CostFunction cost_fn,
                   IncrementalOptions options);
 
   /// Appends a batch of records and restores the invariant that solution()
   /// is feasible for the current table. `rows[i]` are the attribute values
-  /// of record i; `measures[i]` its measure.
+  /// of record i; `measures[i]` its measure. A rejected batch
+  /// (InvalidArgument) changes nothing.
   Status Append(const std::vector<std::vector<std::string>>& rows,
                 const std::vector<double>& measures);
 
@@ -78,18 +82,20 @@ class IncrementalCwsc {
   /// the first Append.
   const pattern::PatternSolution& solution() const { return solution_; }
 
-  /// The current table (rebuilt after the last Append); nullopt before the
-  /// first Append.
-  const std::optional<Table>& table() const { return table_; }
+  /// The current table; nullptr until the first row arrives.
+  const Table* table() const {
+    return snapshot_ == nullptr ? nullptr : &snapshot_->table();
+  }
 
-  std::size_t num_rows() const { return raw_rows_.size(); }
+  std::size_t num_rows() const {
+    return snapshot_ == nullptr ? 0 : snapshot_->table().num_rows();
+  }
 
   const IncrementalStats& stats() const { return stats_; }
 
  private:
-  Status Refresh();
   /// Recomputes covered rows, solution cost and coverage of the current
-  /// pattern selection against table_. Returns number of covered rows.
+  /// pattern selection against table(). Returns number of covered rows.
   std::size_t ReevaluateSolution();
   Status FullRecompute();
   Status TryRepair();
@@ -99,12 +105,9 @@ class IncrementalCwsc {
   pattern::CostFunction cost_fn_;
   IncrementalOptions options_;
 
-  std::vector<std::vector<std::string>> raw_rows_;
-  std::vector<double> raw_measures_;
-
-  std::optional<Table> table_;
+  api::InstancePtr snapshot_;  // null until the first row arrives
   pattern::PatternSolution solution_;
-  std::vector<bool> covered_;  // by the current solution, over table_ rows
+  std::vector<bool> covered_;  // by the current solution, over table() rows
   IncrementalStats stats_;
 };
 

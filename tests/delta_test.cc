@@ -1,10 +1,13 @@
 // SnapshotDelta edge cases: bit-identity of delta-applied snapshots against
 // from-scratch rebuilds (the serve_soak gate in miniature), version
-// chaining, and the typed rejections (mixed op families, out-of-range
-// indices, hierarchies).
+// chaining, the typed rejections (mixed op families, out-of-range
+// indices, hierarchies), and a seeded oracle that replays random chains of
+// row deltas against from-scratch table builds.
 
 #include "src/api/delta.h"
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "src/api/instance.h"
 #include "src/api/registry.h"
+#include "src/common/rng.h"
 #include "src/core/set_system.h"
 #include "src/table/builder.h"
 
@@ -300,6 +304,149 @@ TEST(DeltaTest, MixedAndInvalidOpsAreTyped) {
 
   EXPECT_EQ(ApplyDelta(nullptr, SnapshotDelta{}).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// --- table-delta oracle ---------------------------------------------------
+
+/// One row of the oracle's replayed log: what a from-scratch load reads.
+struct LoggedRow {
+  std::vector<std::string> values;
+  double measure = 0.0;
+};
+
+constexpr std::size_t kOracleMaxRows = 200;
+
+/// Low-cardinality values (5 x 4 x 3), so every version enumerates at most
+/// 120 patterns.
+LoggedRow RandomRow(Rng& rng) {
+  LoggedRow row;
+  row.values = {"r" + std::to_string(rng.NextBounded(5)),
+                "t" + std::to_string(rng.NextBounded(4)),
+                "z" + std::to_string(rng.NextBounded(3))};
+  row.measure = static_cast<double>(rng.NextInt(1, 9)) +
+                0.25 * static_cast<double>(rng.NextBounded(4));
+  return row;
+}
+
+Result<InstancePtr> BuildFromLog(const std::vector<LoggedRow>& log,
+                                 const pattern::CostFunction& cost_fn) {
+  TableBuilder builder({"region", "tier", "zone"}, "load");
+  for (const LoggedRow& row : log) {
+    std::vector<std::string_view> views(row.values.begin(), row.values.end());
+    SCWSC_RETURN_NOT_OK(builder.AddRow(views, row.measure));
+  }
+  return api::InstanceSnapshot::FromTable(std::move(builder).Build(),
+                                          cost_fn);
+}
+
+/// `solver`'s answers on the delta version and on its rebuild agree bit for
+/// bit: status, picks, cost, coverage and candidates considered.
+void ExpectSameAnswer(const InstancePtr& version, const InstancePtr& rebuilt,
+                      const std::string& solver) {
+  auto solve = [&](const InstancePtr& instance) {
+    auto request = api::SolveRequest::Builder(instance)
+                       .WithK(4)
+                       .WithCoverage(0.6)
+                       .Build();
+    EXPECT_TRUE(request.ok()) << request.status().ToString();
+    return api::SolverRegistry::Global().Solve(solver, *request, nullptr);
+  };
+  auto from_delta = solve(version);
+  auto from_scratch = solve(rebuilt);
+  ASSERT_EQ(from_delta.status().code(), from_scratch.status().code())
+      << solver << ": " << from_delta.status().ToString() << " vs "
+      << from_scratch.status().ToString();
+  if (!from_delta.ok()) return;
+  EXPECT_EQ(from_delta->labels, from_scratch->labels) << solver;
+  EXPECT_EQ(from_delta->total_cost, from_scratch->total_cost) << solver;
+  EXPECT_EQ(from_delta->covered, from_scratch->covered) << solver;
+  EXPECT_EQ(from_delta->counters.sets_considered,
+            from_scratch->counters.sets_considered)
+      << solver;
+}
+
+TEST(DeltaOracleTest, RowDeltaChainsMatchScratchBuilds) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const pattern::CostFunction cost_fn(
+        seed % 2 == 0 ? pattern::CostKind::kMax : pattern::CostKind::kSum);
+    std::vector<LoggedRow> log(static_cast<std::size_t>(rng.NextInt(1, 120)));
+    for (LoggedRow& row : log) row = RandomRow(rng);
+    auto root = BuildFromLog(log, cost_fn);
+    ASSERT_TRUE(root.ok()) << root.status().ToString();
+    InstancePtr head = *std::move(root);
+
+    const std::int64_t num_ops = rng.NextInt(1, 30);
+    for (std::int64_t op = 0; op < num_ops; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const std::size_t n = log.size();
+      std::vector<std::size_t> retract;
+      std::vector<LoggedRow> appended;
+      const std::uint64_t kind = rng.NextBounded(4);
+      if (kind == 0) {
+        // Retract-then-append of the same row: the row moves to the end.
+        const std::size_t victim = rng.NextBounded(n);
+        retract = {victim};
+        appended = {log[victim]};
+      } else {
+        // 1: append only, 2: retract only, 3: both. Retraction ids are
+        // drawn unsorted; at least one parent row survives a pure retract.
+        if (kind != 1 && n > 1) {
+          retract.resize(n);
+          std::iota(retract.begin(), retract.end(), std::size_t{0});
+          rng.Shuffle(retract);
+          retract.resize(static_cast<std::size_t>(
+              rng.NextInt(1, static_cast<std::int64_t>(std::min<std::size_t>(
+                                 8, n - 1)))));
+        }
+        const std::size_t room = kOracleMaxRows - (n - retract.size());
+        if ((kind != 2 || retract.empty()) && room > 0) {
+          appended.resize(static_cast<std::size_t>(rng.NextInt(
+              1, static_cast<std::int64_t>(std::min<std::size_t>(8, room)))));
+          for (LoggedRow& row : appended) row = RandomRow(rng);
+        }
+      }
+
+      SnapshotDelta delta;
+      delta.retract_rows = retract;
+      for (const LoggedRow& row : appended) {
+        delta.append_rows.push_back({row.values, row.measure});
+      }
+      auto applied = ApplyDelta(head, delta);
+      ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+      EXPECT_EQ(applied->stats.rows_retracted, retract.size());
+      EXPECT_EQ(applied->stats.rows_appended, appended.size());
+
+      // Replay: survivors in parent order, then the appended rows.
+      std::vector<bool> dropped(n, false);
+      for (std::size_t r : retract) dropped[r] = true;
+      std::vector<LoggedRow> next;
+      for (std::size_t r = 0; r < n; ++r) {
+        if (!dropped[r]) next.push_back(log[r]);
+      }
+      next.insert(next.end(), appended.begin(), appended.end());
+      log = std::move(next);
+      head = applied->snapshot;
+
+      auto rebuilt = BuildFromLog(log, cost_fn);
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+      ASSERT_EQ(head->content_hash(), (*rebuilt)->content_hash());
+      const Table& version = head->table();
+      const Table& scratch = (*rebuilt)->table();
+      ASSERT_EQ(version.num_rows(), log.size());
+      for (std::size_t a = 0; a < scratch.num_attributes(); ++a) {
+        const Dictionary& got = version.dictionary(a);
+        const Dictionary& want = scratch.dictionary(a);
+        ASSERT_EQ(got.size(), want.size()) << "attribute " << a;
+        for (ValueId v = 0; v < want.size(); ++v) {
+          EXPECT_EQ(got.Name(v), want.Name(v)) << "attribute " << a;
+        }
+      }
+      ExpectSameAnswer(head, *rebuilt, "cwsc");
+      ExpectSameAnswer(head, *rebuilt, "opt-cwsc");
+    }
+  }
 }
 
 }  // namespace

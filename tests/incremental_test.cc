@@ -1,5 +1,7 @@
 #include "src/ext/incremental.h"
 
+#include <cmath>
+
 #include "src/common/bitset.h"
 
 #include "gtest/gtest.h"
@@ -63,7 +65,7 @@ TEST_P(IncrementalTest, SolutionStaysFeasibleAcrossBatches) {
   for (std::size_t lo = 0; lo < trace->num_rows(); lo += batch) {
     SCWSC_ASSERT_OK(inc.Append(ToRows(*trace, lo, lo + batch),
                                ToMeasures(*trace, lo, lo + batch)));
-    ASSERT_TRUE(inc.table().has_value());
+    ASSERT_NE(inc.table(), nullptr);
     const std::size_t n = inc.table()->num_rows();
     const std::size_t target = SetSystem::CoverageTarget(0.4, n);
     EXPECT_GE(inc.solution().covered, target) << "after " << n << " rows";
@@ -136,10 +138,52 @@ TEST(IncrementalTest, RejectsMalformedBatches) {
   EXPECT_TRUE(inc.Append({{"x"}}, {1.0}).IsInvalidArgument());
 }
 
+TEST(IncrementalTest, RejectedBatchLeavesTheStreamAsItWas) {
+  IncrementalCwsc inc({"a", "b"}, "m", CostFunction(CostKind::kMax),
+                      IncrementalOptions{});
+  SCWSC_ASSERT_OK(inc.Append({{"x", "y"}, {"x", "z"}}, {1.0, 2.0}));
+  const Table* table = inc.table();
+  ASSERT_NE(table, nullptr);
+  const ext::IncrementalStats stats = inc.stats();
+  auto expect_unchanged = [&](const char* batch) {
+    SCOPED_TRACE(batch);
+    EXPECT_EQ(inc.num_rows(), 2u);
+    ASSERT_EQ(inc.table(), table);
+    EXPECT_EQ(inc.table()->num_rows(), 2u);
+    EXPECT_EQ(inc.stats().batches, stats.batches);
+    EXPECT_EQ(inc.stats().full_recomputes, stats.full_recomputes);
+    EXPECT_EQ(inc.stats().repairs, stats.repairs);
+    EXPECT_EQ(inc.stats().no_op_batches, stats.no_op_batches);
+  };
+
+  EXPECT_TRUE(inc.Append({{"v", "y"}, {"w", "y"}}, {3.0, std::nan("")})
+                  .IsInvalidArgument());
+  expect_unchanged("non-finite measure");
+  EXPECT_TRUE(
+      inc.Append({{"v", "y"}, {"w"}}, {3.0, 4.0}).IsInvalidArgument());
+  expect_unchanged("wrong arity");
+
+  SCWSC_ASSERT_OK(inc.Append({{"v", "y"}}, {3.0}));
+  EXPECT_EQ(inc.num_rows(), 3u);
+  EXPECT_EQ(inc.num_rows(), inc.table()->num_rows());
+  EXPECT_EQ(inc.stats().batches, stats.batches + 1);
+}
+
+TEST(IncrementalTest, EmptyFirstBatchIsANoOp) {
+  IncrementalCwsc inc({"a"}, "m", CostFunction(CostKind::kMax),
+                      IncrementalOptions{});
+  SCWSC_ASSERT_OK(inc.Append({}, {}));
+  EXPECT_EQ(inc.stats().batches, 1u);
+  EXPECT_EQ(inc.stats().no_op_batches, 1u);
+  EXPECT_EQ(inc.num_rows(), 0u);
+  EXPECT_EQ(inc.table(), nullptr);
+  EXPECT_TRUE(inc.solution().patterns.empty());
+}
+
 TEST(IncrementalTest, EmptyBeforeFirstAppend) {
   IncrementalCwsc inc({"a"}, "m", CostFunction(CostKind::kMax),
                       IncrementalOptions{});
-  EXPECT_FALSE(inc.table().has_value());
+  EXPECT_EQ(inc.table(), nullptr);
   EXPECT_TRUE(inc.solution().patterns.empty());
   EXPECT_EQ(inc.num_rows(), 0u);
 }

@@ -110,29 +110,6 @@ TEST(RunContextTest, FailAfterNTripsTheNPlusFirstCheck) {
   EXPECT_EQ(ctx.Check(), TripKind::kCancel);  // sticky
 }
 
-TEST(RunContextTest, FailWithProbabilityIsDeterministicPerSeed) {
-  auto trip_index = [](std::uint64_t seed) {
-    RunContext ctx;
-    ctx.FailWithProbability(0.125, seed);
-    for (int i = 0; i < 10'000; ++i) {
-      if (ctx.Check() != TripKind::kNone) return i;
-    }
-    return -1;
-  };
-  const int first = trip_index(42);
-  EXPECT_GE(first, 0);  // p = 1/8 over 10k checks: virtually certain
-  EXPECT_EQ(first, trip_index(42));
-  // probability 1 trips at once; probability 0 never does.
-  RunContext always;
-  always.FailWithProbability(1.0, 7);
-  EXPECT_EQ(always.Check(), TripKind::kCancel);
-  RunContext never;
-  never.FailWithProbability(0.0, 7);
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(never.Check(), TripKind::kNone);
-  }
-}
-
 TEST(RunContextTest, ConcurrentTripsConvergeOnOneKind) {
   // Many threads racing cancel against a zero node budget must all observe
   // the same sticky winner.
